@@ -28,6 +28,7 @@ POWER_TOL = 1e-12
 ACCEPT_RESIDUAL = 1e-10
 MAX_POWER_ITER = 10**6
 CROSS_CHECK_MAX_N = 2000
+HITTING_MATRIX_MAX_K = 2500
 
 
 @dataclass(frozen=True)
@@ -216,21 +217,28 @@ def empirical_tail(result: StationaryResult, alpha: float) -> float:
 
 
 class _HittingSolver:
-    """Shared structure for expected-hitting-time solves on one graph."""
+    """Per-target sparse solves of E[tau_x(y)], for targets that the
+    fundamental matrix does not cover (single or off-support targets)."""
 
-    def __init__(self, g: Multigraph):
-        self.g = g
+    def __init__(self, g: Multigraph, comp: np.ndarray | None = None):
+        """`comp` is the attractive SCC when the caller has computed it;
+        otherwise the closed classes are found here."""
         self.n = g.n
         self.p = transition_matrix(g)
-        n_comp, labels = sccs(g)
-        src_comp = labels[g.tail_vertex]
-        dst_comp = labels[g.successors()]
-        has_external = np.zeros(n_comp, dtype=bool)
-        has_external[src_comp[src_comp != dst_comp]] = True
-        self.labels = labels
-        self.sink_comps = set(np.nonzero(~has_external)[0].tolist())
-        # Predecessor lists for reverse reachability.
         dst = g.successors()
+        # sink_of[v]: label of the closed class (condensation sink) holding
+        # v, or -1 for a transient vertex.
+        if comp is None:
+            n_comp, labels = sccs(g)
+            src_comp = labels[g.tail_vertex]
+            dst_comp = labels[dst]
+            has_external = np.zeros(n_comp, dtype=bool)
+            has_external[src_comp[src_comp != dst_comp]] = True
+            self.sink_of = np.where(has_external[labels], -1, labels)
+        else:
+            self.sink_of = np.full(g.n, -1, dtype=np.int64)
+            self.sink_of[comp] = 0
+        # Predecessor lists for reverse reachability.
         order = np.argsort(dst, kind="stable")
         self.pred_sorted = g.tail_vertex[order]
         counts = np.bincount(dst, minlength=g.n)
@@ -241,15 +249,12 @@ class _HittingSolver:
 
     def solve(self, y: int) -> np.ndarray:
         """E[tau_x(y)] for all x; +inf where y is not hit with probability 1."""
-        g = self.g
-        bad_sinks = self.sink_comps - {int(self.labels[y])}
-        # States that can reach a bad sink without stepping on y first have
-        # hitting probability < 1, hence infinite expectation.
-        blocked = np.zeros(self.n, dtype=bool)
-        stack = [
-            v for v in range(self.n) if self.labels[v] in bad_sinks and v != y
-        ]
-        blocked[stack] = True
+        # States that can reach a closed class other than y's without
+        # stepping on y first have hitting probability < 1, hence infinite
+        # expectation.
+        sink = self.sink_of
+        blocked = (sink >= 0) & (sink != sink[y])
+        stack = np.flatnonzero(blocked).tolist()
         while stack:
             v = stack.pop()
             for u in self._predecessors(v):
@@ -271,6 +276,14 @@ class _HittingSolver:
         return h
 
 
+def _check_vertices(g: Multigraph, vertices, what: str) -> np.ndarray:
+    """`vertices` as a flat int64 array, after checking each is in 0..n-1."""
+    v = np.asarray(vertices, dtype=np.int64).reshape(-1)
+    if np.any((v < 0) | (v >= g.n)):
+        raise ValidationError(f"{what} outside 0..{g.n - 1}")
+    return v
+
+
 def hitting_times_exact(g: Multigraph, y: int) -> np.ndarray:
     """Expected steps to hit y from every vertex, by a sparse linear solve.
 
@@ -287,62 +300,99 @@ def hitting_times_exact(g: Multigraph, y: int) -> np.ndarray:
 def return_time_exact(g: Multigraph, x: int, hitting: np.ndarray | None = None) -> float:
     """Expected return time E[tau+_x] = 1 + mean over out-edges of E[tau_dst(x)]."""
     if hitting is None:
-        hitting = hitting_times_exact(g, x)
+        return float(return_times_exact(g, [x])[0])
     dst = g.successors()[g.tail_ptr[x] : g.tail_ptr[x + 1]]
     return 1.0 + float(hitting[dst].sum()) / g.d_out[x]
 
 
 def return_times_exact(g: Multigraph, vertices) -> np.ndarray:
-    """Expected return times for many vertices, sharing one solver setup.
+    """Expected return times E[tau+_x] for many vertices x.
 
-    Each target still gets its own linear solve; only the transition matrix,
-    SCC structure, and predecessor lists are reused.
+    The hitting times come from one fundamental-matrix solve when every
+    vertex is in the attractive SCC, else from one sparse solve per vertex.
     """
-    solver = _HittingSolver(g)
-    out = np.empty(len(vertices))
-    dst_all = g.successors()
-    for i, x in enumerate(vertices):
-        x = int(x)
-        h = solver.solve(x)
-        dst = dst_all[g.tail_ptr[x] : g.tail_ptr[x + 1]]
-        out[i] = 1.0 + float(h[dst].sum()) / g.d_out[x]
-    return out
+    xs = _check_vertices(g, vertices, "vertex")
+    if len(xs) == 0:
+        return np.empty(0)
+    times = _target_times(g, attractive_scc(g), xs)
+    # Out-edges of each x, owner[j] = position in xs of the tail of edges[j].
+    deg = g.d_out[xs]
+    owner = np.repeat(np.arange(len(xs)), deg)
+    first = np.cumsum(deg) - deg
+    edges = np.repeat(g.tail_ptr[xs] - first, deg) + np.arange(len(owner))
+    steps = times[owner, g.successors()[edges]]
+    return 1.0 + np.bincount(owner, weights=steps, minlength=len(xs)) / deg
+
+
+def _target_times(
+    g: Multigraph, comp: np.ndarray | None, targets: np.ndarray
+) -> np.ndarray:
+    """E[tau_x(y)] with one row per target y and one column per vertex x.
+
+    Several targets inside an attractive SCC of at most HITTING_MATRIX_MAX_K
+    vertices share one fundamental-matrix solve; any other request falls
+    back to a sparse solve per target.
+    """
+    if (
+        comp is not None
+        and len(targets) > 1
+        and len(comp) <= HITTING_MATRIX_MAX_K
+        and np.isin(targets, comp).all()
+    ):
+        h = _hitting_matrix(g, comp, transition_matrix(g))
+        if np.array_equal(targets, comp):
+            return h.T
+        return h[:, np.searchsorted(comp, targets)].T
+    solver = _HittingSolver(g, comp)
+    return np.vstack([solver.solve(int(y)) for y in targets])
 
 
 def hitting_matrix(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
     """All expected hitting times onto the attractive SCC in one pass.
 
     Returns (targets, H) with targets the support vertices and H of shape
-    (n, len(targets)): H[x, j] = E[tau_x(targets[j])]. Inside the support the
-    times come from the fundamental matrix Z = (I - P + 1 pi)^(-1) via
-    m(x, y) = (Z[y, y] - Z[x, y]) / pi(y); transient starts add their entry
+    (n, len(targets)): H[x, j] = E[tau_x(targets[j])]. Inside the support
+    the times come from G = (I - P + 1 u)^(-1) with u the uniform row
+    (Kemeny & Snell): pi = u G, the column means of G, and
+    m(x, y) = (G[y, y] - G[x, y]) / pi(y). Transient starts add their entry
     time and entry distribution into the support. Much faster than a linear
     solve per target; the per-target solver cross-checks it in the tests.
     """
-    res = stationary_distribution(g)
-    comp = res.support
+    comp = attractive_scc(g)
+    if comp is None:
+        raise NonUniqueError()
+    if len(comp) > HITTING_MATRIX_MAX_K:
+        raise ValidationError(
+            f"hitting_matrix budgeted for supports up to {HITTING_MATRIX_MAX_K}"
+        )
+    return comp, _hitting_matrix(g, comp, transition_matrix(g))
+
+
+def _hitting_matrix(g: Multigraph, comp: np.ndarray, p: sp.csr_matrix) -> np.ndarray:
+    """H of `hitting_matrix` for the attractive SCC `comp` and kernel `p`."""
     k = len(comp)
-    if k > 2500:
-        raise ValidationError("hitting_matrix budgeted for supports up to 2500")
-    local = -np.ones(g.n, dtype=np.int64)
-    local[comp] = np.arange(k)
-    p = transition_matrix(g)
-    p_sub = p[comp][:, comp].toarray()
-    pi = res.pi[comp]
-    z = np.linalg.inv(np.eye(k) - p_sub + np.outer(np.ones(k), pi))
-    h_inside = (np.diag(z)[None, :] - z) / pi[None, :]
-    transient = np.nonzero(local < 0)[0]
-    h = np.zeros((g.n, k))
-    h[comp] = h_inside
-    if len(transient):
-        t_block = p[transient][:, transient]
-        r_block = p[transient][:, comp]
-        ident = sp.identity(len(transient), format="csc")
-        lu = spla.splu((ident - t_block).tocsc())
-        entry_steps = lu.solve(np.ones(len(transient)))
-        entry_dist = lu.solve(r_block.toarray())
-        h[transient] = entry_steps[:, None] + entry_dist @ h_inside
-    return comp, h
+    # I - P + 1 u, built in place on the dense restriction of P.
+    a = p[comp][:, comp].toarray()
+    np.negative(a, out=a)
+    a.flat[:: k + 1] += 1.0
+    a += 1.0 / k
+    z = np.linalg.inv(a)
+    del a
+    pi = z.mean(axis=0)
+    np.subtract(z.diagonal().copy(), z, out=z)
+    z /= pi
+    if k == g.n:
+        return z
+    transient = np.setdiff1d(np.arange(g.n), comp)
+    h = np.empty((g.n, k))
+    h[comp] = z
+    t_rows = p[transient]
+    lu = spla.splu((sp.identity(len(transient), format="csc")
+                    - t_rows[:, transient]).tocsc())
+    entry_steps = lu.solve(np.ones(len(transient)))
+    entry_dist = lu.solve(t_rows[:, comp].toarray())
+    h[transient] = entry_steps[:, None] + entry_dist @ z
+    return h
 
 
 def walk_times_exact(
@@ -359,14 +409,17 @@ def walk_times_exact(
         raise NonUniqueError()
     if targets is None:
         targets = comp
-    targets = np.sort(np.asarray(targets, dtype=np.int64))
-    solver = _HittingSolver(g)
-    hitting = np.vstack([solver.solve(int(y)) for y in targets])
+    targets = np.sort(_check_vertices(g, targets, "target"))
+    if len(targets) == 0:
+        raise ValidationError("need at least one target")
+    hitting = _target_times(g, comp, targets)
     t_hit = float(hitting[np.isfinite(hitting)].max())
     bound = matthews_bound(t_hit, len(comp))
     if step_cap is None:
         step_cap = max(10_000, int(50 * bound))
-    cov = cover_time_mc(g, reps=cover_reps, step_cap=step_cap, rng_seed=rng_seed)
+    cov = cover_time_mc(
+        g, reps=cover_reps, step_cap=step_cap, rng_seed=rng_seed, support=comp
+    )
     return WalkTimes(
         targets=targets,
         hitting=hitting,
@@ -376,11 +429,49 @@ def walk_times_exact(
     )
 
 
-def _advance(g: Multigraph, pos: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _check_walkable(g: Multigraph, reps: int, *vertices: int) -> None:
+    """Walkers need at least one replicate, every given vertex in 0..n-1,
+    and an out-edge at every vertex they may reach."""
+    if reps < 1:
+        raise ValidationError(f"reps must be >= 1, got {reps}")
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValidationError(f"vertex {v} outside 0..{g.n - 1}")
+    if np.any(g.d_out == 0):
+        raise NonUniqueError("vertex with out-degree 0: walk transitions undefined")
+
+
+def _advance(
+    g: Multigraph, succ: np.ndarray, pos: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
     """One uniform out-edge step (multiplicity-weighted) for each walker."""
-    offsets = rng.integers(0, g.d_out[pos])
-    tails = g.tail_ptr[pos] + offsets
-    return g.head_vertex[g.match[tails]]
+    return succ[g.tail_ptr[pos] + rng.integers(0, g.d_out[pos])]
+
+
+def _summarize(
+    times: np.ndarray, active: np.ndarray, step_cap: int, start: int | None = None
+) -> HittingEstimate:
+    """Estimate from per-replicate step counts; `active` marks the replicates
+    still walking at the step cap. Those are excluded from the mean, set to
+    step_cap in `times`, and counted as censored. Raises CensoredError when
+    every replicate is censored."""
+    censored = int(active.sum())
+    hits = len(times) - censored
+    if hits == 0:
+        raise CensoredError()
+    sample = times[~active].astype(float)
+    times[active] = step_cap
+    se = float(sample.std(ddof=1) / math.sqrt(hits)) if hits > 1 else math.inf
+    return HittingEstimate(
+        mean=float(sample.mean()),
+        se=se,
+        reps=len(times),
+        hits=hits,
+        censored=censored,
+        step_cap=step_cap,
+        samples=times,
+        start=start,
+    )
 
 
 def hitting_time_mc(
@@ -396,33 +487,25 @@ def hitting_time_mc(
     Censored walks (step cap reached) are excluded from the mean and
     reported; if every walk is censored a CensoredError is raised.
     """
+    _check_walkable(g, reps, x, y)
+    succ = g.successors()
     rng = np.random.default_rng(rng_seed)
-    pos = np.full(reps, x, dtype=np.int64)
     times = np.zeros(reps, dtype=np.int64)
-    active = pos != y
+    # Walkers still on their way, in replicate order, and their positions.
+    live = np.arange(reps) if x != y else np.zeros(0, dtype=np.int64)
+    pos = np.full(len(live), x, dtype=np.int64)
     step = 0
-    while active.any() and step < step_cap:
+    while len(live) and step < step_cap:
         step += 1
-        pos[active] = _advance(g, pos[active], rng)
-        arrived = active & (pos == y)
-        times[arrived] = step
-        active &= ~arrived
-    censored = int(active.sum())
-    hits = reps - censored
-    if hits == 0:
-        raise CensoredError()
-    sample = times[~active].astype(float)
-    times[active] = step_cap
-    se = float(sample.std(ddof=1) / math.sqrt(hits)) if hits > 1 else math.inf
-    return HittingEstimate(
-        mean=float(sample.mean()),
-        se=se,
-        reps=reps,
-        hits=hits,
-        censored=censored,
-        step_cap=step_cap,
-        samples=times,
-    )
+        pos = _advance(g, succ, pos, rng)
+        arrived = pos == y
+        if arrived.any():
+            times[live[arrived]] = step
+            keep = ~arrived
+            live, pos = live[keep], pos[keep]
+    active = np.zeros(reps, dtype=bool)
+    active[live] = True
+    return _summarize(times, active, step_cap)
 
 
 def cover_time_mc(
@@ -431,67 +514,66 @@ def cover_time_mc(
     step_cap: int,
     rng_seed: int = 0,
     n_starts: int = 10,
+    support: np.ndarray | None = None,
 ) -> HittingEstimate:
     """Estimated cover time of the attractive SCC: worst mean over a sampled
-    start set, all steps counted from the start vertex."""
-    comp = attractive_scc(g)
+    start set, all steps counted from the start vertex.
+
+    All starts walk together in one walker array, `reps // n_starts` (at
+    least 2) walkers per start. `support` is the attractive SCC, when the
+    caller has already computed it.
+    """
+    _check_walkable(g, reps)
+    if n_starts < 1:
+        raise ValidationError(f"n_starts must be >= 1, got {n_starts}")
+    succ = g.successors()
+    comp = attractive_scc(g) if support is None else support
     if comp is None:
         raise NonUniqueError()
     rng = np.random.default_rng(rng_seed)
     starts = rng.choice(g.n, size=min(n_starts, g.n), replace=False)
-    local = -np.ones(g.n, dtype=np.int64)
-    local[comp] = np.arange(len(comp))
     per_start = max(2, reps // len(starts))
-    worst: HittingEstimate | None = None
-    for start in starts:
-        est = _cover_from(g, int(start), comp, local, per_start, step_cap, rng)
-        if worst is None or est.mean > worst.mean:
-            worst = est
-    assert worst is not None
-    return worst
-
-
-def _cover_from(g, start, comp, local, reps, step_cap, rng) -> HittingEstimate:
     k = len(comp)
-    pos = np.full(reps, start, dtype=np.int64)
-    visited = np.zeros((reps, k), dtype=bool)
-    remaining = np.full(reps, k, dtype=np.int64)
-    times = np.zeros(reps, dtype=np.int64)
-    idx0 = local[start]
-    if idx0 >= 0:
-        visited[:, idx0] = True
-        remaining -= 1
-    active = remaining > 0
+    # seen[w, local[v]] marks vertex v as visited by walker w. Column k
+    # stands for every vertex outside the support; it is marked from the
+    # start, so stepping there never counts as a fresh visit.
+    local = np.full(g.n, k, dtype=np.int64)
+    local[comp] = np.arange(k)
+    walkers = len(starts) * per_start
+    rows = np.arange(walkers) * (k + 1)
+    seen = np.zeros(walkers * (k + 1), dtype=bool)
+    seen[rows + k] = True
+    pos = np.repeat(starts, per_start)
+    seen[rows + local[pos]] = True
+    left = k - (local[pos] < k)
+    times = np.zeros(walkers, dtype=np.int64)
+    live = np.flatnonzero(left > 0)
+    pos, rows, left = pos[live], rows[live], left[live]
     step = 0
-    rows = np.arange(reps)
-    while active.any() and step < step_cap:
+    while len(live) and step < step_cap:
         step += 1
-        pos[active] = _advance(g, pos[active], rng)
-        loc = local[pos]
-        markable = active & (loc >= 0)
-        fresh = markable & ~visited[rows, np.maximum(loc, 0)]
-        visited[rows[fresh], loc[fresh]] = True
-        remaining[fresh] -= 1
-        done = active & (remaining == 0)
-        times[done] = step
-        active &= ~done
-    censored = int(active.sum())
-    hits = reps - censored
-    if hits == 0:
-        raise CensoredError()
-    sample = times[~active].astype(float)
-    times[active] = step_cap
-    se = float(sample.std(ddof=1) / math.sqrt(hits)) if hits > 1 else math.inf
-    return HittingEstimate(
-        mean=float(sample.mean()),
-        se=se,
-        reps=reps,
-        hits=hits,
-        censored=censored,
-        step_cap=step_cap,
-        samples=times,
-        start=start,
-    )
+        pos = _advance(g, succ, pos, rng)
+        cells = rows + local[pos]
+        fresh = ~seen[cells]
+        if fresh.any():
+            seen[cells] = True
+            left -= fresh
+            done = left == 0
+            if done.any():
+                times[live[done]] = step
+                keep = ~done
+                live, pos, rows, left = live[keep], pos[keep], rows[keep], left[keep]
+    active = np.zeros(walkers, dtype=bool)
+    active[live] = True
+    estimates = [
+        _summarize(t, a, step_cap, start=int(s))
+        for s, t, a in zip(
+            starts,
+            times.reshape(-1, per_start),
+            active.reshape(-1, per_start),
+        )
+    ]
+    return max(estimates, key=lambda est: est.mean)
 
 
 def matthews_bound(t_hit: float, n_targets: int) -> float:

@@ -231,3 +231,18 @@ def test_cli_exit_codes(tmp_path):
     edges = tmp_path / "two.edges"
     edges.write_text("0 1 1\n1 0 1\n2 3 1\n3 2 1\n")
     assert main(["stationary", "--graph", str(edges)]) == 3
+
+
+def test_cli_walker_exit_codes(tmp_path, capsys):
+    cycle = tmp_path / "cycle.edges"
+    cycle.write_text("0 1 1\n1 2 1\n2 0 1\n")
+    base = ["--reps", "5", "--step-cap", "100", "--seed", "1"]
+    assert main(["hitting", "--graph", str(cycle), "--x", "99999", "--y", "0", *base]) == 2
+    assert main(["hitting", "--graph", str(cycle), "--x", "0", "--y", "-1", *base]) == 2
+    assert main(["cover", "--graph", str(cycle), "--starts", "0", *base]) == 2
+    # Vertex 2 has no out-edge: walk transitions are undefined.
+    dead_end = tmp_path / "dead_end.edges"
+    dead_end.write_text("0 1 1\n1 0 1\n1 2 1\n")
+    assert main(["hitting", "--graph", str(dead_end), "--x", "0", "--y", "1", *base]) == 3
+    assert main(["cover", "--graph", str(dead_end), *base]) == 3
+    assert "Traceback" not in capsys.readouterr().err

@@ -8,6 +8,7 @@ from dcmwalk import (
     CensoredError,
     Multigraph,
     NonUniqueError,
+    ValidationError,
     cover_time_mc,
     empirical_tail,
     extremal_values,
@@ -21,7 +22,7 @@ from dcmwalk import (
     stationary_distribution,
     walk_times_exact,
 )
-from dcmwalk.walks import hitting_matrix
+from dcmwalk.walks import hitting_matrix, return_times_exact
 
 
 def directed_cycle(n: int) -> Multigraph:
@@ -212,6 +213,47 @@ def test_hitting_matrix_matches_solver(toy_dist):
         assert np.max(np.abs(mat[:, j] - solved)) < 1e-8
 
 
+def test_hitting_matrix_transient_starts(toy_dist):
+    # The toy law has in-degree-0 vertices, so the graph has transient
+    # starts that enter the support through the sparse entry solve.
+    seq = realize_sequence(toy_dist, 150)
+    g = sample_dcm(seq, rng_seed=3)
+    targets, mat = hitting_matrix(g)
+    assert 0 < len(targets) < g.n
+    assert mat.shape == (g.n, len(targets))
+    for j, y in enumerate(targets):
+        solved = hitting_times_exact(g, int(y))
+        assert np.all(np.isfinite(solved))
+        rel = np.abs(mat[:, j] - solved) / np.maximum(solved, 1.0)
+        assert rel.max() <= 1e-9
+
+
+def test_return_times_batch_matches_solver(toy_dist):
+    seq = realize_sequence(toy_dist, 200)
+    g = sample_dcm(seq, rng_seed=6)
+    support = stationary_distribution(g).support
+    batched = return_times_exact(g, support)
+    for i in (0, len(support) // 3, len(support) - 1):
+        single = return_time_exact(g, int(support[i]))
+        assert batched[i] == pytest.approx(single, rel=1e-9)
+
+
+def test_walk_times_off_support_target(toy_dist):
+    # A target outside the attractive SCC is solved per target: it is never
+    # hit from the support (+inf), but is hit from some transient starts.
+    seq = realize_sequence(toy_dist, 150)
+    g = sample_dcm(seq, rng_seed=3)
+    support = stationary_distribution(g).support
+    off = int(np.setdiff1d(np.arange(g.n), support)[0])
+    on = int(support[0])
+    times = walk_times_exact(g, targets=[off, on], cover_reps=20, rng_seed=1)
+    for y in (off, on):
+        row = np.array([times.hitting_time(x, y) for x in range(g.n)])
+        assert np.array_equal(row, hitting_times_exact(g, y))
+    assert np.all(np.isinf(times.hitting[list(times.targets).index(off), support]))
+    assert math.isfinite(times.t_hit)
+
+
 def test_hitting_mc_cycle_exact():
     g = directed_cycle(8)
     est = hitting_time_mc(g, 3, 2, reps=200, step_cap=100, rng_seed=0)
@@ -240,6 +282,102 @@ def test_cover_cycle_exact():
     g = directed_cycle(9)
     est = cover_time_mc(g, reps=40, step_cap=1000, rng_seed=2)
     assert est.mean == 8.0
+
+
+def test_cover_batched_reproducible(toy_dist):
+    seq = realize_sequence(toy_dist, 100)
+    g = sample_dcm(seq, rng_seed=4)
+    first = cover_time_mc(g, reps=60, step_cap=10**6, rng_seed=8, n_starts=6)
+    again = cover_time_mc(g, reps=60, step_cap=10**6, rng_seed=8, n_starts=6)
+    assert np.array_equal(first.samples, again.samples)
+    assert (first.mean, first.se, first.start) == (again.mean, again.se, again.start)
+    starts = np.random.default_rng(8).choice(g.n, size=6, replace=False)
+    assert first.start in starts.tolist()
+    assert first.reps == len(first.samples) == 10
+    assert first.hits + first.censored == first.reps
+
+
+def exact_cover_times(g: Multigraph, support) -> np.ndarray:
+    """Expected steps to visit every support vertex, from each start, by a
+    linear solve over (position, visited set) states."""
+    k = len(support)
+    bit = {int(v): 1 << i for i, v in enumerate(support)}
+    full = (1 << k) - 1
+    dst = g.successors()
+    states = [(v, s) for v in range(g.n) for s in range(full)]
+    index = {st: i for i, st in enumerate(states)}
+    a = np.eye(len(states))
+    for i, (v, s) in enumerate(states):
+        for e in range(g.tail_ptr[v], g.tail_ptr[v + 1]):
+            w = int(dst[e])
+            s2 = s | bit.get(w, 0)
+            if s2 != full:
+                a[i, index[(w, s2)]] -= 1.0 / g.d_out[v]
+    t = np.linalg.solve(a, np.ones(len(states)))
+    out = np.zeros(g.n)
+    for v in range(g.n):
+        s0 = bit.get(v, 0)
+        out[v] = 0.0 if s0 == full else t[index[(v, s0)]]
+    return out
+
+
+def test_cover_matches_exact_small_graph():
+    # Support {0, 1, 2, 3} with a self-loop and a double edge; vertex 4 is
+    # transient and feeds into it.
+    edges = [(0, 1, 2), (0, 2, 1), (1, 0, 1), (1, 3, 1), (2, 2, 1), (2, 3, 1),
+             (3, 0, 1), (3, 1, 1), (4, 2, 1), (4, 4, 1)]
+    g = Multigraph.from_edges(edges)
+    support = stationary_distribution(g).support
+    assert support.tolist() == [0, 1, 2, 3]
+    exact = exact_cover_times(g, support)
+    starts = set()
+    for seed in range(12):
+        est = cover_time_mc(g, reps=2000, step_cap=10**5, rng_seed=seed, n_starts=1)
+        assert est.censored == 0
+        assert abs(est.mean - exact[est.start]) <= 4 * est.se
+        starts.add(est.start)
+    assert len(starts) >= 4
+
+
+def test_cover_censoring_consistent():
+    # A lollipop: the cycle 0..5 plus a self-loop at 0 and the pendant
+    # vertex 6 feeding into it. Some walkers cover the cycle within the cap
+    # and some do not.
+    edges = [(i, (i + 1) % 6, 1) for i in range(6)] + [(0, 0, 1), (6, 0, 1)]
+    g = Multigraph.from_edges(edges)
+    est = cover_time_mc(g, reps=80, step_cap=7, rng_seed=3, n_starts=7)
+    assert 0 < est.censored < est.reps
+    assert est.hits + est.censored == est.reps == len(est.samples)
+    # Censored replicates read step_cap; a walk may also finish exactly there.
+    assert est.samples.max() <= est.step_cap
+    assert int((est.samples == est.step_cap).sum()) >= est.censored
+    total = est.mean * est.hits + est.step_cap * est.censored
+    assert total == pytest.approx(float(est.samples.sum()), rel=1e-12)
+
+
+def test_cover_all_censored():
+    with pytest.raises(CensoredError):
+        cover_time_mc(directed_cycle(9), reps=40, step_cap=3, rng_seed=2)
+
+
+def test_walkers_reject_bad_vertices():
+    g = directed_cycle(3)
+    for x, y in ((0, 9), (-1, 0), (3, 1)):
+        with pytest.raises(ValidationError):
+            hitting_time_mc(g, x, y, reps=10, step_cap=100, rng_seed=0)
+    with pytest.raises(ValidationError):
+        hitting_time_mc(g, 0, 1, reps=0, step_cap=100, rng_seed=0)
+    with pytest.raises(ValidationError):
+        cover_time_mc(g, reps=10, step_cap=100, rng_seed=0, n_starts=0)
+
+
+def test_walkers_reject_out_degree_zero():
+    # 0 <-> 1 -> 2, and 2 has no out-edge.
+    g = Multigraph.from_edges([(0, 1, 1), (1, 0, 1), (1, 2, 1)])
+    with pytest.raises(NonUniqueError):
+        hitting_time_mc(g, 0, 1, reps=10, step_cap=100, rng_seed=0)
+    with pytest.raises(NonUniqueError):
+        cover_time_mc(g, reps=10, step_cap=100, rng_seed=0)
 
 
 def test_cover_respects_matthews(toy_dist):
