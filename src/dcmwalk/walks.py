@@ -29,6 +29,11 @@ ACCEPT_RESIDUAL = 1e-10
 MAX_POWER_ITER = 10**6
 CROSS_CHECK_MAX_N = 2000
 HITTING_MATRIX_MAX_K = 2500
+# Fewest targets for which one dense fundamental-matrix solve beats a sparse
+# solve per target. On sampled graphs with in/out-degrees 3-4 and k = 100 to
+# 2000 support vertices, the dense solve cost as much as 0.3 to 2.9 sparse
+# solves (LU fill-in makes each sparse solve nearly dense).
+HITTING_MATRIX_MIN_TARGETS = 3
 
 
 @dataclass(frozen=True)
@@ -220,24 +225,18 @@ class _HittingSolver:
     """Per-target sparse solves of E[tau_x(y)], for targets that the
     fundamental matrix does not cover (single or off-support targets)."""
 
-    def __init__(self, g: Multigraph, comp: np.ndarray | None = None):
-        """`comp` is the attractive SCC when the caller has computed it;
-        otherwise the closed classes are found here."""
+    def __init__(self, g: Multigraph):
         self.n = g.n
         self.p = transition_matrix(g)
         dst = g.successors()
         # sink_of[v]: label of the closed class (condensation sink) holding
         # v, or -1 for a transient vertex.
-        if comp is None:
-            n_comp, labels = sccs(g)
-            src_comp = labels[g.tail_vertex]
-            dst_comp = labels[dst]
-            has_external = np.zeros(n_comp, dtype=bool)
-            has_external[src_comp[src_comp != dst_comp]] = True
-            self.sink_of = np.where(has_external[labels], -1, labels)
-        else:
-            self.sink_of = np.full(g.n, -1, dtype=np.int64)
-            self.sink_of[comp] = 0
+        n_comp, labels = sccs(g)
+        src_comp = labels[g.tail_vertex]
+        dst_comp = labels[dst]
+        has_external = np.zeros(n_comp, dtype=bool)
+        has_external[src_comp[src_comp != dst_comp]] = True
+        self.sink_of = np.where(has_external[labels], -1, labels)
         # Predecessor lists for reverse reachability.
         order = np.argsort(dst, kind="stable")
         self.pred_sorted = g.tail_vertex[order]
@@ -329,21 +328,21 @@ def _target_times(
 ) -> np.ndarray:
     """E[tau_x(y)] with one row per target y and one column per vertex x.
 
-    Several targets inside an attractive SCC of at most HITTING_MATRIX_MAX_K
-    vertices share one fundamental-matrix solve; any other request falls
-    back to a sparse solve per target.
+    At least HITTING_MATRIX_MIN_TARGETS targets inside an attractive SCC of
+    at most HITTING_MATRIX_MAX_K vertices share one fundamental-matrix
+    solve; any other request falls back to a sparse solve per target.
     """
     if (
         comp is not None
-        and len(targets) > 1
+        and len(targets) >= HITTING_MATRIX_MIN_TARGETS
         and len(comp) <= HITTING_MATRIX_MAX_K
         and np.isin(targets, comp).all()
     ):
-        h = _hitting_matrix(g, comp, transition_matrix(g))
+        h = _hitting_matrix(g, comp)
         if np.array_equal(targets, comp):
             return h.T
         return h[:, np.searchsorted(comp, targets)].T
-    solver = _HittingSolver(g, comp)
+    solver = _HittingSolver(g)
     return np.vstack([solver.solve(int(y)) for y in targets])
 
 
@@ -365,11 +364,12 @@ def hitting_matrix(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(
             f"hitting_matrix budgeted for supports up to {HITTING_MATRIX_MAX_K}"
         )
-    return comp, _hitting_matrix(g, comp, transition_matrix(g))
+    return comp, _hitting_matrix(g, comp)
 
 
-def _hitting_matrix(g: Multigraph, comp: np.ndarray, p: sp.csr_matrix) -> np.ndarray:
-    """H of `hitting_matrix` for the attractive SCC `comp` and kernel `p`."""
+def _hitting_matrix(g: Multigraph, comp: np.ndarray) -> np.ndarray:
+    """H of `hitting_matrix` for the attractive SCC `comp`."""
+    p = transition_matrix(g)
     k = len(comp)
     # I - P + 1 u, built in place on the dense restriction of P.
     a = p[comp][:, comp].toarray()
@@ -417,9 +417,7 @@ def walk_times_exact(
     bound = matthews_bound(t_hit, len(comp))
     if step_cap is None:
         step_cap = max(10_000, int(50 * bound))
-    cov = cover_time_mc(
-        g, reps=cover_reps, step_cap=step_cap, rng_seed=rng_seed, support=comp
-    )
+    cov = cover_time_mc(g, reps=cover_reps, step_cap=step_cap, rng_seed=rng_seed)
     return WalkTimes(
         targets=targets,
         hitting=hitting,
@@ -514,20 +512,18 @@ def cover_time_mc(
     step_cap: int,
     rng_seed: int = 0,
     n_starts: int = 10,
-    support: np.ndarray | None = None,
 ) -> HittingEstimate:
     """Estimated cover time of the attractive SCC: worst mean over a sampled
     start set, all steps counted from the start vertex.
 
     All starts walk together in one walker array, `reps // n_starts` (at
-    least 2) walkers per start. `support` is the attractive SCC, when the
-    caller has already computed it.
+    least 2) walkers per start.
     """
     _check_walkable(g, reps)
     if n_starts < 1:
         raise ValidationError(f"n_starts must be >= 1, got {n_starts}")
     succ = g.successors()
-    comp = attractive_scc(g) if support is None else support
+    comp = attractive_scc(g)
     if comp is None:
         raise NonUniqueError()
     rng = np.random.default_rng(rng_seed)

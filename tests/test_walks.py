@@ -254,6 +254,20 @@ def test_walk_times_off_support_target(toy_dist):
     assert math.isfinite(times.t_hit)
 
 
+def test_walk_times_partial_support_targets(toy_dist):
+    # Two support targets take the per-target solver, three take one
+    # fundamental-matrix solve; both agree with the single-target solve.
+    seq = realize_sequence(toy_dist, 150)
+    g = sample_dcm(seq, rng_seed=3)
+    support = stationary_distribution(g).support
+    for picked in (support[[0, -1]], support[[0, len(support) // 2, -1]]):
+        times = walk_times_exact(g, targets=picked, cover_reps=20, rng_seed=1)
+        for j, y in enumerate(picked):
+            solved = hitting_times_exact(g, int(y))
+            rel = np.abs(times.hitting[j] - solved) / np.maximum(solved, 1.0)
+            assert rel.max() <= 1e-9
+
+
 def test_hitting_mc_cycle_exact():
     g = directed_cycle(8)
     est = hitting_time_mc(g, 3, 2, reps=200, step_cap=100, rng_seed=0)
