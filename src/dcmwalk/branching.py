@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .degrees import PROB_TOL, BiDegreeDistribution, BiDegreeSequence
@@ -107,8 +107,9 @@ class MarkedOffspringLaw:
 class BpParameters:
     """Analytic parameters of the in-branching process of a distribution.
 
-    `nu_hat` and `H_hat` are zero / NaN in the degenerate regime where the
-    in-process never dies (minimum in-degree >= 2 on the biased support).
+    `nu_hat` and `H_hat` are zero / NaN, and the single-survivor law `tilde`
+    is None, in the degenerate regime where the in-process never dies
+    (minimum in-degree >= 2 on the biased support).
     """
 
     lam: float
@@ -118,10 +119,24 @@ class BpParameters:
     H_hat: float
     H_plus: float
     t_ent_coeff: float
+    tilde: MarkedOffspringLaw | None = field(compare=False)
 
     @property
     def degenerate(self) -> bool:
         return self.nu_hat == 0.0
+
+
+@dataclass(frozen=True)
+class SubcriticalChain:
+    """Offspring pgf, survival s, nu_hat = g'(1 - s), single-survivor law and
+    its mean log mark H_hat: the chain behind C = H_hat / phi(a0). Without a
+    subcritical spine (nu_hat = 0) `tilde` is None and `H_hat` is NaN."""
+
+    coeffs: list[float]
+    s: float
+    nu_hat: float
+    tilde: MarkedOffspringLaw | None
+    H_hat: float
 
 
 def bivariate_gf(dist: BiDegreeDistribution, z: float, w: float) -> float:
@@ -175,20 +190,21 @@ def out_biased_mean_ratio_exact(dist: BiDegreeDistribution) -> Fraction:
     return num / den
 
 
+def offspring_pgf(xi: OffspringLaw) -> list[float]:
+    """Coefficients c_k = P{xi = k} of the pgf of an offspring law."""
+    coeffs = [0.0] * (max(xi) + 1)
+    for k, p in xi.items():
+        coeffs[k] = p
+    return coeffs
+
+
 def in_offspring_pgf(dist: BiDegreeDistribution) -> list[float]:
     """Coefficients of the in-process offspring pgf (1/lam) df/dw(z, 1).
 
     Coefficient c_k = (1/lam) sum_ell ell p(k, ell) is the offspring marginal
     of the out-size-biased law.
     """
-    lam = dist.mean_out
-    if lam <= 0.0:
-        raise DegenerateError("offspring pgf needs mean out-degree > 0")
-    kmax = dist.max_in
-    coeffs = [0.0] * (kmax + 1)
-    for (k, ell), p in dist.pmf.items():
-        coeffs[k] += ell * p / lam
-    return coeffs
+    return offspring_pgf(out_size_biased(dist).offspring_marginal())
 
 
 def pgf_value(coeffs, q: float) -> float:
@@ -221,11 +237,20 @@ def survival_probability(coeffs) -> float:
     )
 
 
+def subcritical_chain(eta: MarkedOffspringLaw) -> SubcriticalChain:
+    """Survival, nu_hat, single-survivor law and H_hat of the law `eta`."""
+    coeffs = offspring_pgf(eta.offspring_marginal())
+    s = survival_probability(coeffs)
+    nu_hat = pgf_derivative(coeffs, 1.0 - s)
+    if nu_hat <= 0.0:
+        return SubcriticalChain(coeffs, s, 0.0, None, math.nan)
+    tilde = single_survivor_law(eta, s)
+    return SubcriticalChain(coeffs, s, nu_hat, tilde, _mean_log_mark(tilde))
+
+
 def subcritical_expansion_rate(dist: BiDegreeDistribution) -> float:
     """nu_hat = g'(1 - s) of the in-process; lies in [0, 1)."""
-    coeffs = in_offspring_pgf(dist)
-    s = survival_probability(coeffs)
-    return pgf_derivative(coeffs, 1.0 - s)
+    return subcritical_chain(out_size_biased(dist)).nu_hat
 
 
 def conjugate_offspring(xi: OffspringLaw, s: float) -> OffspringLaw:
@@ -298,11 +323,11 @@ def single_survivor_law(eta: MarkedOffspringLaw, s: float) -> MarkedOffspringLaw
 
 def subcritical_entropy(eta: MarkedOffspringLaw, s: float) -> float:
     """H_hat = E[log zeta_tilde] under the single-survivor law."""
-    tilde = single_survivor_law(eta, s)
-    for (_, zeta) in tilde.pmf:
-        if zeta < 1:
-            raise DegenerateError("mark below 1 under the single-survivor law")
-    return math.fsum(p * math.log(zeta) for (_, zeta), p in tilde.pmf.items())
+    return _mean_log_mark(single_survivor_law(eta, s))
+
+
+def _mean_log_mark(law: MarkedOffspringLaw) -> float:
+    return math.fsum(p * math.log(zeta) for (_, zeta), p in law.pmf.items())
 
 
 def out_entropy(seq: BiDegreeSequence) -> tuple[float, float]:
@@ -348,23 +373,15 @@ def distribution_out_entropy(dist: BiDegreeDistribution) -> float:
 
 def compute_bp_parameters(dist: BiDegreeDistribution) -> BpParameters:
     """All scalar branching parameters of a mean-balanced distribution."""
-    lam = dist.mean_out
-    coeffs = in_offspring_pgf(dist)
-    nu = pgf_derivative(coeffs, 1.0)
-    s_minus = survival_probability(coeffs)
-    nu_hat = pgf_derivative(coeffs, 1.0 - s_minus)
-    if nu_hat > 0.0:
-        h_hat = subcritical_entropy(out_size_biased(dist), s_minus)
-    else:
-        nu_hat = 0.0
-        h_hat = float("nan")
+    chain = subcritical_chain(out_size_biased(dist))
     h_plus = distribution_out_entropy(dist)
     return BpParameters(
-        lam=lam,
-        nu=nu,
-        s_minus=s_minus,
-        nu_hat=nu_hat,
-        H_hat=h_hat,
+        lam=dist.mean_out,
+        nu=pgf_derivative(chain.coeffs, 1.0),
+        s_minus=chain.s,
+        nu_hat=chain.nu_hat,
+        H_hat=chain.H_hat,
         H_plus=h_plus,
         t_ent_coeff=1.0 / h_plus,
+        tilde=chain.tilde,
     )

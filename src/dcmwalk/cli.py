@@ -82,9 +82,8 @@ def _cmd_hitting(args) -> int:
         rng_seed=args.seed,
     )
     lines = ["replicate,steps,censored"]
-    for i, steps in enumerate(est.samples):
-        censored = int(steps >= est.step_cap)
-        lines.append(f"{i},{int(steps)},{censored}")
+    for i, (steps, censored) in enumerate(zip(est.samples, est.censored_mask)):
+        lines.append(f"{i},{int(steps)},{int(censored)}")
     _write("\n".join(lines) + "\n", args.out)
     print(
         f"mean={est.mean:.6g} se={est.se:.6g} hits={est.hits} "
@@ -101,9 +100,8 @@ def _cmd_cover(args) -> int:
         n_starts=args.starts,
     )
     lines = ["replicate,start,steps,censored"]
-    for i, steps in enumerate(est.samples):
-        censored = int(steps >= est.step_cap)
-        lines.append(f"{i},{est.start},{int(steps)},{censored}")
+    for i, (steps, censored) in enumerate(zip(est.samples, est.censored_mask)):
+        lines.append(f"{i},{est.start},{int(steps)},{int(censored)}")
     _write("\n".join(lines) + "\n", args.out)
     print(
         f"worst_start={est.start} mean={est.mean:.6g} se={est.se:.6g} "

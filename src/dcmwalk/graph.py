@@ -120,10 +120,13 @@ class Multigraph:
                 line = line.strip()
                 if not line:
                     continue
-                parts = line.split()
-                if len(parts) != 3:
-                    raise ValidationError(f"{path}:{lineno}: expected 'src dst mult'")
-                edges.append((int(parts[0]), int(parts[1]), int(parts[2])))
+                try:
+                    src, dst, mult = (int(v) for v in line.split())
+                except ValueError as exc:
+                    raise ValidationError(
+                        f"{path}:{lineno}: expected integers 'src dst mult'"
+                    ) from exc
+                edges.append((src, dst, mult))
         if not edges:
             raise ValidationError(f"{path}: empty edge list")
         return cls.from_edges(edges)
@@ -196,27 +199,32 @@ def sccs(g: Multigraph) -> tuple[int, np.ndarray]:
     return int(n_comp), labels
 
 
+def closed_classes(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
+    """SCC labels per vertex, and per component whether it is closed: a sink
+    of the condensation, with no edge leaving it. Components without
+    out-edges at all (out-degree-0 vertices) are closed too."""
+    n_comp, labels = sccs(g)
+    closed = np.ones(n_comp, dtype=bool)
+    if n_comp > 1:
+        external = labels[g.tail_vertex] != labels[g.successors()]
+        closed[labels[g.tail_vertex[external]]] = False
+    return labels, closed
+
+
 def attractive_scc(g: Multigraph) -> np.ndarray | None:
     """Vertices of the attractive SCC, or None.
 
     A component is attractive when it is reachable from every vertex; in a
-    finite digraph that holds exactly when it is the unique sink of the
-    condensation (every vertex can follow the DAG down to some sink).
+    finite digraph that holds exactly when it is the unique closed class
+    (every vertex can follow the condensation DAG down to some sink).
     """
-    n_comp, labels = sccs(g)
-    if n_comp == 1:
+    labels, closed = closed_classes(g)
+    if len(closed) == 1:
         return np.arange(g.n, dtype=np.int64)
-    src_comp = labels[g.tail_vertex]
-    dst_comp = labels[g.successors()]
-    has_external_out = np.zeros(n_comp, dtype=bool)
-    external = src_comp != dst_comp
-    has_external_out[src_comp[external]] = True
-    # Components without out-edges at all (out-degree-0 vertices) count as
-    # condensation sinks too and defeat uniqueness.
-    sinks = np.nonzero(~has_external_out)[0]
+    sinks = np.flatnonzero(closed)
     if len(sinks) != 1:
         return None
-    return np.nonzero(labels == sinks[0])[0].astype(np.int64)
+    return np.flatnonzero(labels == sinks[0])
 
 
 def t_omega(

@@ -22,8 +22,8 @@ from .branching import (
     MarkedOffspringLaw,
     OffspringLaw,
     conjugate_offspring,
-    single_survivor_law,
-    subcritical_entropy,
+    offspring_pgf,
+    subcritical_chain,
     survival_probability,
 )
 from .errors import (
@@ -265,10 +265,7 @@ def duality_check(
         raise DegenerateError(f"duality check needs a supercritical law, mean {nu}")
     if depth < 1 or depth > 3:
         raise ValidationError("depth must be in 1..3 for exact enumeration")
-    coeffs = [0.0] * (max(xi) + 1)
-    for k, p in xi.items():
-        coeffs[k] = p
-    s = survival_probability(coeffs)
+    s = survival_probability(offspring_pgf(xi))
     q = 1.0 - s
     if q <= 0.0:
         raise DegenerateError("extinction has probability 0; nothing to condition on")
@@ -347,18 +344,11 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
 
 def tail_rate_theory(eta: MarkedOffspringLaw, a: float) -> float:
     """Analytic decay rate |log nu_hat| + I(a * H_hat) for the law `eta`."""
-    marginal = eta.offspring_marginal()
-    coeffs = [0.0] * (max(marginal) + 1)
-    for k, p in marginal.items():
-        coeffs[k] = p
-    s = survival_probability(coeffs)
-    tilde = single_survivor_law(eta, s)
-    nu_hat = math.fsum(
-        k * (1.0 - s) ** (k - 1) * p for k, p in marginal.items() if k >= 1
-    )
-    h_hat = subcritical_entropy(eta, s)
-    law = FiniteLogLaw.from_marked_law(tilde)
-    return abs(math.log(nu_hat)) + rate_function(law, a * h_hat)
+    chain = subcritical_chain(eta)
+    if chain.tilde is None:
+        raise DegenerateError("nu_hat = 0: no single-survivor law")
+    law = FiniteLogLaw.from_marked_law(chain.tilde)
+    return abs(math.log(chain.nu_hat)) + rate_function(law, a * chain.H_hat)
 
 
 def subcritical_tail_experiment(
@@ -397,12 +387,7 @@ def subcritical_tail_experiment(
     if event not in ("lb", "ub"):
         raise ValidationError(f"unknown event {event!r}")
 
-    marginal = eta.offspring_marginal()
-    coeffs = [0.0] * (max(marginal) + 1)
-    for k, p in marginal.items():
-        coeffs[k] = p
-    s = survival_probability(coeffs)
-    h_hat = subcritical_entropy(eta, s)
+    h_hat = subcritical_chain(eta).H_hat
     gamma_threshold = math.exp(-a * h_hat * t)
     rate_theory = tail_rate_theory(eta, a)
 
@@ -482,8 +467,7 @@ def _splitting_run(
     for _ in range(t):
         xi, zeta = sampler.draw(rng, len(weights))
         child_w = np.repeat(weights / zeta, xi)
-        child_rep = np.repeat(replica, xi)
-        widths = np.bincount(child_rep, minlength=R)
+        widths = np.bincount(np.repeat(replica, xi), minlength=R)
         ok = (widths > 0) & (widths < kill_width)
         u = np.where(ok, np.exp(-guide * (widths - sizes_prev)), 0.0)
         cdf = np.cumsum(u)
@@ -491,15 +475,13 @@ def _splitting_run(
         if u_total <= 0.0:
             return 0.0, 0
         log_factor += math.log(u_total / R)
-        order = np.argsort(child_rep, kind="stable")
-        child_w = child_w[order]
-        child_rep = child_rep[order]
-        counts = np.bincount(child_rep, minlength=R)
-        starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
+        # `replica` is sorted, so each replica's children form the contiguous
+        # block starts[r]:starts[r] + widths[r] of child_w.
+        starts = np.concatenate(([0], np.cumsum(widths)))[:-1]
         # Draws are < cdf[-1], and right-bisection skips zero-mass slots, so
         # only replicas with positive weight are ever cloned.
         choice = np.searchsorted(cdf, rng.random(R) * u_total, side="right")
-        rep_counts = counts[choice]
+        rep_counts = widths[choice]
         total = int(rep_counts.sum())
         slot_start = np.concatenate(([0], np.cumsum(rep_counts)))[:-1]
         within = np.arange(total) - np.repeat(slot_start, rep_counts)
@@ -523,21 +505,28 @@ def _splitting_run(
 def fit_decay_rate(ts, p_hats) -> tuple[float, float]:
     """Least-squares slope of -log p against t, dropping the smallest t.
 
-    Returns (rate, standard error); NaNs when fewer than two usable points.
+    Returns (rate, standard error); NaNs when fewer than two distinct t
+    remain.
     """
     pts = sorted(
         (t, p) for t, p in zip(ts, p_hats) if p > 0.0 and math.isfinite(p)
     )
     if len(pts) >= 3:
         pts = pts[1:]
-    if len(pts) < 2:
+    return least_squares_slope([t for t, _ in pts], [-math.log(p) for _, p in pts])
+
+
+def least_squares_slope(xs, ys) -> tuple[float, float]:
+    """Ordinary least-squares slope of ys against xs and its standard error:
+    NaNs with fewer than two distinct xs, a standard error of 0 with two."""
+    x = np.array(xs, dtype=float)
+    y = np.array(ys, dtype=float)
+    if len(np.unique(x)) < 2:
         return (math.nan, math.nan)
-    x = np.array([t for t, _ in pts], dtype=float)
-    y = np.array([-math.log(p) for _, p in pts])
     xbar, ybar = x.mean(), y.mean()
     sxx = ((x - xbar) ** 2).sum()
     slope = ((x - xbar) * (y - ybar)).sum() / sxx
     resid = y - (ybar + slope * (x - xbar))
-    dof = len(pts) - 2
+    dof = len(x) - 2
     se = math.sqrt((resid**2).sum() / dof / sxx) if dof > 0 else 0.0
     return (float(slope), float(se))

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import compute_bp_parameters, out_size_biased, single_survivor_law
+from .branching import compute_bp_parameters
 from .degrees import BiDegreeDistribution, realize_sequence, validate_sequence
 from .errors import ConfigError, NonUniqueError
 from .graph import sample_dcm
+from .gwsim import least_squares_slope
 from .ratefn import ExponentReport, FiniteLogLaw, minimize_phi
 from .walks import stationary_distribution, walk_times_exact
 
@@ -43,7 +44,6 @@ class ExperimentConfig:
     n_ladder: tuple[int, ...]
     seeds_per_n: int
     measures: tuple[str, ...] = ()
-    alphas: tuple[float, ...] = ()
     master_seed: int = 0
     power_tol: float = 1e-12
 
@@ -54,8 +54,6 @@ class ExperimentConfig:
             raise ConfigError("n ladder must be strictly increasing")
         if self.seeds_per_n < 1:
             raise ConfigError("seeds_per_n must be >= 1")
-        if any(a < 0 for a in self.alphas):
-            raise ConfigError("alpha values must be >= 0")
         unknown = set(self.measures) - {"t_hit"}
         if unknown:
             raise ConfigError(f"unknown measures {sorted(unknown)}")
@@ -76,7 +74,6 @@ class ExperimentConfig:
             n_ladder=ladder,
             seeds_per_n=seeds,
             measures=tuple(data.get("measures", ())),
-            alphas=tuple(float(a) for a in data.get("alphas", ())),
             master_seed=int(data.get("master_seed", 0)),
             power_tol=float(data.get("power_tol", 1e-12)),
         )
@@ -97,9 +94,8 @@ def analyze_distribution(
     log-mark law, exponent report, and the serializable record."""
     params = compute_bp_parameters(dist)
     law = None
-    if not params.degenerate:
-        tilde = single_survivor_law(out_size_biased(dist), params.s_minus)
-        law = FiniteLogLaw.from_marked_law(tilde)
+    if params.tilde is not None:
+        law = FiniteLogLaw.from_marked_law(params.tilde)
     report = minimize_phi(params, law, table_points=rate_grid)
     record = {
         "lambda": params.lam,
@@ -206,21 +202,13 @@ def _slope_row(rows: list[dict]) -> dict | None:
     Stored with status 'slope': exp_obs carries the slope, support_frac its
     standard error. Absent when fewer than two distinct n values succeeded.
     """
-    pts = [
-        (math.log(float(r["n"])), math.log(1.0 / float(r["pi_min"])))
-        for r in rows
-        if r["status"] == "ok" and float(r["pi_min"]) > 0
-    ]
-    if len({x for x, _ in pts}) < 2:
+    ok = [r for r in rows if r["status"] == "ok" and float(r["pi_min"]) > 0]
+    slope, stderr = least_squares_slope(
+        [math.log(float(r["n"])) for r in ok],
+        [math.log(1.0 / float(r["pi_min"])) for r in ok],
+    )
+    if math.isnan(slope):
         return None
-    x = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
-    xbar, ybar = x.mean(), y.mean()
-    sxx = float(((x - xbar) ** 2).sum())
-    slope = float(((x - xbar) * (y - ybar)).sum() / sxx)
-    resid = y - (ybar + slope * (x - xbar))
-    dof = len(pts) - 2
-    stderr = math.sqrt(float((resid**2).sum()) / dof / sxx) if dof > 0 else 0.0
     return {
         "n": 0,
         "seed": -1,

@@ -22,7 +22,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .graph import Multigraph, attractive_scc, sccs
+from .graph import Multigraph, attractive_scc, closed_classes
 
 POWER_TOL = 1e-12
 ACCEPT_RESIDUAL = 1e-10
@@ -58,7 +58,9 @@ class HittingEstimate:
     """Monte Carlo walk-time estimate with censoring diagnostics.
 
     `samples` holds the per-replicate step counts (step_cap for censored
-    replicates) so callers can emit one CSV row per replicate.
+    replicates) and `censored_mask` flags the censored replicates, so
+    callers can emit one CSV row per replicate. A replicate that finishes
+    exactly at the step cap is not censored.
     """
 
     mean: float
@@ -69,10 +71,7 @@ class HittingEstimate:
     step_cap: int
     samples: np.ndarray | None = None
     start: int | None = None
-
-    @property
-    def censoring_biased(self) -> bool:
-        return self.censored > 0
+    censored_mask: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -229,14 +228,10 @@ class _HittingSolver:
         self.n = g.n
         self.p = transition_matrix(g)
         dst = g.successors()
-        # sink_of[v]: label of the closed class (condensation sink) holding
-        # v, or -1 for a transient vertex.
-        n_comp, labels = sccs(g)
-        src_comp = labels[g.tail_vertex]
-        dst_comp = labels[dst]
-        has_external = np.zeros(n_comp, dtype=bool)
-        has_external[src_comp[src_comp != dst_comp]] = True
-        self.sink_of = np.where(has_external[labels], -1, labels)
+        # sink_of[v]: label of the closed class holding v, or -1 for a
+        # transient vertex.
+        labels, closed = closed_classes(g)
+        self.sink_of = np.where(closed[labels], labels, -1)
         # Predecessor lists for reverse reachability.
         order = np.argsort(dst, kind="stable")
         self.pred_sorted = g.tail_vertex[order]
@@ -296,12 +291,9 @@ def hitting_times_exact(g: Multigraph, y: int) -> np.ndarray:
     return _HittingSolver(g).solve(y)
 
 
-def return_time_exact(g: Multigraph, x: int, hitting: np.ndarray | None = None) -> float:
+def return_time_exact(g: Multigraph, x: int) -> float:
     """Expected return time E[tau+_x] = 1 + mean over out-edges of E[tau_dst(x)]."""
-    if hitting is None:
-        return float(return_times_exact(g, [x])[0])
-    dst = g.successors()[g.tail_ptr[x] : g.tail_ptr[x + 1]]
-    return 1.0 + float(hitting[dst].sum()) / g.d_out[x]
+    return float(return_times_exact(g, [x])[0])
 
 
 def return_times_exact(g: Multigraph, vertices) -> np.ndarray:
@@ -469,6 +461,7 @@ def _summarize(
         step_cap=step_cap,
         samples=times,
         start=start,
+        censored_mask=active,
     )
 
 

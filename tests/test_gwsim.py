@@ -5,20 +5,26 @@ import numpy as np
 import pytest
 
 from dcmwalk import (
+    BiDegreeDistribution,
     DegenerateError,
+    FiniteLogLaw,
     MarkedOffspringLaw,
     MarkedTree,
     TruncationError,
+    compute_bp_parameters,
     duality_check,
     fit_decay_rate,
     gamma,
+    out_size_biased,
     perturb_down,
     perturb_up,
+    rate_function,
     simulate_marked_gw,
+    single_survivor_law,
     subcritical_tail_experiment,
     truncated_gamma,
 )
-from dcmwalk.gwsim import _LawSampler, wilson_interval
+from dcmwalk.gwsim import _LawSampler, tail_rate_theory, wilson_interval
 
 # Frozen from a reference run (seed 42, t_max 10): reproducibility guard.
 GOLDEN_GENERATION_SIZES = (1, 5, 15, 45, 110, 240, 620, 1550, 3805, 9275, 23585)
@@ -343,6 +349,23 @@ def test_fit_decay_rate_drops_smallest():
     ps = [math.exp(-2.0 * 10 - 1.0), math.exp(-1.5 * 20), math.exp(-1.5 * 30)]
     rate, se = fit_decay_rate(ts, ps)
     assert rate == pytest.approx(1.5, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_decay_rate_needs_two_distinct_t():
+    rate, se = fit_decay_rate([20, 20], [1e-10, 2e-10])
+    assert math.isnan(rate) and math.isnan(se)
+
+
+def test_tail_rate_theory_matches_bp_parameters():
+    # Two nu_hat formulas once disagreed in the last bit on this law.
+    dist = BiDegreeDistribution({(0, 2): 0.25, (0, 4): 0.5, (5, 2): 0.25})
+    params = compute_bp_parameters(dist)
+    tilde = single_survivor_law(out_size_biased(dist), params.s_minus)
+    expected = abs(math.log(params.nu_hat)) + rate_function(
+        FiniteLogLaw.from_marked_law(tilde), params.H_hat
+    )
+    assert tail_rate_theory(out_size_biased(dist), 1.0) == expected
 
 
 def test_wilson_interval_zero_successes():

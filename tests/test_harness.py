@@ -1,4 +1,7 @@
+import importlib.util
+import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,10 +44,6 @@ def test_config_validation():
         ExperimentConfig(dist_json=toy_json(), n_ladder=(64, 32), seeds_per_n=1)
     with pytest.raises(ConfigError):
         ExperimentConfig(dist_json=toy_json(), n_ladder=(64,), seeds_per_n=0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(
-            dist_json=toy_json(), n_ladder=(64,), seeds_per_n=1, alphas=(-0.5,)
-        )
 
 
 def test_seed_derivation_stable():
@@ -221,7 +220,7 @@ def test_cli_exponent_sweep_with_config(tmp_path):
     assert open(out).read().count("\n") >= 5
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"pmf": [')
     assert main(["params", "--dist", str(bad)]) == 2
@@ -231,6 +230,10 @@ def test_cli_exit_codes(tmp_path):
     edges = tmp_path / "two.edges"
     edges.write_text("0 1 1\n1 0 1\n2 3 1\n3 2 1\n")
     assert main(["stationary", "--graph", str(edges)]) == 3
+    token = tmp_path / "token.edges"
+    token.write_text("0 1 1\n0 1 x\n")
+    assert main(["stationary", "--graph", str(token)]) == 2
+    assert f"{token}:2:" in capsys.readouterr().err
 
 
 def test_cli_walker_exit_codes(tmp_path, capsys):
@@ -246,3 +249,36 @@ def test_cli_walker_exit_codes(tmp_path, capsys):
     assert main(["hitting", "--graph", str(dead_end), "--x", "0", "--y", "1", *base]) == 3
     assert main(["cover", "--graph", str(dead_end), *base]) == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, step_cap",
+    [(["hitting", "--x", "0", "--y", "6", "--reps", "20"], 7),
+     (["cover", "--reps", "40", "--starts", "1"], 9)],
+)
+def test_cli_censored_column_matches_count(tmp_path, capsys, command, step_cap):
+    # Lollipop: a 4-clique with the path 3-4-5-6 hanging off vertex 3.
+    pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+    pairs += [(3, 4), (4, 3), (4, 5), (5, 4), (5, 6), (6, 5)]
+    edges = tmp_path / "lollipop.edges"
+    edges.write_text("".join(f"{a} {b} 1\n" for a, b in sorted(pairs)))
+    out = tmp_path / "walks.csv"
+    assert main([
+        "--seed", "1", *command, "--graph", str(edges),
+        "--step-cap", str(step_cap), "--out", str(out),
+    ]) == 0
+    rows = [line.split(",") for line in out.read_text().split()[1:]]
+    censored = int(capsys.readouterr().err.split("censored=")[1])
+    assert sum(int(r[-1]) for r in rows) == censored
+    # Walks that finish exactly at the cap are not censored.
+    assert any(int(r[-2]) == step_cap and r[-1] == "0" for r in rows)
+
+
+def test_traced_layer_functions_resolve():
+    # The benchmark's tracer looks each traced function up by name.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr in itertools.chain(*spans.LAYER_FUNCTIONS.values()):
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
