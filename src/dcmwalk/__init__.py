@@ -34,6 +34,7 @@ from .errors import (
     NumericalError,
     RealizationError,
     TruncationError,
+    UnreachableError,
     ValidationError,
 )
 from .graph import (

@@ -12,7 +12,6 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -80,18 +79,6 @@ class BiDegreeDistribution:
     def max_out(self) -> int:
         return max(ell for _, ell in self.pmf)
 
-    @property
-    def min_in(self) -> int:
-        return min(k for k, _ in self.pmf)
-
-    @property
-    def min_out(self) -> int:
-        return min(ell for _, ell in self.pmf)
-
-    def mean_in_exact(self) -> Fraction:
-        """E[D_in] in exact rational arithmetic (pmf values via Fraction)."""
-        return sum((Fraction(p) * k for (k, _), p in self.pmf.items()), Fraction(0))
-
     def to_json(self) -> str:
         entries = [
             {"in": k, "out": ell, "p": self.pmf[(k, ell)]} for k, ell in self.support
@@ -114,37 +101,65 @@ class BiDegreeDistribution:
         return cls(pmf, max_degree=max_degree)
 
 
-@dataclass(frozen=True)
 class BiDegreeSequence:
-    """Per-vertex (in-degree, out-degree) list.
+    """Per-vertex (in-degree, out-degree) pairs, held as two read-only int64
+    arrays; build one from pairs or with :meth:`from_arrays`.
 
     Construction is permissive about head/tail balance so that
     :func:`validate_sequence` can report the deficit; every model operation
     requires a balanced sequence.
     """
 
-    degrees: tuple[tuple[int, int], ...]
+    def __init__(self, degrees):
+        pairs = np.array(degrees, dtype=np.int64)
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise ValidationError("degree sequence must be (d_in, d_out) pairs")
+        self._set_arrays(*pairs.reshape(-1, 2).T)
 
-    def __post_init__(self):
-        if not self.degrees:
+    @classmethod
+    def from_arrays(cls, in_degrees, out_degrees) -> "BiDegreeSequence":
+        """Sequence whose vertex v has degrees (in_degrees[v], out_degrees[v])."""
+        seq = cls.__new__(cls)
+        seq._set_arrays(in_degrees, out_degrees)
+        return seq
+
+    def _set_arrays(self, in_degrees, out_degrees) -> None:
+        kin = np.array(in_degrees, dtype=np.int64)
+        kout = np.array(out_degrees, dtype=np.int64)
+        if kin.ndim != 1 or kin.shape != kout.shape:
+            raise ValidationError("in- and out-degree arrays differ in shape")
+        if len(kin) == 0:
             raise ValidationError("empty degree sequence")
-        degs = tuple((int(k), int(ell)) for k, ell in self.degrees)
-        for k, ell in degs:
-            if k < 0 or ell < 0:
-                raise ValidationError(f"negative degree in pair ({k}, {ell})")
-        object.__setattr__(self, "degrees", degs)
+        bad = np.flatnonzero((kin < 0) | (kout < 0))
+        if len(bad):
+            v = bad[0]
+            raise ValidationError(f"negative degree in pair ({kin[v]}, {kout[v]})")
+        kin.flags.writeable = kout.flags.writeable = False
+        self.in_degrees, self.out_degrees = kin, kout
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BiDegreeSequence):
+            return NotImplemented
+        return np.array_equal(self.in_degrees, other.in_degrees) and np.array_equal(
+            self.out_degrees, other.out_degrees
+        )
+
+    @property
+    def degrees(self) -> tuple[tuple[int, int], ...]:
+        """The pairs as a tuple of Python int tuples, built on each access."""
+        return tuple(zip(self.in_degrees.tolist(), self.out_degrees.tolist()))
 
     @property
     def n(self) -> int:
-        return len(self.degrees)
+        return len(self.in_degrees)
 
     @cached_property
     def head_total(self) -> int:
-        return sum(k for k, _ in self.degrees)
+        return int(self.in_degrees.sum())
 
     @cached_property
     def tail_total(self) -> int:
-        return sum(ell for _, ell in self.degrees)
+        return int(self.out_degrees.sum())
 
     @property
     def balanced(self) -> bool:
@@ -156,29 +171,6 @@ class BiDegreeSequence:
         if not self.balanced:
             raise BalanceError(self.head_total, self.tail_total)
         return self.tail_total
-
-    @cached_property
-    def in_degrees(self) -> np.ndarray:
-        return np.array([k for k, _ in self.degrees], dtype=np.int64)
-
-    @cached_property
-    def out_degrees(self) -> np.ndarray:
-        return np.array([ell for _, ell in self.degrees], dtype=np.int64)
-
-    # Canonical half-edge layout: head/tail i belongs to the vertex whose
-    # block of the cumulative degree count contains i.
-
-    @cached_property
-    def head_ptr(self) -> np.ndarray:
-        return np.concatenate(([0], np.cumsum(self.in_degrees)))
-
-    @cached_property
-    def head_vertex(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n), self.in_degrees)
-
-    @cached_property
-    def tail_vertex(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n), self.out_degrees)
 
     def to_file(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -230,23 +222,23 @@ def validate_sequence(
     """
     if not seq.balanced:
         raise BalanceError(seq.head_total, seq.tail_total)
-    kin = [k for k, _ in seq.degrees]
-    kout = [ell for _, ell in seq.degrees]
+    delta_in, max_in = int(seq.in_degrees.min()), int(seq.in_degrees.max())
+    delta_out, max_out = int(seq.out_degrees.min()), int(seq.out_degrees.max())
     report_flags = []
-    min_out_ok = min(kout) >= 2
+    min_out_ok = delta_out >= 2
     if not min_out_ok:
         report_flags.append("min_out_degree_below_2")
-    degree_cap_ok = max(kin) <= max_degree_cap and max(kout) <= max_degree_cap
+    degree_cap_ok = max_in <= max_degree_cap and max_out <= max_degree_cap
     if not degree_cap_ok:
         report_flags.append("degree_above_cap")
     return ValidationReport(
         n=seq.n,
         m=seq.m,
         lam=seq.m / seq.n,
-        delta_in=min(kin),
-        delta_out=min(kout),
-        max_in=max(kin),
-        max_out=max(kout),
+        delta_in=delta_in,
+        delta_out=delta_out,
+        max_in=max_in,
+        max_out=max_out,
         min_out_ok=min_out_ok,
         degree_cap_ok=degree_cap_ok,
         flags=tuple(report_flags),
@@ -275,7 +267,21 @@ def realize_sequence(dist: BiDegreeDistribution, n: int) -> BiDegreeSequence:
     shortest move sequence via breadth-first search over the imbalance).
     The repair perturbs O(max_degree * |support|) vertices, so the empirical
     distribution of the result is within O(1/n) of `dist` in total variation.
+    Vertices come grouped by pair, in support order.
     """
+    pairs = dist.support
+    counts = _support_counts(dist, n)
+    reps = [counts[pair] for pair in pairs]
+    seq = BiDegreeSequence.from_arrays(
+        np.repeat([k for k, _ in pairs], reps), np.repeat([ell for _, ell in pairs], reps)
+    )
+    if not seq.balanced:
+        raise RealizationError("repair failed to balance head and tail totals")
+    return seq
+
+
+def _support_counts(dist: BiDegreeDistribution, n: int) -> dict[tuple[int, int], int]:
+    """Vertex count per support pair for :func:`realize_sequence`."""
     if n < 1:
         raise RealizationError(f"need n >= 1, got {n}")
     if not dist.mean_balanced:
@@ -302,14 +308,7 @@ def realize_sequence(dist: BiDegreeDistribution, n: int) -> BiDegreeSequence:
         raise RealizationError("cannot match vertex total during repair")
 
     _rebalance_counts(counts, pairs)
-
-    degrees = []
-    for pair in pairs:
-        degrees.extend([pair] * counts[pair])
-    seq = BiDegreeSequence(tuple(degrees))
-    if not seq.balanced:
-        raise RealizationError("repair failed to balance head and tail totals")
-    return seq
+    return counts
 
 
 def _rebalance_counts(counts: dict[tuple[int, int], int], pairs) -> None:

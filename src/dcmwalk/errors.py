@@ -69,5 +69,10 @@ class CensoredError(NumericalError):
         super().__init__(message)
 
 
+class UnreachableError(ValidationError, CensoredError):
+    """No path from the start reaches the walk target, so every replicate
+    would be censored at any step cap: rejected up front (exit 2)."""
+
+
 class CapacityError(DcmWalkError):
     """An exact enumeration would exceed its size budget."""

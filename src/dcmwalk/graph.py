@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,6 +19,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .degrees import BiDegreeSequence
 from .errors import ValidationError
+
+EDGE_LIST_HEADER = "# n="
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,8 @@ class Multigraph:
     match: np.ndarray
 
     def __post_init__(self):
+        if int(self.d_in.sum()) != self.m or int(self.d_out.sum()) != self.m:
+            raise ValidationError("head and tail totals differ")
         counts = np.bincount(self.match, minlength=self.m)
         if len(counts) != self.m or not np.all(counts == 1):
             raise ValidationError("pairing is not a perfect matching of half-edges")
@@ -54,25 +59,37 @@ class Multigraph:
         """Destination vertex of each tail, in tail order."""
         return self.head_vertex[self.match]
 
-    def adjacency(self) -> sp.csr_matrix:
-        """Vertex adjacency with multiplicities, as a CSR matrix."""
-        data = np.ones(self.m, dtype=np.float64)
-        return sp.csr_matrix(
-            (data, (self.tail_vertex, self.successors())), shape=(self.n, self.n)
+    @cached_property
+    def csr(self) -> sp.csr_matrix:
+        """Canonical read-only CSR of the walk, built once per graph.
+
+        Row u holds u's distinct out-neighbours in increasing order, valued
+        mult(u, v) / d_out(u) (1 / d_out(u) summed per parallel edge): the
+        pattern is the adjacency, the values the transition matrix. The rows
+        are the tail blocks, merged by sum_duplicates because scipy's
+        strong-component search stalls on duplicate columns; the merge works
+        in place, so indptr starts as a copy of tail_ptr."""
+        mat = sp.csr_matrix(
+            (1.0 / self.d_out[self.tail_vertex], self.successors(), self.tail_ptr.copy()),
+            shape=(self.n, self.n),
         )
+        mat.sum_duplicates()
+        for arr in (mat.data, mat.indices, mat.indptr):
+            arr.flags.writeable = False
+        return mat
 
     def edge_multiplicities(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        dst = self.successors()
-        for t in range(self.m):
-            key = (int(self.tail_vertex[t]), int(dst[t]))
-            out[key] = out.get(key, 0) + 1
-        return out
+        """Multiplicity of each (src, dst) pair that has an edge, in sorted order."""
+        key = self.tail_vertex * self.n + self.successors()
+        keys, counts = np.unique(key, return_counts=True)
+        return {divmod(k, self.n): c for k, c in zip(keys.tolist(), counts.tolist())}
 
     def to_edge_list(self, path) -> None:
-        """Write `src dst multiplicity` lines, sorted by (src, dst)."""
+        """Write a `# n=<n>` header, then `src dst multiplicity` lines sorted
+        by (src, dst)."""
         mult = self.edge_multiplicities()
         with open(path, "w", encoding="ascii") as fh:
+            fh.write(f"{EDGE_LIST_HEADER}{self.n}\n")
             for (src, dst) in sorted(mult):
                 fh.write(f"{src} {dst} {mult[(src, dst)]}\n")
 
@@ -81,7 +98,8 @@ class Multigraph:
         """Build a multigraph from (src, dst, multiplicity) triples.
 
         The pairing is reconstructed canonically (half-edges matched in
-        sorted edge order), which preserves the multigraph exactly.
+        sorted edge order), which preserves the multigraph exactly. `n`
+        defaults to the largest vertex id + 1 and may not be smaller.
         """
         edges = [(int(s), int(d), int(mult)) for s, d, mult in edges]
         if not edges:
@@ -89,36 +107,31 @@ class Multigraph:
         for src, dst, mult in edges:
             if src < 0 or dst < 0 or mult < 1:
                 raise ValidationError(f"bad edge ({src}, {dst}, {mult})")
-        size = max(max(s for s, _, _ in edges), max(d for _, d, _ in edges)) + 1
-        n = size if n is None else max(n, size)
-        d_out = np.zeros(n, dtype=np.int64)
-        d_in = np.zeros(n, dtype=np.int64)
-        for src, dst, mult in edges:
-            d_out[src] += mult
-            d_in[dst] += mult
-        g = _empty_graph(d_in, d_out)
-        next_tail = g.tail_ptr[:-1].copy()
-        next_head = g.head_ptr[:-1].copy()
-        match = np.empty(g.m, dtype=np.int64)
-        for src, dst, mult in sorted(edges):
-            for _ in range(mult):
-                match[next_tail[src]] = next_head[dst]
-                next_tail[src] += 1
-                next_head[dst] += 1
-        return cls(
-            n=g.n, m=g.m, d_in=g.d_in, d_out=g.d_out, tail_ptr=g.tail_ptr,
-            head_ptr=g.head_ptr, tail_vertex=g.tail_vertex,
-            head_vertex=g.head_vertex, match=match,
-        )
+        src, dst, mult = np.array(sorted(edges), dtype=np.int64).T
+        top = int(max(src.max(), dst.max()))
+        if n is None:
+            n = top + 1
+        elif n <= top:
+            raise ValidationError(f"n={n} but the edges use vertex {top}")
+        d_out = np.bincount(np.repeat(src, mult), minlength=n)
+        return _from_successors(np.repeat(dst, mult), d_out)
 
     @classmethod
     def from_edge_list(cls, path) -> "Multigraph":
-        """Rebuild a multigraph from `src dst multiplicity` lines."""
+        """Rebuild a multigraph from `src dst multiplicity` lines after an
+        optional `# n=<n>` first line (default: largest vertex id + 1)."""
         edges: list[tuple[int, int, int]] = []
+        n = None
         with open(path, "r", encoding="ascii") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
+                    continue
+                if lineno == 1 and line.startswith("#"):
+                    value = line[len(EDGE_LIST_HEADER):]
+                    if not line.startswith(EDGE_LIST_HEADER) or not value.isdigit():
+                        raise ValidationError(f"{path}:1: expected '{EDGE_LIST_HEADER}<n>'")
+                    n = int(value)
                     continue
                 try:
                     src, dst, mult = (int(v) for v in line.split())
@@ -129,25 +142,30 @@ class Multigraph:
                 edges.append((src, dst, mult))
         if not edges:
             raise ValidationError(f"{path}: empty edge list")
-        return cls.from_edges(edges)
+        return cls.from_edges(edges, n=n)
 
 
-def _empty_graph(d_in: np.ndarray, d_out: np.ndarray) -> Multigraph:
-    """Graph skeleton with the identity pairing (placeholder match)."""
+def _paired(d_in: np.ndarray, d_out: np.ndarray, match: np.ndarray) -> Multigraph:
+    """The multigraph with these int64 degree arrays whose tail t is paired
+    with head match[t]. Canonical half-edge layout: head/tail i belongs to
+    the vertex whose block of the cumulative degree count contains i."""
     n = len(d_in)
-    m = int(d_out.sum())
-    if int(d_in.sum()) != m:
-        raise ValidationError("head and tail totals differ")
-    tail_ptr = np.concatenate(([0], np.cumsum(d_out)))
-    head_ptr = np.concatenate(([0], np.cumsum(d_in)))
-    tail_vertex = np.repeat(np.arange(n), d_out)
-    head_vertex = np.repeat(np.arange(n), d_in)
     return Multigraph(
-        n=n, m=m, d_in=d_in.astype(np.int64), d_out=d_out.astype(np.int64),
-        tail_ptr=tail_ptr.astype(np.int64), head_ptr=head_ptr.astype(np.int64),
-        tail_vertex=tail_vertex, head_vertex=head_vertex,
-        match=np.arange(m, dtype=np.int64),
+        n=n, m=len(match), d_in=d_in, d_out=d_out,
+        tail_ptr=np.concatenate(([0], np.cumsum(d_out))),
+        head_ptr=np.concatenate(([0], np.cumsum(d_in))),
+        tail_vertex=np.repeat(np.arange(n), d_out),
+        head_vertex=np.repeat(np.arange(n), d_in),
+        match=match,
     )
+
+
+def _from_successors(succ: np.ndarray, d_out: np.ndarray) -> Multigraph:
+    """The multigraph whose tails, in canonical order, go to the vertices
+    `succ`; each vertex's heads are paired in that tail order."""
+    match = np.empty(len(succ), dtype=np.int64)
+    match[np.argsort(succ, kind="stable")] = np.arange(len(succ))
+    return _paired(np.bincount(succ, minlength=len(d_out)), d_out, match)
 
 
 def sample_dcm(
@@ -156,17 +174,9 @@ def sample_dcm(
     """Sample the configuration model: a uniform perfect matching of heads
     against the canonical tail order (Fisher-Yates shuffle of the head array).
     """
-    d_in = seq.in_degrees
-    d_out = seq.out_degrees
-    skeleton = _empty_graph(d_in, d_out)
     rng = np.random.default_rng(rng_seed)
-    match = rng.permutation(skeleton.m).astype(np.int64)
-    return Multigraph(
-        n=skeleton.n, m=skeleton.m, d_in=d_in, d_out=d_out,
-        tail_ptr=skeleton.tail_ptr, head_ptr=skeleton.head_ptr,
-        tail_vertex=skeleton.tail_vertex, head_vertex=skeleton.head_vertex,
-        match=match,
-    )
+    match = rng.permutation(seq.tail_total)
+    return _paired(seq.in_degrees, seq.out_degrees, match)
 
 
 def sample_rout(n: int, r: int, rng_seed: int | np.random.SeedSequence = 0) -> Multigraph:
@@ -177,25 +187,12 @@ def sample_rout(n: int, r: int, rng_seed: int | np.random.SeedSequence = 0) -> M
         raise ValidationError(f"need r >= 2 and n >= 1, got r={r}, n={n}")
     rng = np.random.default_rng(rng_seed)
     targets = rng.integers(0, n, size=n * r)
-    d_in = np.bincount(targets, minlength=n).astype(np.int64)
-    d_out = np.full(n, r, dtype=np.int64)
-    skeleton = _empty_graph(d_in, d_out)
-    order = np.argsort(targets, kind="stable")
-    match = np.empty(n * r, dtype=np.int64)
-    match[order] = np.arange(n * r)
-    return Multigraph(
-        n=n, m=n * r, d_in=d_in, d_out=d_out,
-        tail_ptr=skeleton.tail_ptr, head_ptr=skeleton.head_ptr,
-        tail_vertex=skeleton.tail_vertex, head_vertex=skeleton.head_vertex,
-        match=match,
-    )
+    return _from_successors(targets, np.full(n, r, dtype=np.int64))
 
 
 def sccs(g: Multigraph) -> tuple[int, np.ndarray]:
     """Strongly connected component labeling (count, per-vertex labels)."""
-    n_comp, labels = connected_components(
-        g.adjacency(), directed=True, connection="strong"
-    )
+    n_comp, labels = connected_components(g.csr, directed=True, connection="strong")
     return int(n_comp), labels
 
 
@@ -206,8 +203,9 @@ def closed_classes(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
     n_comp, labels = sccs(g)
     closed = np.ones(n_comp, dtype=bool)
     if n_comp > 1:
-        external = labels[g.tail_vertex] != labels[g.successors()]
-        closed[labels[g.tail_vertex[external]]] = False
+        adj = g.csr
+        src = np.repeat(labels, np.diff(adj.indptr))
+        closed[src[src != labels[adj.indices]]] = False
     return labels, closed
 
 
@@ -375,9 +373,9 @@ def explore_in_tree(
     m = seq.m
     if not 0 <= f < m:
         raise ValidationError(f"head id {f} outside 0..{m - 1}")
-    head_ptr = seq.head_ptr
-    head_vertex = seq.head_vertex
-    tail_vertex = seq.tail_vertex
+    layout = _paired(d_in, d_out, np.arange(m))  # the half-edge layout; no pairing
+    head_ptr, head_vertex = layout.head_ptr, layout.head_vertex
+    tail_vertex = layout.tail_vertex
 
     rng = np.random.default_rng(rng_seed)
     pool = np.arange(m, dtype=np.int64)  # tails; consumed prefix is paired
@@ -460,10 +458,7 @@ def complete_pairing(seq: BiDegreeSequence, pairs) -> Multigraph:
     """Extend a partial (head, tail) pairing to a full multigraph, matching
     the remaining half-edges in canonical order. Test-support helper for
     shared-randomness consistency between exploration and sampling."""
-    d_in = seq.in_degrees
-    d_out = seq.out_degrees
-    skeleton = _empty_graph(d_in, d_out)
-    m = skeleton.m
+    m = seq.tail_total
     match = np.full(m, -1, dtype=np.int64)
     used_heads = np.zeros(m, dtype=bool)
     for head, tail in pairs:
@@ -474,9 +469,4 @@ def complete_pairing(seq: BiDegreeSequence, pairs) -> Multigraph:
     free_heads = np.nonzero(~used_heads)[0]
     free_tails = np.nonzero(match == -1)[0]
     match[free_tails] = free_heads
-    return Multigraph(
-        n=skeleton.n, m=m, d_in=d_in, d_out=d_out,
-        tail_ptr=skeleton.tail_ptr, head_ptr=skeleton.head_ptr,
-        tail_vertex=skeleton.tail_vertex, head_vertex=skeleton.head_vertex,
-        match=match,
-    )
+    return _paired(seq.in_degrees, seq.out_degrees, match)

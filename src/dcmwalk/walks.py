@@ -15,11 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import (
     CensoredError,
     NonUniqueError,
     NumericalError,
+    UnreachableError,
     ValidationError,
 )
 from .graph import Multigraph, attractive_scc, closed_classes
@@ -38,7 +40,9 @@ HITTING_MATRIX_MIN_TARGETS = 3
 
 @dataclass(frozen=True)
 class StationaryResult:
-    """Stationary vector with structural support and diagnostics."""
+    """Stationary vector with structural support and diagnostics.
+    `pi_min_rel_residual` = |(pi P)_v - pi_v| / pi_v at v = argmin pi
+    certifies `pi_min` relatively, where the L1 `residual` cannot."""
 
     pi: np.ndarray
     support: np.ndarray
@@ -46,6 +50,7 @@ class StationaryResult:
     pi_max: float
     residual: float
     iterations: int
+    pi_min_rel_residual: float
     cross_check_linf: float | None = None
 
     @property
@@ -92,13 +97,11 @@ class WalkTimes:
 
 
 def transition_matrix(g: Multigraph) -> sp.csr_matrix:
-    """Row-stochastic transition matrix of the simple random walk."""
+    """Row-stochastic transition matrix of the simple random walk: the
+    graph's shared, read-only canonical CSR (`Multigraph.csr`)."""
     if np.any(g.d_out == 0):
         raise NonUniqueError("vertex with out-degree 0: walk transitions undefined")
-    data = 1.0 / g.d_out[g.tail_vertex]
-    return sp.csr_matrix(
-        (data, (g.tail_vertex, g.successors())), shape=(g.n, g.n)
-    )
+    return g.csr
 
 
 def stationary_distribution(
@@ -119,33 +122,29 @@ def stationary_distribution(
         raise NonUniqueError()
     if np.any(g.d_out[comp] == 0):
         raise NonUniqueError("attractive component contains a sink vertex")
-    local = -np.ones(g.n, dtype=np.int64)
-    local[comp] = np.arange(len(comp))
-    src = local[g.tail_vertex]
-    dst = local[g.successors()]
-    inside = src >= 0
-    if np.any(inside & (dst < 0)):
-        raise NumericalError("attractive component has an outgoing edge")
     k = len(comp)
-    p_sub = sp.csr_matrix(
-        (
-            1.0 / g.d_out[g.tail_vertex[inside]],
-            (src[inside], dst[inside]),
-        ),
-        shape=(k, k),
-    )
+    p_sub = g.csr
+    if k < g.n:
+        p_sub = p_sub[comp][:, comp]
+        if p_sub.nnz != np.diff(g.csr.indptr)[comp].sum():
+            raise NumericalError("attractive component has an outgoing edge")
     pi = np.full(k, 1.0 / k)
+    gap = np.empty(k)
     residual = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
         image = pi @ p_sub
-        residual = float(np.abs(image - pi).sum())
+        residual = float(np.abs(np.subtract(image, pi, out=gap), out=gap).sum())
         if residual < tol:
             break
-        pi = 0.5 * (pi + image)
+        # pi <- (pi + image) / 2, normalised: the lazy step, in place.
+        np.add(pi, image, out=pi)
+        pi *= 0.5
         pi /= pi.sum()
     else:
         raise NumericalError("power iteration did not converge", residual=residual)
+    v = int(np.argmin(pi))  # gap holds |pi P - pi| for this pi
+    pi_min_rel_residual = float(gap[v] / pi[v])
 
     linf = None
     if cross_check or (cross_check is None and g.n <= CROSS_CHECK_MAX_N):
@@ -164,6 +163,7 @@ def stationary_distribution(
         pi_max=float(pi.max()),
         residual=residual,
         iterations=iterations,
+        pi_min_rel_residual=pi_min_rel_residual,
         cross_check_linf=linf,
     )
 
@@ -227,19 +227,12 @@ class _HittingSolver:
     def __init__(self, g: Multigraph):
         self.n = g.n
         self.p = transition_matrix(g)
-        dst = g.successors()
         # sink_of[v]: label of the closed class holding v, or -1 for a
         # transient vertex.
         labels, closed = closed_classes(g)
         self.sink_of = np.where(closed[labels], labels, -1)
-        # Predecessor lists for reverse reachability.
-        order = np.argsort(dst, kind="stable")
-        self.pred_sorted = g.tail_vertex[order]
-        counts = np.bincount(dst, minlength=g.n)
-        self.pred_ptr = np.concatenate(([0], np.cumsum(counts)))
-
-    def _predecessors(self, v: int) -> np.ndarray:
-        return self.pred_sorted[self.pred_ptr[v] : self.pred_ptr[v + 1]]
+        # Column v of P lists the predecessors of v, for reverse reachability.
+        self.pred = self.p.tocsc()
 
     def solve(self, y: int) -> np.ndarray:
         """E[tau_x(y)] for all x; +inf where y is not hit with probability 1."""
@@ -251,7 +244,7 @@ class _HittingSolver:
         stack = np.flatnonzero(blocked).tolist()
         while stack:
             v = stack.pop()
-            for u in self._predecessors(v):
+            for u in self.pred.indices[self.pred.indptr[v] : self.pred.indptr[v + 1]]:
                 if not blocked[u] and u != y:
                     blocked[u] = True
                     stack.append(int(u))
@@ -475,10 +468,14 @@ def hitting_time_mc(
 ) -> HittingEstimate:
     """Monte Carlo estimate of E[tau_x(y)] from `reps` independent walks.
 
-    Censored walks (step cap reached) are excluded from the mean and
-    reported; if every walk is censored a CensoredError is raised.
+    A target that no path from x reaches raises UnreachableError before
+    any walk starts. Censored walks (step cap reached) are excluded from
+    the mean and reported; if every walk is censored a CensoredError is
+    raised.
     """
     _check_walkable(g, reps, x, y)
+    if y not in breadth_first_order(g.csr, x, return_predecessors=False):
+        raise UnreachableError(f"vertex {y} cannot be reached from vertex {x}")
     succ = g.successors()
     rng = np.random.default_rng(rng_seed)
     times = np.zeros(reps, dtype=np.int64)

@@ -13,7 +13,7 @@ from dcmwalk import (
     realize_sequence,
     validate_sequence,
 )
-from dcmwalk.degrees import total_variation
+from dcmwalk.degrees import _support_counts, total_variation
 
 from conftest import TOY_PMF
 
@@ -104,21 +104,26 @@ def test_empirical_counts():
     }
 
 
+def random_balanced_law(rng) -> BiDegreeDistribution:
+    """A random mean-balanced law on up to six pairs with degrees below 7."""
+    size = int(rng.integers(2, 6))
+    pairs = [(int(k), int(l)) for k, l in rng.integers(0, 7, size=(size, 2))]
+    pairs = sorted(set(pairs) | {(3, 3)})
+    probs = rng.dirichlet(np.ones(len(pairs)))
+    # Mirroring each pair's mass forces mean balance exactly.
+    balanced = {}
+    for (k, l), w in zip(pairs, probs):
+        balanced[(k, l)] = balanced.get((k, l), 0.0) + float(w) / 2
+        balanced[(l, k)] = balanced.get((l, k), 0.0) + float(w) / 2
+    return BiDegreeDistribution(balanced)
+
+
 def test_realize_empirical_tv_property():
     # Random mean-balanced distributions: realize -> empirical stays within
     # (max_in + max_out) * |support| / n of the original in total variation.
     rng = np.random.default_rng(7)
     for _ in range(25):
-        size = int(rng.integers(2, 6))
-        pairs = [(int(k), int(l)) for k, l in rng.integers(0, 7, size=(size, 2))]
-        pairs = sorted(set(pairs) | {(3, 3)})
-        probs = rng.dirichlet(np.ones(len(pairs)))
-        # Mirroring each pair's mass forces mean balance exactly.
-        balanced = {}
-        for (k, l), w in zip(pairs, probs):
-            balanced[(k, l)] = balanced.get((k, l), 0.0) + float(w) / 2
-            balanced[(l, k)] = balanced.get((l, k), 0.0) + float(w) / 2
-        dist = BiDegreeDistribution(balanced)
+        dist = random_balanced_law(rng)
         n = int(rng.integers(50, 400))
         try:
             seq = realize_sequence(dist, n)
@@ -143,3 +148,59 @@ def test_sequence_file_roundtrip(tmp_path, toy_dist):
     path = tmp_path / "seq.txt"
     seq.to_file(path)
     assert BiDegreeSequence.from_file(path).degrees == seq.degrees
+
+
+def test_realize_arrays_match_pair_expansion(toy_dist):
+    # Reference: the tuple expansion, [pair] * count in support order.
+    rng = np.random.default_rng(11)
+    laws = [toy_dist] + [random_balanced_law(rng) for _ in range(20)]
+    checked = 0
+    for dist in laws:
+        for n in (1, 7, 100, 1001, 4096):
+            try:
+                seq = realize_sequence(dist, n)
+            except RealizationError:
+                continue
+            counts = _support_counts(dist, n)
+            expected = []
+            for pair in dist.support:
+                expected.extend([pair] * counts[pair])
+            assert seq.degrees == tuple(expected)
+            assert np.array_equal(seq.in_degrees, [k for k, _ in expected])
+            assert np.array_equal(seq.out_degrees, [l for _, l in expected])
+            assert seq.in_degrees.dtype == seq.out_degrees.dtype == np.int64
+            checked += 1
+    assert checked >= 60
+
+
+def test_sequence_tuple_and_array_construction_agree(tmp_path):
+    pairs = ((0, 2), (3, 1), (2, 2), (1, 0))
+    from_tuples = BiDegreeSequence(pairs)
+    from_arrays = BiDegreeSequence.from_arrays(
+        np.array([0, 3, 2, 1]), np.array([2, 1, 2, 0])
+    )
+    assert from_tuples == from_arrays
+    for seq in (from_tuples, from_arrays):
+        assert seq.degrees == pairs
+        assert all(type(v) is int for pair in seq.degrees for v in pair)
+        assert np.array_equal(seq.in_degrees, [0, 3, 2, 1])
+        assert np.array_equal(seq.out_degrees, [2, 1, 2, 0])
+        assert (seq.n, seq.head_total, seq.tail_total) == (4, 6, 5)
+        with pytest.raises(ValueError):
+            seq.in_degrees[0] = 9  # read-only
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    from_tuples.to_file(a)
+    from_arrays.to_file(b)
+    assert a.read_bytes() == b.read_bytes()
+    assert BiDegreeSequence.from_file(b) == from_tuples
+
+
+def test_sequence_construction_rejects_bad_input():
+    with pytest.raises(ValidationError):
+        BiDegreeSequence(())
+    with pytest.raises(ValidationError):
+        BiDegreeSequence(((1, 2, 3),))
+    with pytest.raises(ValidationError, match=r"\(2, -1\)"):
+        BiDegreeSequence(((1, 1), (2, -1)))
+    with pytest.raises(ValidationError):
+        BiDegreeSequence.from_arrays([1, 2], [1])

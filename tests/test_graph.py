@@ -3,10 +3,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from dcmwalk import (
     BiDegreeSequence,
     Multigraph,
+    ValidationError,
     StopRule,
     attractive_scc,
     explore_in_tree,
@@ -18,7 +21,9 @@ from dcmwalk import (
     t_omega,
     t_omega_set,
 )
+from dcmwalk.cli import main
 from dcmwalk.graph import complete_pairing
+from dcmwalk.walks import transition_matrix
 
 
 def directed_cycle(n: int) -> Multigraph:
@@ -269,3 +274,80 @@ def test_edge_list_roundtrip(toy_dist, tmp_path):
     g.to_edge_list(path)
     h = Multigraph.from_edge_list(path)
     assert g.edge_multiplicities() == h.edge_multiplicities()
+
+
+def test_edge_list_keeps_trailing_isolated_vertices(tmp_path):
+    g = Multigraph.from_edges([(0, 1, 1), (1, 0, 1)], n=5)
+    path = tmp_path / "g.edges"
+    g.to_edge_list(path)
+    assert path.read_text() == "# n=5\n0 1 1\n1 0 1\n"
+    h = Multigraph.from_edge_list(path)
+    assert h.n == 5
+    for name in ("d_in", "d_out", "tail_ptr", "head_ptr", "match"):
+        assert np.array_equal(getattr(g, name), getattr(h, name)), name
+
+
+def test_edge_list_without_header_still_loads(tmp_path):
+    path = tmp_path / "old.edges"
+    path.write_text("0 1 1\n1 0 1\n")
+    assert Multigraph.from_edge_list(path).n == 2
+
+
+def test_edge_list_header_below_vertex_ids(tmp_path, capsys):
+    with pytest.raises(ValidationError):
+        Multigraph.from_edges([(0, 3, 1), (3, 0, 1)], n=3)
+    small = tmp_path / "small.edges"
+    small.write_text("# n=3\n0 3 1\n3 0 1\n")
+    with pytest.raises(ValidationError):
+        Multigraph.from_edge_list(small)
+    assert main(["stationary", "--graph", str(small)]) == 2
+    garbled = tmp_path / "garbled.edges"
+    garbled.write_text("# vertices=4\n0 1 1\n1 0 1\n")
+    assert main(["stationary", "--graph", str(garbled)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"{garbled}:1:" in err
+
+
+def multigraphs_with_parallel_edges():
+    """Small dense samples (many self-loops and parallel edges, some of
+    multiplicity 4 and more) plus hand-built ones."""
+    rng = np.random.default_rng(3)
+    graphs = [
+        Multigraph.from_edges([(0, 0, 5), (0, 1, 3), (1, 0, 7), (2, 2, 2), (2, 1, 4)]),
+        Multigraph.from_edges([(0, 1, 1), (1, 0, 1), (2, 3, 6), (3, 2, 1), (3, 3, 2)], n=6),
+    ]
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        d_out = rng.integers(1, 12, size=n)
+        d_in = np.bincount(rng.integers(0, n, size=int(d_out.sum())), minlength=n)
+        seq = BiDegreeSequence.from_arrays(d_in, d_out)
+        graphs.append(sample_dcm(seq, rng_seed=int(rng.integers(2**31))))
+    return graphs
+
+
+def test_shared_csr_canonical_and_matches_coo_reference():
+    max_mult = 0
+    for g in multigraphs_with_parallel_edges():
+        tail = np.repeat(np.arange(g.n), g.d_out)
+        succ = g.successors()
+        adj = g.csr
+        assert adj.has_canonical_format
+        for u in range(g.n):
+            cols = adj.indices[adj.indptr[u]:adj.indptr[u + 1]]
+            assert np.all(np.diff(cols) > 0)
+        # Building the CSR leaves the half-edge arrays alone.
+        assert np.array_equal(g.tail_ptr, np.concatenate(([0], np.cumsum(g.d_out))))
+        mult = sp.csr_matrix((np.ones(g.m), (tail, succ)), shape=(g.n, g.n))
+        assert np.array_equal(adj.indptr, mult.indptr)
+        assert np.array_equal(adj.indices, mult.indices)
+        max_mult = max(max_mult, int(mult.data.max()))
+        ref_comp, ref_labels = connected_components(mult, directed=True, connection="strong")
+        n_comp, labels = sccs(g)
+        assert n_comp == ref_comp and np.array_equal(labels, ref_labels)
+        # Values: the transition matrix, bit for bit (isolated vertices
+        # have empty rows; the walk itself is undefined there).
+        ref_p = sp.csr_matrix((1.0 / g.d_out[tail], (tail, succ)), shape=(g.n, g.n))
+        assert np.array_equal(adj.data, ref_p.data)
+        if np.all(g.d_out > 0):
+            assert transition_matrix(g) is adj
+    assert max_mult >= 4

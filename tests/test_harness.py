@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -141,6 +142,22 @@ def test_sweep_threads_match_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+# sha256 of the toy-law sweep CSV below. The sweep CSV is a reproducibility
+# contract: a change to the realize, sample, SCC or power-iteration path
+# must leave these bytes alone (n = 1024 also runs the dense cross-check).
+GOLDEN_SWEEP_SHA256 = "e6961c6cf53dcca45d35b5605540ad6583cfad6209ec139a7a65604e8d97e4b0"
+
+
+def test_sweep_csv_golden_digest(tmp_path):
+    out = tmp_path / "golden.csv"
+    config = ExperimentConfig(
+        dist_json=toy_json(), n_ladder=(1024, 2048, 4096), seeds_per_n=2,
+        master_seed=20201,
+    )
+    run_exponent_sweep(config, str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SWEEP_SHA256
+
+
 def test_cli_params_golden(tmp_path, capsys):
     dist = write_toy(tmp_path)
     assert main(["params", "--dist", dist, "--rate-grid", "8"]) == 0
@@ -249,6 +266,19 @@ def test_cli_walker_exit_codes(tmp_path, capsys):
     assert main(["hitting", "--graph", str(dead_end), "--x", "0", "--y", "1", *base]) == 3
     assert main(["cover", "--graph", str(dead_end), *base]) == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_hitting_unreachable_target_exits_2(tmp_path, capsys):
+    # Vertex 2 has in-degree 0: no walk from 0 ever reaches it, so at the
+    # default step cap (10^9) the walkers would never stop.
+    edges = tmp_path / "tail.edges"
+    edges.write_text("0 1 1\n1 0 1\n2 0 1\n2 2 1\n")
+    out = tmp_path / "hit.csv"
+    code = main(["hitting", "--graph", str(edges), "--x", "0", "--y", "2", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot be reached" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

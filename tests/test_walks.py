@@ -22,7 +22,7 @@ from dcmwalk import (
     stationary_distribution,
     walk_times_exact,
 )
-from dcmwalk.walks import hitting_matrix, return_times_exact
+from dcmwalk.walks import hitting_matrix, return_times_exact, transition_matrix
 
 
 def directed_cycle(n: int) -> Multigraph:
@@ -421,3 +421,22 @@ def test_power_iteration_matches_direct(toy_dist):
             continue
         assert res.cross_check_linf is not None
         assert res.cross_check_linf <= 1e-10
+
+
+def test_pi_min_rel_residual_matches_direct(toy_dist, two_vertex):
+    graphs = [two_vertex, directed_cycle(5)]
+    for n, seed in ((400, 1), (3000, 2), (3000, 5)):
+        graphs.append(sample_dcm(realize_sequence(toy_dist, n), rng_seed=seed))
+    checked = 0
+    for g in graphs:
+        try:
+            res = stationary_distribution(g)
+        except NonUniqueError:
+            continue
+        image = res.pi @ transition_matrix(g)
+        v = res.support[np.argmin(res.pi[res.support])]
+        direct = abs(image[v] - res.pi[v]) / res.pi[v]
+        assert res.pi_min_rel_residual == pytest.approx(direct, rel=1e-9, abs=1e-300)
+        assert res.pi[v] == res.pi_min
+        checked += 1
+    assert checked >= 4
