@@ -99,7 +99,9 @@ class GammaTrace:
 
 
 class _LawSampler:
-    """Inverse-CDF sampler over the support of a marked law."""
+    """Inverse-CDF sampler over the support of a marked law; `draw` counts the
+    cumulative masses <= each uniform, one pass per atom (faster than
+    bisection up to about 50 atoms)."""
 
     def __init__(self, eta: MarkedOffspringLaw):
         pairs = eta.support
@@ -110,8 +112,10 @@ class _LawSampler:
         self.cum[-1] = 1.0
 
     def draw(self, rng: np.random.Generator, size: int):
-        idx = np.searchsorted(self.cum, rng.random(size), side="right")
-        idx = np.minimum(idx, len(self.cum) - 1)
+        u = rng.random(size)
+        idx = np.zeros(size, dtype=np.intp)
+        for c in self.cum[:-1]:
+            idx += u >= c
         return self.xi[idx], self.zeta[idx]
 
 
@@ -133,7 +137,6 @@ def simulate_marked_gw(
     rng = np.random.default_rng(rng_seed)
     sampler = _LawSampler(eta)
     xi0, zeta0 = sampler.draw(rng, 1)
-    parent = [np.array([-1], dtype=np.int64)]
     xi = [xi0]
     zeta = [zeta0]
     truncated = False
@@ -144,11 +147,10 @@ def simulate_marked_gw(
         if size > width_cap:
             truncated = True
             break
-        parent.append(np.repeat(np.arange(len(xi[g - 1])), xi[g - 1]))
         xi_g, zeta_g = sampler.draw(rng, size)
         xi.append(xi_g)
         zeta.append(zeta_g)
-    return MarkedTree(parent=parent, xi=xi, zeta=zeta, truncated=truncated)
+    return MarkedTree.from_offspring(xi, zeta, truncated=truncated)
 
 
 def gamma(tree: MarkedTree, t: int) -> GammaTrace:
@@ -369,14 +371,12 @@ def subcritical_tail_experiment(
 
     These probabilities decay like e^(-(|log nu_hat| + I(aH)) t), far below
     what vanilla Monte Carlo resolves at t ~ 30, so the estimator uses
-    generation-sequential splitting: `reps` root trajectories split across
-    `runs` independent populations, each resampled among the replicas still
-    satisfying the width constraint after every generation. The product of
-    per-generation survival fractions times the final event frequency is a
-    consistent estimator of the probability. For the "ub" event, which does
-    not constrain intermediate widths, trajectories are still capped at
-    8 * omega nodes per generation (flagged; paths that exceed the cap and
-    return below omega are vanishingly rare in this regime).
+    guided splitting (`_splitting_run`): `reps` root trajectories split
+    across `runs` independent populations, each systematically resampled
+    every generation among the replicas within the width cap. For the "ub"
+    event, which does not constrain intermediate widths, trajectories are
+    still capped at 8 * omega nodes per generation (flagged; paths that
+    exceed the cap and return below omega are vanishingly rare here).
     """
     if eta.mean_offspring() <= 1.0:
         raise DegenerateError("tail experiment needs a supercritical law")
@@ -452,7 +452,7 @@ def _splitting_run(
 
     Incremental weights u_r = 1{0 < X_r < kill_width} * Psi(X_r)/Psi(X_r-1)
     with the thinning potential Psi(x) = exp(-guide * x); the population is
-    multinomially resampled proportional to u_r every generation, and the
+    systematically resampled proportional to u_r every generation, and the
     estimator Psi(1) * prod_r mean(u_r) * mean(1{event} / Psi(X_t)) is the
     standard unbiased Feynman-Kac normalizing estimate of the target
     probability. The potential steers the ensemble toward the near-collapse
@@ -461,52 +461,52 @@ def _splitting_run(
     """
     R = n_replicas
     weights = np.ones(R)
-    replica = np.arange(R, dtype=np.int64)
-    sizes_prev = np.ones(R)
+    # Replica r's nodes, at least one, are weights[bounds[r]:bounds[r + 1]];
+    # its children (in parent order) are child_w[child_bounds[r]:...[r + 1]].
+    bounds = np.arange(R + 1)
+    sizes_prev = np.ones(R, dtype=np.int64)
     log_factor = -guide  # Psi(X_0) with X_0 = 1
     for _ in range(t):
         xi, zeta = sampler.draw(rng, len(weights))
         child_w = np.repeat(weights / zeta, xi)
-        widths = np.bincount(np.repeat(replica, xi), minlength=R)
+        child_bounds = np.concatenate(([0], np.cumsum(xi)))[bounds]
+        widths = np.diff(child_bounds)
         ok = (widths > 0) & (widths < kill_width)
         u = np.where(ok, np.exp(-guide * (widths - sizes_prev)), 0.0)
-        cdf = np.cumsum(u)
-        u_total = float(cdf[-1])
+        u_total = float(u.sum())
         if u_total <= 0.0:
             return 0.0, 0
         log_factor += math.log(u_total / R)
-        # `replica` is sorted, so each replica's children form the contiguous
-        # block starts[r]:starts[r] + widths[r] of child_w.
-        starts = np.concatenate(([0], np.cumsum(widths)))[:-1]
-        # Draws are < cdf[-1], and right-bisection skips zero-mass slots, so
-        # only replicas with positive weight are ever cloned.
-        choice = np.searchsorted(cdf, rng.random(R) * u_total, side="right")
-        rep_counts = widths[choice]
-        total = int(rep_counts.sum())
-        slot_start = np.concatenate(([0], np.cumsum(rep_counts)))[:-1]
-        within = np.arange(total) - np.repeat(slot_start, rep_counts)
-        src = np.repeat(starts[choice], rep_counts) + within
-        weights = child_w[src]
-        replica = np.repeat(np.arange(R, dtype=np.int64), rep_counts)
-        sizes_prev = rep_counts.astype(float)
-    gamma_per = np.bincount(replica, weights=weights, minlength=R)
-    sizes = np.bincount(replica, minlength=R)
+        clones = _systematic_clones(u, rng.random())
+        sizes_prev = np.repeat(widths, clones)
+        bounds = np.concatenate(([0], np.cumsum(sizes_prev)))
+        shift = np.repeat(child_bounds[:-1], clones) - bounds[:-1]
+        weights = child_w[np.arange(bounds[-1]) + np.repeat(shift, sizes_prev)]
     if event == "lb":
+        gamma_per = np.add.reduceat(weights, bounds[:-1])
         success = (gamma_per > 0.0) & (gamma_per < gamma_threshold)
     else:
-        min_w = np.full(R, np.inf)
-        np.minimum.at(min_w, replica, weights)
-        success = (sizes > 0) & (sizes < omega) & (min_w < gamma_threshold)
+        min_w = np.minimum.reduceat(weights, bounds[:-1])
+        success = (sizes_prev < omega) & (min_w < gamma_threshold)
     succ = int(success.sum())
-    correction = float(np.where(success, np.exp(guide * sizes), 0.0).mean())
+    correction = float(np.where(success, np.exp(guide * sizes_prev), 0.0).mean())
     return math.exp(log_factor) * correction, succ
+
+
+def _systematic_clones(u: np.ndarray, uniform: float) -> np.ndarray:
+    """Systematic resampling (Douc, Cappe & Moulines 2005): with c = cumsum(u)
+    / sum(u) (u >= 0, c_(R-1) = 1 exactly), replica r gets floor(R c_r + U) -
+    floor(R c_(r-1) + U) clones, none at zero weight, R in all (edges <= R)."""
+    cdf = np.cumsum(u)
+    edges = np.minimum(np.floor(cdf / cdf[-1] * len(u) + uniform), len(u))
+    return np.diff(edges, prepend=0.0).astype(np.int64)
 
 
 def fit_decay_rate(ts, p_hats) -> tuple[float, float]:
     """Least-squares slope of -log p against t, dropping the smallest t.
 
     Returns (rate, standard error); NaNs when fewer than two distinct t
-    remain.
+    remain, and a NaN standard error when only two points remain.
     """
     pts = sorted(
         (t, p) for t, p in zip(ts, p_hats) if p > 0.0 and math.isfinite(p)
@@ -518,7 +518,7 @@ def fit_decay_rate(ts, p_hats) -> tuple[float, float]:
 
 def least_squares_slope(xs, ys) -> tuple[float, float]:
     """Ordinary least-squares slope of ys against xs and its standard error:
-    NaNs with fewer than two distinct xs, a standard error of 0 with two."""
+    NaNs with fewer than two distinct xs, a NaN error with two points."""
     x = np.array(xs, dtype=float)
     y = np.array(ys, dtype=float)
     if len(np.unique(x)) < 2:
@@ -528,5 +528,5 @@ def least_squares_slope(xs, ys) -> tuple[float, float]:
     slope = ((x - xbar) * (y - ybar)).sum() / sxx
     resid = y - (ybar + slope * (x - xbar))
     dof = len(x) - 2
-    se = math.sqrt((resid**2).sum() / dof / sxx) if dof > 0 else 0.0
+    se = math.sqrt((resid**2).sum() / dof / sxx) if dof > 0 else math.nan
     return (float(slope), float(se))

@@ -435,9 +435,9 @@ def _summarize(
     times: np.ndarray, active: np.ndarray, step_cap: int, start: int | None = None
 ) -> HittingEstimate:
     """Estimate from per-replicate step counts; `active` marks the replicates
-    still walking at the step cap. Those are excluded from the mean, set to
-    step_cap in `times`, and counted as censored. Raises CensoredError when
-    every replicate is censored."""
+    still walking at the step cap or stopped short of their goal. Those are
+    excluded from the mean, set to step_cap in `times`, and counted as
+    censored. Raises CensoredError when every replicate is censored."""
     censored = int(active.sum())
     hits = len(times) - censored
     if hits == 0:
@@ -469,16 +469,24 @@ def hitting_time_mc(
     """Monte Carlo estimate of E[tau_x(y)] from `reps` independent walks.
 
     A target that no path from x reaches raises UnreachableError before
-    any walk starts. Censored walks (step cap reached) are excluded from
+    any walk starts. Censored walks (step cap reached, or stopped on
+    entering a vertex from which y cannot be reached) are excluded from
     the mean and reported; if every walk is censored a CensoredError is
     raised.
     """
     _check_walkable(g, reps, x, y)
-    if y not in breadth_first_order(g.csr, x, return_predecessors=False):
+    reach = breadth_first_order(g.csr, x, return_predecessors=False)
+    if y not in reach:
         raise UnreachableError(f"vertex {y} cannot be reached from vertex {x}")
+    # trap[v]: y cannot be reached from v. None when every vertex a walker
+    # can visit still reaches y, so y is hit almost surely.
+    trap = np.ones(g.n, dtype=bool)
+    trap[breadth_first_order(g.csr.T, y, return_predecessors=False)] = False
+    trap = trap if trap[reach].any() else None
     succ = g.successors()
     rng = np.random.default_rng(rng_seed)
     times = np.zeros(reps, dtype=np.int64)
+    active = np.zeros(reps, dtype=bool)
     # Walkers still on their way, in replicate order, and their positions.
     live = np.arange(reps) if x != y else np.zeros(0, dtype=np.int64)
     pos = np.full(len(live), x, dtype=np.int64)
@@ -487,11 +495,15 @@ def hitting_time_mc(
         step += 1
         pos = _advance(g, succ, pos, rng)
         arrived = pos == y
-        if arrived.any():
+        done = arrived
+        if trap is not None:
+            lost = trap[pos]
+            active[live[lost]] = True
+            done = arrived | lost
+        if done.any():
             times[live[arrived]] = step
-            keep = ~arrived
+            keep = ~done
             live, pos = live[keep], pos[keep]
-    active = np.zeros(reps, dtype=bool)
     active[live] = True
     return _summarize(times, active, step_cap)
 

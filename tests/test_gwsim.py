@@ -24,7 +24,13 @@ from dcmwalk import (
     subcritical_tail_experiment,
     truncated_gamma,
 )
-from dcmwalk.gwsim import _LawSampler, tail_rate_theory, wilson_interval
+from dcmwalk.gwsim import (
+    _LawSampler,
+    _systematic_clones,
+    least_squares_slope,
+    tail_rate_theory,
+    wilson_interval,
+)
 
 # Frozen from a reference run (seed 42, t_max 10): reproducibility guard.
 GOLDEN_GENERATION_SIZES = (1, 5, 15, 45, 110, 240, 620, 1550, 3805, 9275, 23585)
@@ -64,6 +70,45 @@ def test_simulate_deterministic_bytes(toy_biased):
     assert c.generation_sizes != a.generation_sizes or any(
         xa.tobytes() != xc.tobytes() for xa, xc in zip(a.xi, c.xi)
     )
+
+
+class _FixedUniforms:
+    """Stands in for a Generator: `random(size)` cycles through `values`."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        return np.resize(self.values, size)
+
+
+def _searchsorted_draw(sampler, u):
+    idx = np.minimum(np.searchsorted(sampler.cum, u, side="right"), len(sampler.cum) - 1)
+    return sampler.xi[idx], sampler.zeta[idx]
+
+
+def _random_law(rng, atoms):
+    probs = rng.dirichlet(np.full(atoms, 0.5))
+    return MarkedOffspringLaw({(i % 10, 2 + i // 10): p for i, p in enumerate(probs)})
+
+
+def test_law_sampler_matches_searchsorted(toy_biased):
+    rng = np.random.default_rng(17)
+    laws = [toy_biased] + [_random_law(rng, atoms) for atoms in (2, 3, 5, 8, 13, 40, 80)]
+    for eta in laws:
+        sampler = _LawSampler(eta)
+        xi, zeta = sampler.draw(np.random.default_rng(3), 5000)
+        ref = _searchsorted_draw(sampler, np.random.default_rng(3).random(5000))
+        assert xi.tobytes() == ref[0].tobytes() and zeta.tobytes() == ref[1].tobytes()
+        # Uniforms landing exactly on a cumulative mass, and just either side.
+        inner = sampler.cum[:-1]
+        edges = np.concatenate((
+            [0.0, np.nextafter(1.0, 0.0)], inner,
+            np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
+        ))
+        xi, zeta = sampler.draw(_FixedUniforms(edges), len(edges))
+        ref = _searchsorted_draw(sampler, edges)
+        assert xi.tobytes() == ref[0].tobytes() and zeta.tobytes() == ref[1].tobytes()
 
 
 def test_gamma_unary_path():
@@ -336,6 +381,40 @@ def test_tail_ub_guided_matches_naive():
     assert abs(est.p_hat - p_naive) <= 4 * max(joint, 1e-6)
 
 
+def test_systematic_clones_total_and_rounding():
+    rng = np.random.default_rng(23)
+    for trial in range(200):
+        R = int(rng.integers(1, 400))
+        u = rng.exponential(size=R) * (rng.random(R) < 0.6)
+        if trial % 3 == 0:
+            u[0] = 0.0
+        if trial % 3 != 2:
+            u[-1] = 0.0
+        if u.sum() == 0.0:
+            u[R // 2] = 1.0
+        for uniform in (0.0, rng.random(), np.nextafter(1.0, 0.0)):
+            clones = _systematic_clones(u, uniform)
+            expected = R * u / u.sum()
+            assert clones.sum() == R
+            assert np.all(clones[u == 0.0] == 0)
+            assert np.all(clones >= np.floor(expected - 1e-9))
+            assert np.all(clones <= np.ceil(expected + 1e-9))
+
+
+def test_tail_estimate_reproducible():
+    eta = MarkedOffspringLaw({(0, 2): 0.25, (1, 3): 0.25, (2, 2): 0.30, (2, 3): 0.20})
+
+    def run(seed, event):
+        return subcritical_tail_experiment(
+            eta, t=6, a=1.0, omega=40, reps=4000, rng_seed=seed, event=event
+        )
+
+    for event in ("lb", "ub"):
+        first = run(5, event)
+        assert first.successes > 0 and first == run(5, event)
+        assert first.p_hat != run(6, event).p_hat
+
+
 def _toy_entropy(eta: MarkedOffspringLaw) -> float:
     from dcmwalk import subcritical_entropy, survival_probability
 
@@ -349,6 +428,14 @@ def test_fit_decay_rate_drops_smallest():
     ps = [math.exp(-2.0 * 10 - 1.0), math.exp(-1.5 * 20), math.exp(-1.5 * 30)]
     rate, se = fit_decay_rate(ts, ps)
     assert rate == pytest.approx(1.5, abs=1e-12)
+
+
+def test_two_point_fit_has_nan_standard_error():
+    # Two points leave no residual degree of freedom: the error is unknown.
+    slope, se = least_squares_slope([1.0, 3.0], [2.0, 5.0])
+    assert slope == 1.5 and math.isnan(se)
+    rate, se = fit_decay_rate([10, 20, 30], [1e-8, 1e-15, 1e-22])
+    assert math.isfinite(rate) and math.isnan(se)
 
 
 @pytest.mark.filterwarnings("error")

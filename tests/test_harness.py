@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,26 @@ def test_cli_hitting_unreachable_target_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot be reached" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_hitting_stops_walkers_that_cannot_reach_target(tmp_path, capsys):
+    # Fork: from 0 a walk steps to 1 or to 2, then loops there forever, so
+    # the walks that step to 2 never hit 1. At the default step cap (10^9)
+    # they must be censored on arrival, not walked to the cap.
+    edges = tmp_path / "fork.edges"
+    edges.write_text("0 1 1\n0 2 1\n1 1 1\n2 2 1\n")
+    out = tmp_path / "hit.csv"
+    start = time.perf_counter()
+    assert main([
+        "--seed", "4", "hitting", "--graph", str(edges), "--x", "0", "--y", "1",
+        "--reps", "1000", "--out", str(out),
+    ]) == 0
+    assert time.perf_counter() - start < 5.0
+    rows = [line.split(",") for line in out.read_text().split()[1:]]
+    censored = int(capsys.readouterr().err.split("censored=")[1])
+    assert sum(int(r[-1]) for r in rows) == censored
+    assert 400 <= censored <= 600
+    assert all(r[1] == "1" for r in rows if r[2] == "0")
 
 
 @pytest.mark.parametrize(
