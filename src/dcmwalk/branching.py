@@ -90,7 +90,7 @@ class MarkedOffspringLaw:
     @classmethod
     def from_json(cls, text: str) -> "MarkedOffspringLaw":
         data = json.loads(text)
-        if not isinstance(data, dict) or "pmf" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("pmf"), list):
             raise ValidationError('offspring-law JSON must be {"pmf": [...]}')
         pmf: dict[tuple[int, int], float] = {}
         for entry in data["pmf"]:

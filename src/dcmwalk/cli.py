@@ -24,6 +24,24 @@ from .walks import cover_time_mc, hitting_time_mc, stationary_distribution
 TAIL_COLUMNS = "t,a,successes,reps,p_hat,ci_lo,ci_hi,rate_hat,rate_theory"
 
 
+def _seed(text: str) -> int:
+    """argparse type: a non-negative integer (numpy seeds cannot be negative)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type: comma-separated integers."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _load_dist(path: str) -> BiDegreeDistribution:
     with open(path, "r", encoding="utf-8") as fh:
         return BiDegreeDistribution.from_json(fh.read())
@@ -119,10 +137,9 @@ def _cmd_bp_sim(args) -> int:
         eta = out_size_biased(_load_dist(args.dist))
     else:
         raise ValidationError("need --law FILE or --dist FILE")
-    ts = [int(v) for v in args.t.split(",")]
     rows = [TAIL_COLUMNS]
     estimates = []
-    for t in ts:
+    for t in args.t:
         est = subcritical_tail_experiment(
             eta, t=t, a=args.a, omega=args.omega, reps=args.reps,
             rng_seed=args.seed, event=args.event,
@@ -134,8 +151,8 @@ def _cmd_bp_sim(args) -> int:
             f"{est.rate_theory:.12g}"
         )
     _write("\n".join(rows) + "\n", args.out)
-    if len(ts) >= 2:
-        rate, stderr = fit_decay_rate(ts, [e.p_hat for e in estimates])
+    if len(args.t) >= 2:
+        rate, stderr = fit_decay_rate(args.t, [e.p_hat for e in estimates])
         print(f"fit_rate={rate:.6g} fit_se={stderr:.6g}", file=sys.stderr)
     return 0
 
@@ -151,7 +168,7 @@ def _cmd_exponent_sweep(args) -> int:
             dist_json = fh.read()
         config = ExperimentConfig(
             dist_json=dist_json,
-            n_ladder=tuple(int(v) for v in args.n_ladder.split(",")),
+            n_ladder=args.n_ladder,
             seeds_per_n=args.seeds_per_n,
             master_seed=args.seed,
             power_tol=args.tol,
@@ -167,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and desk-scale simulation.",
         allow_abbrev=False,
     )
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    parser.add_argument("--seed", type=_seed, default=0, help="master RNG seed")
     parser.add_argument("--threads", type=int, default=1, help="worker processes")
     parser.add_argument("--tol", type=float, default=1e-12, help="iteration tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -181,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", allow_abbrev=False, help="sample a configuration-model graph")
     p.add_argument("--dist", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
@@ -189,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph")
     p.add_argument("--dist")
     p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_stationary)
 
@@ -201,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--step-cap", type=int, default=10**9, dest="step_cap")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_hitting)
 
@@ -212,28 +229,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--step-cap", type=int, default=10**9, dest="step_cap")
     p.add_argument("--starts", type=int, default=10)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("bp-sim", allow_abbrev=False, help="subcritical tail experiment over a t ladder")
     p.add_argument("--law", help="marked offspring law JSON")
     p.add_argument("--dist", help="distribution JSON (out-size-biased law is used)")
-    p.add_argument("--t", required=True, help="comma-separated generation ladder")
+    p.add_argument("--t", type=_int_list, required=True, help="comma-separated generation ladder")
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--omega", type=int, default=200)
     p.add_argument("--reps", type=int, default=10**5)
     p.add_argument("--event", choices=("lb", "ub"), default="lb")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bp_sim)
 
     p = sub.add_parser("exponent-sweep", allow_abbrev=False, help="pi_min exponent sweep over an n ladder")
     p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--dist")
-    p.add_argument("--n-ladder", dest="n_ladder", help="comma-separated n values")
+    p.add_argument("--n-ladder", type=_int_list, dest="n_ladder", help="comma-separated n values")
     p.add_argument("--seeds-per-n", type=int, default=1, dest="seeds_per_n")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_exponent_sweep)
 
@@ -249,7 +266,7 @@ def main(argv=None) -> int:
         print(f"error: malformed JSON at line {exc.lineno} column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:

@@ -88,7 +88,7 @@ class BiDegreeDistribution:
     @classmethod
     def from_json(cls, text: str, max_degree: int = DEFAULT_MAX_DEGREE) -> "BiDegreeDistribution":
         data = json.loads(text)
-        if not isinstance(data, dict) or "pmf" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("pmf"), list):
             raise ValidationError('distribution JSON must be {"pmf": [...]}')
         pmf: dict[tuple[int, int], float] = {}
         for entry in data["pmf"]:

@@ -377,6 +377,10 @@ def subcritical_tail_experiment(
     event, which does not constrain intermediate widths, trajectories are
     still capped at 8 * omega nodes per generation (flagged; paths that
     exceed the cap and return below omega are vanishingly rare here).
+
+    The interval (ci_lo, ci_hi) is p_hat +- 1.96 standard errors across the
+    runs; with runs=1 there is no spread estimate and both ends are NaN.
+    With no successes, ci_lo = 0 and ci_hi is the Wilson upper bound.
     """
     if eta.mean_offspring() <= 1.0:
         raise DegenerateError("tail experiment needs a supercritical law")
@@ -416,10 +420,13 @@ def subcritical_tail_experiment(
         rate_hat = math.inf
         flags.append("zero_successes")
     else:
-        se = float(np.std(run_estimates, ddof=1)) / math.sqrt(runs) if runs > 1 else 0.0
-        ci_lo = max(0.0, p_hat - 1.96 * se)
-        ci_hi = p_hat + 1.96 * se
         rate_hat = -math.log(p_hat) / t
+        if runs == 1:  # one population gives no spread estimate
+            ci_lo = ci_hi = math.nan
+        else:
+            se = float(np.std(run_estimates, ddof=1)) / math.sqrt(runs)
+            ci_lo = max(0.0, p_hat - 1.96 * se)
+            ci_hi = p_hat + 1.96 * se
     return TailEstimate(
         event=event,
         t=t,

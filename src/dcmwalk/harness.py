@@ -52,8 +52,12 @@ class ExperimentConfig:
             raise ConfigError("empty n ladder")
         if list(self.n_ladder) != sorted(set(self.n_ladder)):
             raise ConfigError("n ladder must be strictly increasing")
+        if self.n_ladder[0] < 1:
+            raise ConfigError("n ladder entries must be >= 1")
         if self.seeds_per_n < 1:
             raise ConfigError("seeds_per_n must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be >= 0")
         unknown = set(self.measures) - {"t_hit"}
         if unknown:
             raise ConfigError(f"unknown measures {sorted(unknown)}")
@@ -64,19 +68,17 @@ class ExperimentConfig:
         data = json.loads(text)
         try:
             dist_blob = data["distribution"]
-            ladder = tuple(int(v) for v in data["n_ladder"])
-            seeds = int(data["seeds_per_n"])
+            fields = dict(
+                n_ladder=tuple(int(v) for v in data["n_ladder"]),
+                seeds_per_n=int(data["seeds_per_n"]),
+                measures=tuple(str(v) for v in data.get("measures", ())),
+                master_seed=int(data.get("master_seed", 0)),
+                power_tol=float(data.get("power_tol", 1e-12)),
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
         dist_json = json.dumps(dist_blob) if isinstance(dist_blob, dict) else str(dist_blob)
-        return cls(
-            dist_json=dist_json,
-            n_ladder=ladder,
-            seeds_per_n=seeds,
-            measures=tuple(data.get("measures", ())),
-            master_seed=int(data.get("master_seed", 0)),
-            power_tol=float(data.get("power_tol", 1e-12)),
-        )
+        return cls(dist_json=dist_json, **fields)
 
     def distribution(self) -> BiDegreeDistribution:
         return BiDegreeDistribution.from_json(self.dist_json)

@@ -2,9 +2,10 @@
 
 The stationary vector is computed by power iteration on the lazy kernel
 (I + P)/2 restricted to the attractive SCC (the lazy kernel has the same
-stationary vector and no periodicity obstruction), with a direct dense
-solve as a cross-check on small graphs. Support is structural (SCC
-membership), never a numeric threshold on pi.
+stationary vector and no periodicity obstruction), with a square dense LU
+solve (one balance equation swapped for the normalisation) as a cross-check
+on small graphs. Support is structural (SCC membership), never a numeric
+threshold on pi.
 """
 
 from __future__ import annotations
@@ -114,9 +115,12 @@ def stationary_distribution(
 
     Power iteration runs on the lazy kernel until the plain-kernel residual
     ||pi P - pi||_1 drops below `tol`. For graphs with at most 2000 vertices
-    (or when cross_check=True), a dense singular-system solve verifies the
-    result to 1e-10 in sup norm.
+    (or when cross_check=True), a square dense LU solve of the balance
+    equations with one replaced by sum(pi) = 1 verifies the result to 1e-10
+    in sup norm.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
     comp = attractive_scc(g)
     if comp is None:
         raise NonUniqueError()
@@ -128,12 +132,13 @@ def stationary_distribution(
         p_sub = p_sub[comp][:, comp]
         if p_sub.nnz != np.diff(g.csr.indptr)[comp].sum():
             raise NumericalError("attractive component has an outgoing edge")
+    p_t = p_sub.T  # one CSC view: `p_t @ pi` is `pi @ p_sub`, same matvec
     pi = np.full(k, 1.0 / k)
     gap = np.empty(k)
     residual = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        image = pi @ p_sub
+        image = p_t @ pi
         residual = float(np.abs(np.subtract(image, pi, out=gap), out=gap).sum())
         if residual < tol:
             break
@@ -169,13 +174,23 @@ def stationary_distribution(
 
 
 def _direct_stationary(p_sub: sp.csr_matrix) -> np.ndarray:
-    """Least-squares solve of pi P = pi, sum(pi) = 1 on a dense copy."""
+    """Square LU solve of pi P = pi, sum(pi) = 1 on a dense copy.
+
+    The columns of P^T - I sum to zero, so one balance equation is
+    redundant: the last is replaced by the normalisation (Stewart 1994,
+    section 2.3). `p_sub` is a closed SCC, hence irreducible, which makes
+    the system nonsingular; a singular system raises NumericalError.
+    """
     k = p_sub.shape[0]
-    a = np.vstack([p_sub.toarray().T - np.eye(k), np.ones((1, k))])
-    b = np.zeros(k + 1)
+    a = p_sub.T.toarray()
+    a[np.diag_indices(k)] -= 1.0
+    a[-1] = 1.0
+    b = np.zeros(k)
     b[-1] = 1.0
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return sol
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"direct stationary solve failed: {exc}") from None
 
 
 def head_stationary(g: Multigraph, result: StationaryResult) -> np.ndarray:

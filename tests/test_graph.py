@@ -287,6 +287,26 @@ def test_edge_list_keeps_trailing_isolated_vertices(tmp_path):
         assert np.array_equal(getattr(g, name), getattr(h, name)), name
 
 
+def test_edge_list_roundtrip_random_multigraphs(tmp_path):
+    # Self-loops, parallel edges (also split over repeated triples) and
+    # isolated vertices, trailing ones included: write-then-load must give
+    # back the same arrays.
+    rng = np.random.default_rng(29)
+    path = tmp_path / "g.edges"
+    for _ in range(30):
+        top = int(rng.integers(1, 10))
+        src = rng.integers(0, top, size=int(rng.integers(1, 25)))
+        dst = np.where(rng.random(len(src)) < 0.2, src, rng.integers(0, top, size=len(src)))
+        mult = rng.integers(1, 6, size=len(src))
+        n = top + int(rng.integers(0, 4))
+        g = Multigraph.from_edges(zip(src, dst, mult), n=n)
+        g.to_edge_list(path)
+        h = Multigraph.from_edge_list(path)
+        assert (h.n, h.m) == (g.n, g.m)
+        for name in ("d_in", "d_out", "tail_ptr", "head_ptr", "tail_vertex", "head_vertex", "match"):
+            assert np.array_equal(getattr(g, name), getattr(h, name)), name
+
+
 def test_edge_list_without_header_still_loads(tmp_path):
     path = tmp_path / "old.edges"
     path.write_text("0 1 1\n1 0 1\n")

@@ -327,6 +327,20 @@ def test_tail_impossible_threshold(toy_biased):
     assert est.ci_lo == 0.0 and est.ci_hi > 0.0
 
 
+def test_tail_single_run_has_unknown_interval():
+    # One population gives no spread estimate: the interval must be NaN, not
+    # the zero-width [p_hat, p_hat].
+    eta = MarkedOffspringLaw({(0, 2): 0.25, (1, 3): 0.25, (2, 2): 0.30, (2, 3): 0.20})
+    one = subcritical_tail_experiment(
+        eta, t=6, a=1.0, omega=40, reps=4000, rng_seed=5, runs=1
+    )
+    assert one.successes > 0 and one.p_hat > 0.0
+    assert math.isnan(one.ci_lo) and math.isnan(one.ci_hi)
+    assert one.rate_hat == pytest.approx(-math.log(one.p_hat) / 6)
+    many = subcritical_tail_experiment(eta, t=6, a=1.0, omega=40, reps=4000, rng_seed=5)
+    assert many.ci_lo < many.p_hat < many.ci_hi
+
+
 def test_tail_guided_matches_naive():
     # Unit-step law where the thin event is common enough for vanilla Monte
     # Carlo; the guided splitting estimate must agree within joint error.

@@ -254,6 +254,102 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert f"{token}:2:" in capsys.readouterr().err
 
 
+def run_cli(argv, capsys) -> tuple[int, str]:
+    """Exit code and stderr of one in-process CLI run; argparse errors
+    arrive as SystemExit, any other escaping exception fails the test."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def corrupt_edge_file(rng) -> bytes:
+    """A small edge list broken in one random way, so it can never load."""
+    n = int(rng.integers(2, 7))
+    lines = [f"{v} {(v + 1) % n} {int(rng.integers(1, 4))}" for v in range(n)]
+    i = int(rng.integers(len(lines)))
+    src, dst, mult = lines[i].split()
+    kind = int(rng.integers(9))
+    if kind == 0:
+        lines[i] = f"-{int(rng.integers(1, 5))} {dst} {mult}"
+    elif kind == 1:
+        lines[i] = f"{src} {dst} {rng.choice(['1.5', '2e0', 'nan', 'inf', '0x1'])}"
+    elif kind == 2:
+        lines.insert(0, f"# n={int(rng.integers(0, n))}")
+    elif kind == 3:
+        lines = rng.choice(["", "\n\n", "# n=4"]).split("\n")
+    elif kind == 4:
+        lines[i] = f"{src} {dst}"
+    elif kind == 5:
+        lines[i] = f"{src} {dst} {mult} 1"
+    elif kind == 6:
+        lines[i] = f"{src} {dst} {-int(rng.integers(0, 3))}"
+    elif kind == 7:
+        lines.insert(0, rng.choice(["# vertices=4", "# n=", "# n=-2", "# n=4.0"]))
+    else:
+        return ("\n".join(lines) + "\n").encode() + b"\xff\xfe 0 1\n"
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_cli_fuzz_malformed_input_exits_cleanly(tmp_path, capsys):
+    rng = np.random.default_rng(41)
+    good = tmp_path / "good.edges"
+    good.write_text("0 1 1\n1 2 1\n2 0 1\n")
+    dist = write_toy(tmp_path)
+    out = str(tmp_path / "out.csv")
+    runs = [
+        ["stationary", "--graph", str(tmp_path)],
+        ["--tol", "-1", "stationary", "--graph", str(good)],
+        ["--tol", "nan", "stationary", "--graph", str(good)],
+        ["--seed", "-1", "cover", "--graph", str(good), "--reps", "3"],
+        ["hitting", "--graph", str(good), "--x", "0", "--y", "1", "--reps", "0"],
+        ["hitting", "--graph", str(good), "--x", "0", "--y", "1.5"],
+        ["cover", "--graph", str(good), "--reps", "0"],
+        ["cover", "--graph", str(good), "--starts", "0"],
+        ["bp-sim", "--dist", dist, "--t", "x"],
+        ["bp-sim", "--dist", dist, "--t", "3", "--reps", "0"],
+        ["exponent-sweep", "--dist", dist, "--n-ladder", "a,b", "--out", out],
+        ["exponent-sweep", "--dist", dist, "--n-ladder", "-5", "--out", out],
+        ["exponent-sweep", "--dist", dist, "--n-ladder", "64", "--seeds-per-n", "0",
+         "--out", out],
+    ]
+    blobs = {
+        "law.json": b'{"pmf": 3}',
+        "latin1.json": b"\xff\xfe{}",
+        "config.json": (
+            f'{{"distribution": {toy_json()}, "n_ladder": [64], "seeds_per_n": 1, '
+            f'"measures": 1}}'
+        ).encode(),
+        "seed.json": (
+            f'{{"distribution": {toy_json()}, "n_ladder": [64], "seeds_per_n": 1, '
+            f'"master_seed": -1}}'
+        ).encode(),
+    }
+    for name, blob in blobs.items():
+        (tmp_path / name).write_bytes(blob)
+    runs += [
+        ["bp-sim", "--law", str(tmp_path / "law.json"), "--t", "3"],
+        ["params", "--dist", str(tmp_path / "latin1.json")],
+        ["exponent-sweep", "--config", str(tmp_path / "config.json"), "--out", out],
+        ["exponent-sweep", "--config", str(tmp_path / "seed.json"), "--out", out],
+    ]
+    for i in range(36):
+        path = tmp_path / f"bad{i}.edges"
+        path.write_bytes(corrupt_edge_file(rng))
+        command = [
+            ["stationary"],
+            ["hitting", "--x", "0", "--y", "1", "--reps", "3", "--step-cap", "50"],
+            ["cover", "--reps", "3", "--step-cap", "50"],
+        ][i % 3]
+        runs.append([*command, "--graph", str(path)])
+    for argv in runs:
+        code, err = run_cli(argv, capsys)
+        assert code in (2, 3, 4), argv
+        assert "Traceback" not in err, argv
+        assert err.strip(), argv
+
+
 def test_cli_walker_exit_codes(tmp_path, capsys):
     cycle = tmp_path / "cycle.edges"
     cycle.write_text("0 1 1\n1 2 1\n2 0 1\n")

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dcmwalk import (
     BiDegreeDistribution,
     CensoredError,
     Multigraph,
     NonUniqueError,
+    NumericalError,
     ValidationError,
+    attractive_scc,
     cover_time_mc,
     empirical_tail,
     extremal_values,
@@ -19,10 +22,16 @@ from dcmwalk import (
     realize_sequence,
     return_time_exact,
     sample_dcm,
+    sample_rout,
     stationary_distribution,
     walk_times_exact,
 )
-from dcmwalk.walks import hitting_matrix, return_times_exact, transition_matrix
+from dcmwalk.walks import (
+    _direct_stationary,
+    hitting_matrix,
+    return_times_exact,
+    transition_matrix,
+)
 
 
 def directed_cycle(n: int) -> Multigraph:
@@ -440,3 +449,72 @@ def test_pi_min_rel_residual_matches_direct(toy_dist, two_vertex):
         assert res.pi[v] == res.pi_min
         checked += 1
     assert checked >= 4
+
+
+def attractive_block(g: Multigraph) -> sp.csr_matrix:
+    comp = attractive_scc(g)
+    return g.csr[comp][:, comp]
+
+
+def lstsq_stationary(p_sub: sp.csr_matrix) -> np.ndarray:
+    """Reference: least-squares solve of the stacked singular system
+    [P^T - I; 1^T] pi = e_(k+1)."""
+    k = p_sub.shape[0]
+    a = np.vstack([p_sub.toarray().T - np.eye(k), np.ones((1, k))])
+    b = np.zeros(k + 1)
+    b[-1] = 1.0
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def test_direct_stationary_matches_lstsq_reference(toy_dist):
+    rng = np.random.default_rng(17)
+    graphs = [Multigraph.from_edges([(0, 0, 1)])]  # k = 1: a self-loop
+    for i, n in enumerate((16, 40, 100, 250, 500, 800, 1200, 1600, 2000, 2000)):
+        seed = int(rng.integers(2**31))
+        graphs.append(sample_dcm(realize_sequence(toy_dist, n), rng_seed=seed))
+        graphs.append(sample_rout(n // 2, 2 + i % 2, rng_seed=seed))
+    blocks = [attractive_block(g) for g in graphs if attractive_scc(g) is not None]
+    assert len(blocks) >= 18 and blocks[0].shape == (1, 1)
+    assert max(b.shape[0] for b in blocks) > 900
+    for p_sub in blocks:
+        direct = _direct_stationary(p_sub)
+        assert np.max(np.abs(direct - lstsq_stationary(p_sub))) <= 1e-12
+
+
+def test_cross_check_catches_early_stopped_power_iteration(toy_dist):
+    g = sample_dcm(realize_sequence(toy_dist, 400), rng_seed=0)
+    with pytest.raises(NumericalError, match="disagree"):
+        stationary_distribution(g, tol=1e-4, cross_check=True)
+
+
+def test_direct_stationary_singular_system_is_numerical_error():
+    # Two closed classes: the bordered balance system is singular.
+    with pytest.raises(NumericalError):
+        _direct_stationary(sp.csr_matrix(np.eye(2)))
+
+
+@pytest.mark.parametrize("n", [2**12, 2**14])
+def test_power_loop_matches_row_vector_reference(toy_dist, n):
+    # The loop multiplies by one transposed view of P; its float order must
+    # equal the row-vector product pi @ P bit for bit.
+    g = sample_dcm(realize_sequence(toy_dist, n), rng_seed=n)
+    res = stationary_distribution(g)
+    assert res.cross_check_linf is None
+    p_sub = attractive_block(g)
+    pi = np.full(p_sub.shape[0], 1.0 / p_sub.shape[0])
+    for iterations in range(1, 10**6):
+        image = pi @ p_sub
+        if np.abs(image - pi).sum() < 1e-12:
+            break
+        pi = (pi + image) * 0.5
+        pi /= pi.sum()
+    assert res.iterations == iterations > 50
+    full = np.zeros(g.n)
+    full[res.support] = pi
+    assert np.array_equal(res.pi, full)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_stationary_rejects_bad_tolerance(two_vertex, tol):
+    with pytest.raises(ValidationError):
+        stationary_distribution(two_vertex, tol=tol)
