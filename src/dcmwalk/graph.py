@@ -3,8 +3,11 @@ growth, and the marked in-exploration process.
 
 Half-edges are flat arrays with index arithmetic: tails (out-half-edges) and
 heads (in-half-edges) are numbered 0..m-1, grouped by vertex, and a sampled
-graph is a permutation matching tail i to head match[i]. Sampled graphs are
-immutable and shareable; exploration is single-threaded per replicate.
+graph is a permutation matching tail i to head match[i]. The pairing is int32
+when m < 2^31 (int64 otherwise); vertex-indexed arrays stay intp. The owner
+of each half-edge is derived from the degree arrays on access, not stored.
+Sampled graphs are immutable and shareable; exploration is single-threaded
+per replicate.
 """
 
 from __future__ import annotations
@@ -38,21 +41,35 @@ class Multigraph:
     d_out: np.ndarray
     tail_ptr: np.ndarray
     head_ptr: np.ndarray
-    tail_vertex: np.ndarray
-    head_vertex: np.ndarray
     match: np.ndarray
 
     def __post_init__(self):
         if int(self.d_in.sum()) != self.m or int(self.d_out.sum()) != self.m:
             raise ValidationError("head and tail totals differ")
-        counts = np.bincount(self.match, minlength=self.m)
-        if len(counts) != self.m or not np.all(counts == 1):
-            raise ValidationError("pairing is not a perfect matching of half-edges")
+        # m in-range entries that cover all m slots form a permutation.
+        match, m = self.match, self.m
+        bad = "pairing is not a perfect matching of half-edges"
+        if len(match) != m or (m and not 0 <= match.min() <= match.max() < m):
+            raise ValidationError(bad)
+        seen = np.zeros(m, dtype=bool)
+        seen[match] = True
+        if not seen.all():
+            raise ValidationError(bad)
+
+    @property
+    def tail_vertex(self) -> np.ndarray:
+        """Owner vertex of each tail, derived in O(m) on each access."""
+        return np.repeat(np.arange(self.n), self.d_out)
+
+    @property
+    def head_vertex(self) -> np.ndarray:
+        """Owner vertex of each head, derived in O(m) on each access."""
+        return np.repeat(np.arange(self.n), self.d_in)
 
     @property
     def inverse_match(self) -> np.ndarray:
-        inv = np.empty(self.m, dtype=np.int64)
-        inv[self.match] = np.arange(self.m)
+        inv = np.empty(self.m, dtype=self.match.dtype)
+        inv[self.match] = np.arange(self.m, dtype=self.match.dtype)
         return inv
 
     def successors(self) -> np.ndarray:
@@ -68,9 +85,14 @@ class Multigraph:
         pattern is the adjacency, the values the transition matrix. The rows
         are the tail blocks, merged by sum_duplicates because scipy's
         strong-component search stalls on duplicate columns; the merge works
-        in place, so indptr starts as a copy of tail_ptr."""
+        in place, so indptr starts as a copy of tail_ptr. Out-degree-0
+        vertices own no tail, so their (unused) reciprocal is taken of 1."""
         mat = sp.csr_matrix(
-            (1.0 / self.d_out[self.tail_vertex], self.successors(), self.tail_ptr.copy()),
+            (
+                np.repeat(1.0 / np.maximum(self.d_out, 1), self.d_out),
+                self.successors(),
+                self.tail_ptr.copy(),
+            ),
             shape=(self.n, self.n),
         )
         mat.sum_duplicates()
@@ -145,17 +167,20 @@ class Multigraph:
         return cls.from_edges(edges, n=n)
 
 
+def _pairing_dtype(m: int) -> type:
+    """Dtype of a pairing of m half-edges: int32 when every id fits."""
+    return np.int32 if m < 2**31 else np.int64
+
+
 def _paired(d_in: np.ndarray, d_out: np.ndarray, match: np.ndarray) -> Multigraph:
     """The multigraph with these int64 degree arrays whose tail t is paired
-    with head match[t]. Canonical half-edge layout: head/tail i belongs to
-    the vertex whose block of the cumulative degree count contains i."""
-    n = len(d_in)
+    with head match[t], stored in match's dtype. Canonical half-edge layout:
+    head/tail i belongs to the vertex whose block of the cumulative degree
+    count contains i."""
     return Multigraph(
-        n=n, m=len(match), d_in=d_in, d_out=d_out,
+        n=len(d_in), m=len(match), d_in=d_in, d_out=d_out,
         tail_ptr=np.concatenate(([0], np.cumsum(d_out))),
         head_ptr=np.concatenate(([0], np.cumsum(d_in))),
-        tail_vertex=np.repeat(np.arange(n), d_out),
-        head_vertex=np.repeat(np.arange(n), d_in),
         match=match,
     )
 
@@ -163,8 +188,9 @@ def _paired(d_in: np.ndarray, d_out: np.ndarray, match: np.ndarray) -> Multigrap
 def _from_successors(succ: np.ndarray, d_out: np.ndarray) -> Multigraph:
     """The multigraph whose tails, in canonical order, go to the vertices
     `succ`; each vertex's heads are paired in that tail order."""
-    match = np.empty(len(succ), dtype=np.int64)
-    match[np.argsort(succ, kind="stable")] = np.arange(len(succ))
+    m = len(succ)
+    match = np.empty(m, dtype=_pairing_dtype(m))
+    match[np.argsort(succ, kind="stable")] = np.arange(m)
     return _paired(np.bincount(succ, minlength=len(d_out)), d_out, match)
 
 
@@ -172,10 +198,13 @@ def sample_dcm(
     seq: BiDegreeSequence, rng_seed: int | np.random.SeedSequence = 0
 ) -> Multigraph:
     """Sample the configuration model: a uniform perfect matching of heads
-    against the canonical tail order (Fisher-Yates shuffle of the head array).
+    against the canonical tail order (Fisher-Yates shuffle of the head array,
+    in place; the same permutation as `rng.permutation(m)`).
     """
     rng = np.random.default_rng(rng_seed)
-    match = rng.permutation(seq.tail_total)
+    m = seq.tail_total
+    match = np.arange(m, dtype=_pairing_dtype(m))
+    rng.shuffle(match)
     return _paired(seq.in_degrees, seq.out_degrees, match)
 
 
@@ -239,12 +268,13 @@ def t_omega(
     if omega == 1:
         return 0
     inv = g.inverse_match
+    tail_vertex = g.tail_vertex
     seen = np.zeros(g.m, dtype=bool)
     frontier = np.array([f], dtype=np.int64)
     seen[f] = True
     for t in range(1, t_cap + 1):
         tails = inv[frontier]
-        vertices = g.tail_vertex[tails]
+        vertices = tail_vertex[tails]
         nxt = _heads_of(g, vertices)
         nxt = nxt[~seen[nxt]]
         nxt = np.unique(nxt)

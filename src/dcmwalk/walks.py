@@ -127,11 +127,7 @@ def stationary_distribution(
     if np.any(g.d_out[comp] == 0):
         raise NonUniqueError("attractive component contains a sink vertex")
     k = len(comp)
-    p_sub = g.csr
-    if k < g.n:
-        p_sub = p_sub[comp][:, comp]
-        if p_sub.nnz != np.diff(g.csr.indptr)[comp].sum():
-            raise NumericalError("attractive component has an outgoing edge")
+    p_sub = g.csr if k == g.n else _closed_block(g, comp)
     p_t = p_sub.T  # one CSC view: `p_t @ pi` is `pi @ p_sub`, same matvec
     pi = np.full(k, 1.0 / k)
     gap = np.empty(k)
@@ -142,9 +138,10 @@ def stationary_distribution(
         residual = float(np.abs(np.subtract(image, pi, out=gap), out=gap).sum())
         if residual < tol:
             break
-        # pi <- (pi + image) / 2, normalised: the lazy step, in place.
+        # The lazy step pi <- (pi + image) / 2, normalised, in place. Halving
+        # normal floats is exact, so it cancels in the normalisation bit for
+        # bit and is left out.
         np.add(pi, image, out=pi)
-        pi *= 0.5
         pi /= pi.sum()
     else:
         raise NumericalError("power iteration did not converge", residual=residual)
@@ -171,6 +168,21 @@ def stationary_distribution(
         pi_min_rel_residual=pi_min_rel_residual,
         cross_check_linf=linf,
     )
+
+
+def _closed_block(g: Multigraph, comp: np.ndarray) -> sp.csr_matrix:
+    """`g.csr[comp][:, comp]` for a closed vertex set `comp`, built as one
+    copy: the selected rows keep their data and indptr, and only their
+    columns are relabelled. `comp` is sorted, so each row keeps its column
+    order and the matvec its float order. An edge leaving `comp` raises
+    NumericalError."""
+    rows = g.csr[comp]
+    local = np.full(g.n, -1, dtype=rows.indices.dtype)
+    local[comp] = np.arange(len(comp))
+    cols = local[rows.indices]
+    if np.any(cols < 0):
+        raise NumericalError("attractive component has an outgoing edge")
+    return sp.csr_matrix((rows.data, cols, rows.indptr), shape=(len(comp),) * 2)
 
 
 def _direct_stationary(p_sub: sp.csr_matrix) -> np.ndarray:

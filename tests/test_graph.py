@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -22,7 +23,7 @@ from dcmwalk import (
     t_omega_set,
 )
 from dcmwalk.cli import main
-from dcmwalk.graph import complete_pairing
+from dcmwalk.graph import _paired, complete_pairing
 from dcmwalk.walks import transition_matrix
 
 
@@ -56,6 +57,53 @@ def test_sample_uniform_matchings():
     expected = reps / 6
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < 15.09
+
+
+def test_sample_pairing_is_int32_permutation(toy_dist):
+    # The in-place shuffle of an int32 arange draws rng.permutation(m).
+    for n, seed in [(4, 0), (400, 11), (5000, 12)]:
+        seq = realize_sequence(toy_dist, n)
+        g = sample_dcm(seq, rng_seed=seed)
+        assert g.match.dtype == np.int32 and g.inverse_match.dtype == np.int32
+        assert np.array_equal(g.match, np.random.default_rng(seed).permutation(g.m))
+    assert sample_rout(50, 2, rng_seed=1).match.dtype == np.int32
+
+
+def test_half_edge_owners_are_derived(toy_dist):
+    g = sample_dcm(realize_sequence(toy_dist, 300), rng_seed=4)
+    assert "tail_vertex" not in vars(g) and "head_vertex" not in vars(g)
+    assert np.array_equal(g.tail_vertex, np.repeat(np.arange(g.n), g.d_out))
+    assert np.array_equal(g.head_vertex, np.repeat(np.arange(g.n), g.d_in))
+    assert g.tail_vertex.dtype == g.head_vertex.dtype == np.intp
+    assert g.successors().dtype == np.intp
+
+
+def test_csr_with_out_degree_zero_vertices_is_warning_free():
+    seq = BiDegreeSequence.from_arrays(np.array([2, 1, 1, 0]), np.array([0, 3, 0, 1]))
+    graphs = [
+        Multigraph.from_edges([(0, 1, 2), (1, 0, 1)], n=4),
+        sample_dcm(seq, rng_seed=2),
+    ]
+    for g in graphs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            adj = g.csr
+        assert np.any(g.d_out == 0)
+        tail = np.repeat(np.arange(g.n), g.d_out)
+        ref = sp.csr_matrix((1.0 / g.d_out[tail], (tail, g.successors())), shape=adj.shape)
+        assert np.array_equal(adj.indptr, ref.indptr)
+        assert np.array_equal(adj.data, ref.data)
+
+
+@pytest.mark.parametrize(
+    "match",
+    [[0, 1, 1, 3], [0, 1, -1, 3], [0, 1, 2, 4], [0, 1, 2], [0, 1, 2, 3, 0], []],
+    ids=["duplicate", "negative", "too-large", "short", "long", "empty"],
+)
+def test_pairing_must_be_perfect_matching(match):
+    d = np.array([1, 2, 1])
+    with pytest.raises(ValidationError):
+        _paired(d, d, np.array(match, dtype=np.int32))
 
 
 def test_rout_single_vertex():

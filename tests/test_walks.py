@@ -26,7 +26,9 @@ from dcmwalk import (
     stationary_distribution,
     walk_times_exact,
 )
+from dcmwalk import walks
 from dcmwalk.walks import (
+    _closed_block,
     _direct_stationary,
     hitting_matrix,
     return_times_exact,
@@ -454,6 +456,32 @@ def test_pi_min_rel_residual_matches_direct(toy_dist, two_vertex):
 def attractive_block(g: Multigraph) -> sp.csr_matrix:
     comp = attractive_scc(g)
     return g.csr[comp][:, comp]
+
+
+def test_closed_block_matches_fancy_index_reference(toy_dist):
+    rng = np.random.default_rng(41)
+    graphs = [
+        sample_dcm(realize_sequence(toy_dist, int(n)), rng_seed=int(rng.integers(2**31)))
+        for n in rng.choice([40, 200, 1000], size=10)
+    ] + [
+        sample_rout(int(n), int(r), rng_seed=int(rng.integers(2**31)))
+        for n, r in zip(rng.choice([30, 200, 1000], size=10), rng.integers(2, 4, size=10))
+    ]
+    for g in graphs:
+        comp = attractive_scc(g)
+        assert comp is not None and len(comp) < g.n
+        block = _closed_block(g, comp)
+        ref = g.csr[comp][:, comp]
+        assert block.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(block, name), getattr(ref, name)), name
+
+
+def test_stationary_rejects_non_closed_block(monkeypatch):
+    # 0 -> 1 -> 2 -> 3 -> 0: {0, 1} has the edge 1 -> 2 leaving it.
+    monkeypatch.setattr(walks, "attractive_scc", lambda g: np.array([0, 1]))
+    with pytest.raises(NumericalError):
+        stationary_distribution(directed_cycle(4))
 
 
 def lstsq_stationary(p_sub: sp.csr_matrix) -> np.ndarray:
