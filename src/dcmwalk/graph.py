@@ -85,12 +85,16 @@ class Multigraph:
         pattern is the adjacency, the values the transition matrix. The rows
         are the tail blocks, merged by sum_duplicates because scipy's
         strong-component search stalls on duplicate columns; the merge works
-        in place, so indptr starts as a copy of tail_ptr. Out-degree-0
-        vertices own no tail, so their (unused) reciprocal is taken of 1."""
+        in place, so indptr starts as a copy of tail_ptr. The column
+        indices are gathered straight into int32 while n < 2^31, the dtype
+        scipy stores, rather than through the intp `successors()`.
+        Out-degree-0 vertices own no tail, so their (unused) reciprocal is
+        taken of 1."""
+        vertices = np.arange(self.n, dtype=_index_dtype(self.n))
         mat = sp.csr_matrix(
             (
                 np.repeat(1.0 / np.maximum(self.d_out, 1), self.d_out),
-                self.successors(),
+                np.repeat(vertices, self.d_in)[self.match],
                 self.tail_ptr.copy(),
             ),
             shape=(self.n, self.n),
@@ -167,9 +171,10 @@ class Multigraph:
         return cls.from_edges(edges, n=n)
 
 
-def _pairing_dtype(m: int) -> type:
-    """Dtype of a pairing of m half-edges: int32 when every id fits."""
-    return np.int32 if m < 2**31 else np.int64
+def _index_dtype(count: int) -> type:
+    """Dtype of ids 0..count-1 (half-edges or vertices): int32 when every id
+    fits."""
+    return np.int32 if count < 2**31 else np.int64
 
 
 def _paired(d_in: np.ndarray, d_out: np.ndarray, match: np.ndarray) -> Multigraph:
@@ -189,7 +194,7 @@ def _from_successors(succ: np.ndarray, d_out: np.ndarray) -> Multigraph:
     """The multigraph whose tails, in canonical order, go to the vertices
     `succ`; each vertex's heads are paired in that tail order."""
     m = len(succ)
-    match = np.empty(m, dtype=_pairing_dtype(m))
+    match = np.empty(m, dtype=_index_dtype(m))
     match[np.argsort(succ, kind="stable")] = np.arange(m)
     return _paired(np.bincount(succ, minlength=len(d_out)), d_out, match)
 
@@ -203,7 +208,7 @@ def sample_dcm(
     """
     rng = np.random.default_rng(rng_seed)
     m = seq.tail_total
-    match = np.arange(m, dtype=_pairing_dtype(m))
+    match = np.arange(m, dtype=_index_dtype(m))
     rng.shuffle(match)
     return _paired(seq.in_degrees, seq.out_degrees, match)
 

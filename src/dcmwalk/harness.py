@@ -171,6 +171,8 @@ def run_exponent_sweep(
     and master seed reproduces the file byte for byte. Existing rows are
     kept, so an interrupted sweep resumes where it stopped.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     done: dict[tuple[int, int], dict] = {}
     if os.path.exists(out_csv):
         for row in _read_sweep(out_csv):

@@ -439,11 +439,14 @@ def walk_times_exact(
     )
 
 
-def _check_walkable(g: Multigraph, reps: int, *vertices: int) -> None:
-    """Walkers need at least one replicate, every given vertex in 0..n-1,
-    and an out-edge at every vertex they may reach."""
+def _check_walkable(g: Multigraph, reps: int, step_cap: int, *vertices: int) -> None:
+    """Walkers need at least one replicate, a step cap of at least one,
+    every given vertex in 0..n-1, and an out-edge at every vertex they may
+    reach."""
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
+    if step_cap < 1:
+        raise ValidationError(f"step_cap must be >= 1, got {step_cap}")
     for v in vertices:
         if not 0 <= v < g.n:
             raise ValidationError(f"vertex {v} outside 0..{g.n - 1}")
@@ -454,8 +457,11 @@ def _check_walkable(g: Multigraph, reps: int, *vertices: int) -> None:
 def _advance(
     g: Multigraph, succ: np.ndarray, pos: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """One uniform out-edge step (multiplicity-weighted) for each walker."""
-    return succ[g.tail_ptr[pos] + rng.integers(0, g.d_out[pos])]
+    """One uniform out-edge step (multiplicity-weighted) for each walker:
+    a uniform u in [0, 1) picks out-edge floor(u * d_out) of its vertex."""
+    # u <= 1 - 2^-53, and floor((1 - 2^-53) * d) = d - 1 for integers d < 2^53.
+    pick = (rng.random(len(pos)) * g.d_out[pos]).astype(np.intp)
+    return succ[g.tail_ptr[pos] + pick]
 
 
 def _summarize(
@@ -501,7 +507,7 @@ def hitting_time_mc(
     the mean and reported; if every walk is censored a CensoredError is
     raised.
     """
-    _check_walkable(g, reps, x, y)
+    _check_walkable(g, reps, step_cap, x, y)
     reach = breadth_first_order(g.csr, x, return_predecessors=False)
     if y not in reach:
         raise UnreachableError(f"vertex {y} cannot be reached from vertex {x}")
@@ -527,7 +533,7 @@ def hitting_time_mc(
             lost = trap[pos]
             active[live[lost]] = True
             done = arrived | lost
-        if done.any():
+        if np.count_nonzero(done):
             times[live[arrived]] = step
             keep = ~done
             live, pos = live[keep], pos[keep]
@@ -548,7 +554,7 @@ def cover_time_mc(
     All starts walk together in one walker array, `reps // n_starts` (at
     least 2) walkers per start.
     """
-    _check_walkable(g, reps)
+    _check_walkable(g, reps, step_cap)
     if n_starts < 1:
         raise ValidationError(f"n_starts must be >= 1, got {n_starts}")
     succ = g.successors()
@@ -580,11 +586,11 @@ def cover_time_mc(
         pos = _advance(g, succ, pos, rng)
         cells = rows + local[pos]
         fresh = ~seen[cells]
-        if fresh.any():
+        if np.count_nonzero(fresh):
             seen[cells] = True
             left -= fresh
             done = left == 0
-            if done.any():
+            if np.count_nonzero(done):
                 times[live[done]] = step
                 keep = ~done
                 live, pos, rows, left = live[keep], pos[keep], rows[keep], left[keep]

@@ -95,6 +95,26 @@ def test_csr_with_out_degree_zero_vertices_is_warning_free():
         assert np.array_equal(adj.data, ref.data)
 
 
+def test_csr_indices_are_int32_and_match_intp_build(toy_dist, monkeypatch):
+    graphs = [sample_dcm(realize_sequence(toy_dist, n), rng_seed=n) for n in (50, 3000)]
+    graphs += [sample_rout(n, r, rng_seed=r) for n, r in ((40, 2), (2000, 3))]
+    # The build gathers int32 columns itself, never the intp successors.
+    with monkeypatch.context() as patch:
+        patch.setattr(Multigraph, "successors", None)
+        for g in graphs:
+            g.csr
+    for g in graphs:
+        adj = g.csr
+        ref = sp.csr_matrix(
+            (np.repeat(1.0 / g.d_out, g.d_out), g.successors(), g.tail_ptr.copy()),
+            shape=(g.n, g.n),
+        )
+        ref.sum_duplicates()
+        assert adj.indices.dtype == np.int32
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(adj, name), getattr(ref, name)), name
+
+
 @pytest.mark.parametrize(
     "match",
     [[0, 1, 1, 3], [0, 1, -1, 3], [0, 1, 2, 4], [0, 1, 2], [0, 1, 2, 3, 0], []],

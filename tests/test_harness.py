@@ -313,6 +313,10 @@ def test_cli_fuzz_malformed_input_exits_cleanly(tmp_path, capsys):
         ["exponent-sweep", "--dist", dist, "--n-ladder", "-5", "--out", out],
         ["exponent-sweep", "--dist", dist, "--n-ladder", "64", "--seeds-per-n", "0",
          "--out", out],
+        ["--threads", "0", "exponent-sweep", "--dist", dist, "--n-ladder", "64",
+         "--out", out],
+        ["--threads", "-2", "exponent-sweep", "--dist", dist, "--n-ladder", "64",
+         "--out", out],
     ]
     blobs = {
         "law.json": b'{"pmf": 3}',
@@ -362,6 +366,12 @@ def test_cli_walker_exit_codes(tmp_path, capsys):
     dead_end.write_text("0 1 1\n1 0 1\n1 2 1\n")
     assert main(["hitting", "--graph", str(dead_end), "--x", "0", "--y", "1", *base]) == 3
     assert main(["cover", "--graph", str(dead_end), *base]) == 3
+    # A step cap below 1 is a validation failure, also when x == y.
+    for cap in ("0", "-3"):
+        bad_cap = ["--reps", "5", "--step-cap", cap, "--seed", "1"]
+        assert main(["hitting", "--graph", str(cycle), "--x", "0", "--y", "1", *bad_cap]) == 2
+        assert main(["hitting", "--graph", str(cycle), "--x", "0", "--y", "0", *bad_cap]) == 2
+        assert main(["cover", "--graph", str(cycle), *bad_cap]) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -400,8 +410,8 @@ def test_cli_hitting_stops_walkers_that_cannot_reach_target(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, step_cap",
-    [(["hitting", "--x", "0", "--y", "6", "--reps", "20"], 7),
-     (["cover", "--reps", "40", "--starts", "1"], 9)],
+    [(["hitting", "--x", "0", "--y", "6", "--reps", "1000"], 7),
+     (["cover", "--reps", "2000", "--starts", "1"], 9)],
 )
 def test_cli_censored_column_matches_count(tmp_path, capsys, command, step_cap):
     # Lollipop: a 4-clique with the path 3-4-5-6 hanging off vertex 3.
@@ -417,7 +427,11 @@ def test_cli_censored_column_matches_count(tmp_path, capsys, command, step_cap):
     rows = [line.split(",") for line in out.read_text().split()[1:]]
     censored = int(capsys.readouterr().err.split("censored=")[1])
     assert sum(int(r[-1]) for r in rows) == censored
-    # Walks that finish exactly at the cap are not censored.
+    # Walks that finish exactly at the cap are not censored. A hitting walk
+    # 0 -> 6 takes exactly 7 steps with probability 0.0183, and a cover walk
+    # takes exactly 9 with probability at least 0.0107 from any start, so
+    # no walk lands on the cap with probability below 1e-8 either way,
+    # whatever the random stream.
     assert any(int(r[-2]) == step_cap and r[-1] == "0" for r in rows)
 
 

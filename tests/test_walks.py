@@ -396,6 +396,39 @@ def test_walkers_reject_bad_vertices():
         cover_time_mc(g, reps=10, step_cap=100, rng_seed=0, n_starts=0)
 
 
+class ConstantUniforms:
+    """Generator stub whose `random` returns one value for every draw."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def random(self, size: int) -> np.ndarray:
+        return np.full(size, self.value)
+
+
+@pytest.mark.parametrize("value, last", [(np.nextafter(1.0, 0.0), True), (0.0, False)])
+def test_step_takes_out_edge_of_uniform(value, last):
+    # The largest uniform picks the last out-edge of every vertex, zero the
+    # first, at out-degrees 1 to 9.
+    edges = [(v, (v + j) % 10, 1) for v in range(9) for j in range(1, v + 2)]
+    g = Multigraph.from_edges(edges + [(9, 0, 1)])
+    succ = g.successors()
+    pos = np.repeat(np.arange(g.n), 3)
+    step = walks._advance(g, succ, pos, ConstantUniforms(value))
+    edge = g.tail_ptr[pos + 1] - 1 if last else g.tail_ptr[pos]
+    assert np.array_equal(step, succ[edge])
+
+
+def test_step_weights_parallel_edges():
+    # 0 -> 1 twice and 0 -> 2 once: the first step hits 1 with probability 2/3.
+    g = Multigraph.from_edges([(0, 1, 2), (0, 2, 1), (1, 0, 1), (2, 0, 1)])
+    reps = 30000
+    est = hitting_time_mc(g, 0, 1, reps=reps, step_cap=10**4, rng_seed=5)
+    share = float(np.mean(est.samples == 1))
+    se = math.sqrt(2 / 9 / reps)
+    assert abs(share - 2 / 3) <= 5 * se
+
+
 def test_walkers_reject_out_degree_zero():
     # 0 <-> 1 -> 2, and 2 has no out-edge.
     g = Multigraph.from_edges([(0, 1, 1), (1, 0, 1), (1, 2, 1)])
