@@ -87,7 +87,10 @@ def _cmd_stationary(args) -> int:
         "pi_max": res.pi_max,
         "support_size": int(len(res.support)),
         "residual": res.residual,
-        "exponent_observed": float(np.log(1.0 / res.pi_min) / np.log(graph.n)),
+        # log(1/pi_min) / log(n) is 0/0 on one vertex: written as null.
+        "exponent_observed": (
+            float(np.log(1.0 / res.pi_min) / np.log(graph.n)) if graph.n > 1 else None
+        ),
     }
     _write(json.dumps(record, indent=2) + "\n", args.out)
     return 0

@@ -4,8 +4,10 @@ growth, and the marked in-exploration process.
 Half-edges are flat arrays with index arithmetic: tails (out-half-edges) and
 heads (in-half-edges) are numbered 0..m-1, grouped by vertex, and a sampled
 graph is a permutation matching tail i to head match[i]. The pairing is int32
-when m < 2^31 (int64 otherwise); vertex-indexed arrays stay intp. The owner
-of each half-edge is derived from the degree arrays on access, not stored.
+when m < 2^31 (int64 otherwise); vertex-indexed arrays stay intp. A graph
+stores only its degree arrays and the pairing: the owner of each half-edge
+and each vertex's first half-edge (`tail_ptr`, `head_ptr`) are derived from
+the degrees on access, so a caller that uses one in a loop reads it once.
 Sampled graphs are immutable and shareable; exploration is single-threaded
 per replicate.
 """
@@ -24,6 +26,9 @@ from .degrees import BiDegreeSequence
 from .errors import ValidationError
 
 EDGE_LIST_HEADER = "# n="
+# Rows per block when `closed_classes` tests each vertex's out-edges: its
+# temporaries (9 bytes per edge) then span one block, not all m edges.
+CLOSED_TEST_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -39,8 +44,6 @@ class Multigraph:
     m: int
     d_in: np.ndarray
     d_out: np.ndarray
-    tail_ptr: np.ndarray
-    head_ptr: np.ndarray
     match: np.ndarray
 
     def __post_init__(self):
@@ -55,6 +58,18 @@ class Multigraph:
         seen[match] = True
         if not seen.all():
             raise ValidationError(bad)
+
+    @property
+    def tail_ptr(self) -> np.ndarray:
+        """First tail of each vertex, then m: the cumulative out-degrees,
+        derived in O(n) on each access."""
+        return np.concatenate(([0], np.cumsum(self.d_out)))
+
+    @property
+    def head_ptr(self) -> np.ndarray:
+        """First head of each vertex, then m: the cumulative in-degrees,
+        derived in O(n) on each access."""
+        return np.concatenate(([0], np.cumsum(self.d_in)))
 
     @property
     def tail_vertex(self) -> np.ndarray:
@@ -85,7 +100,7 @@ class Multigraph:
         pattern is the adjacency, the values the transition matrix. The rows
         are the tail blocks, merged by sum_duplicates because scipy's
         strong-component search stalls on duplicate columns; the merge works
-        in place, so indptr starts as a copy of tail_ptr. The column
+        in place, so indptr starts as a fresh tail_ptr. The column
         indices are gathered straight into int32 while n < 2^31, the dtype
         scipy stores, rather than through the intp `successors()`.
         Out-degree-0 vertices own no tail, so their (unused) reciprocal is
@@ -95,7 +110,7 @@ class Multigraph:
             (
                 np.repeat(1.0 / np.maximum(self.d_out, 1), self.d_out),
                 np.repeat(vertices, self.d_in)[self.match],
-                self.tail_ptr.copy(),
+                self.tail_ptr,
             ),
             shape=(self.n, self.n),
         )
@@ -182,12 +197,7 @@ def _paired(d_in: np.ndarray, d_out: np.ndarray, match: np.ndarray) -> Multigrap
     with head match[t], stored in match's dtype. Canonical half-edge layout:
     head/tail i belongs to the vertex whose block of the cumulative degree
     count contains i."""
-    return Multigraph(
-        n=len(d_in), m=len(match), d_in=d_in, d_out=d_out,
-        tail_ptr=np.concatenate(([0], np.cumsum(d_out))),
-        head_ptr=np.concatenate(([0], np.cumsum(d_in))),
-        match=match,
-    )
+    return Multigraph(n=len(d_in), m=len(match), d_in=d_in, d_out=d_out, match=match)
 
 
 def _from_successors(succ: np.ndarray, d_out: np.ndarray) -> Multigraph:
@@ -233,13 +243,17 @@ def sccs(g: Multigraph) -> tuple[int, np.ndarray]:
 def closed_classes(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
     """SCC labels per vertex, and per component whether it is closed: a sink
     of the condensation, with no edge leaving it. Components without
-    out-edges at all (out-degree-0 vertices) are closed too."""
+    out-edges at all (out-degree-0 vertices) are closed too. The out-edges
+    are tested CLOSED_TEST_ROWS rows at a time."""
     n_comp, labels = sccs(g)
     closed = np.ones(n_comp, dtype=bool)
     if n_comp > 1:
-        adj = g.csr
-        src = np.repeat(labels, np.diff(adj.indptr))
-        closed[src[src != labels[adj.indices]]] = False
+        indptr, indices = g.csr.indptr, g.csr.indices
+        for lo in range(0, g.n, CLOSED_TEST_ROWS):
+            hi = min(lo + CLOSED_TEST_ROWS, g.n)
+            src = np.repeat(labels[lo:hi], np.diff(indptr[lo : hi + 1]))
+            dst = labels[indices[indptr[lo] : indptr[hi]]]
+            closed[src[src != dst]] = False
     return labels, closed
 
 
@@ -274,13 +288,14 @@ def t_omega(
         return 0
     inv = g.inverse_match
     tail_vertex = g.tail_vertex
+    head_ptr = g.head_ptr
     seen = np.zeros(g.m, dtype=bool)
     frontier = np.array([f], dtype=np.int64)
     seen[f] = True
     for t in range(1, t_cap + 1):
         tails = inv[frontier]
         vertices = tail_vertex[tails]
-        nxt = _heads_of(g, vertices)
+        nxt = _heads_of(g.d_in, head_ptr, vertices)
         nxt = nxt[~seen[nxt]]
         nxt = np.unique(nxt)
         if len(nxt) == 0:
@@ -299,13 +314,16 @@ def t_omega_set(g: Multigraph, omega: int, t_cap: int) -> np.ndarray:
     )
 
 
-def _heads_of(g: Multigraph, vertices: np.ndarray) -> np.ndarray:
-    """Concatenated head ids of the given vertices (with repeats collapsed later)."""
-    counts = g.d_in[vertices]
+def _heads_of(
+    d_in: np.ndarray, head_ptr: np.ndarray, vertices: np.ndarray
+) -> np.ndarray:
+    """Concatenated head ids of the given vertices (with repeats collapsed
+    later), from the in-degrees and their `head_ptr`."""
+    counts = d_in[vertices]
     total = int(counts.sum())
     if total == 0:
         return np.zeros(0, dtype=np.int64)
-    starts = g.head_ptr[vertices]
+    starts = head_ptr[vertices]
     offsets = np.arange(total) - np.repeat(
         np.concatenate(([0], np.cumsum(counts)))[:-1], counts
     )

@@ -52,8 +52,9 @@ class ExperimentConfig:
             raise ConfigError("empty n ladder")
         if list(self.n_ladder) != sorted(set(self.n_ladder)):
             raise ConfigError("n ladder must be strictly increasing")
-        if self.n_ladder[0] < 1:
-            raise ConfigError("n ladder entries must be >= 1")
+        if self.n_ladder[0] < 2:
+            # exp_obs divides by log(n), which is 0 at n = 1.
+            raise ConfigError("n ladder entries must be >= 2")
         if self.seeds_per_n < 1:
             raise ConfigError("seeds_per_n must be >= 1")
         if self.master_seed < 0:

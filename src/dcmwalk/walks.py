@@ -140,8 +140,10 @@ def stationary_distribution(
             break
         # The lazy step pi <- (pi + image) / 2, normalised, in place. Halving
         # normal floats is exact, so it cancels in the normalisation bit for
-        # bit and is left out.
+        # bit and is left out. The image is released before the next matvec
+        # allocates its successor, so only one is ever alive.
         np.add(pi, image, out=pi)
+        del image
         pi /= pi.sum()
     else:
         raise NumericalError("power iteration did not converge", residual=residual)
@@ -156,6 +158,7 @@ def stationary_distribution(
             raise NumericalError(
                 "power iteration and direct solve disagree", residual=linf
             )
+    del p_sub, p_t, gap, image  # before the n-length result is allocated
     full = np.zeros(g.n)
     full[comp] = pi
     return StationaryResult(
@@ -455,13 +458,18 @@ def _check_walkable(g: Multigraph, reps: int, step_cap: int, *vertices: int) -> 
 
 
 def _advance(
-    g: Multigraph, succ: np.ndarray, pos: np.ndarray, rng: np.random.Generator
+    d_out: np.ndarray,
+    tail_ptr: np.ndarray,
+    succ: np.ndarray,
+    pos: np.ndarray,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """One uniform out-edge step (multiplicity-weighted) for each walker:
-    a uniform u in [0, 1) picks out-edge floor(u * d_out) of its vertex."""
+    a uniform u in [0, 1) picks out-edge floor(u * d_out) of its vertex.
+    `tail_ptr` and `succ` are the graph's, read once per walk."""
     # u <= 1 - 2^-53, and floor((1 - 2^-53) * d) = d - 1 for integers d < 2^53.
-    pick = (rng.random(len(pos)) * g.d_out[pos]).astype(np.intp)
-    return succ[g.tail_ptr[pos] + pick]
+    pick = (rng.random(len(pos)) * d_out[pos]).astype(np.intp)
+    return succ[tail_ptr[pos] + pick]
 
 
 def _summarize(
@@ -516,7 +524,7 @@ def hitting_time_mc(
     trap = np.ones(g.n, dtype=bool)
     trap[breadth_first_order(g.csr.T, y, return_predecessors=False)] = False
     trap = trap if trap[reach].any() else None
-    succ = g.successors()
+    succ, tail_ptr = g.successors(), g.tail_ptr
     rng = np.random.default_rng(rng_seed)
     times = np.zeros(reps, dtype=np.int64)
     active = np.zeros(reps, dtype=bool)
@@ -526,7 +534,7 @@ def hitting_time_mc(
     step = 0
     while len(live) and step < step_cap:
         step += 1
-        pos = _advance(g, succ, pos, rng)
+        pos = _advance(g.d_out, tail_ptr, succ, pos, rng)
         arrived = pos == y
         done = arrived
         if trap is not None:
@@ -557,7 +565,7 @@ def cover_time_mc(
     _check_walkable(g, reps, step_cap)
     if n_starts < 1:
         raise ValidationError(f"n_starts must be >= 1, got {n_starts}")
-    succ = g.successors()
+    succ, tail_ptr = g.successors(), g.tail_ptr
     comp = attractive_scc(g)
     if comp is None:
         raise NonUniqueError()
@@ -583,7 +591,7 @@ def cover_time_mc(
     step = 0
     while len(live) and step < step_cap:
         step += 1
-        pos = _advance(g, succ, pos, rng)
+        pos = _advance(g.d_out, tail_ptr, succ, pos, rng)
         cells = rows + local[pos]
         fresh = ~seen[cells]
         if np.count_nonzero(fresh):

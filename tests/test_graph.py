@@ -22,8 +22,9 @@ from dcmwalk import (
     t_omega,
     t_omega_set,
 )
+from dcmwalk import graph as graph_module
 from dcmwalk.cli import main
-from dcmwalk.graph import _paired, complete_pairing
+from dcmwalk.graph import _paired, closed_classes, complete_pairing
 from dcmwalk.walks import transition_matrix
 
 
@@ -76,6 +77,14 @@ def test_half_edge_owners_are_derived(toy_dist):
     assert np.array_equal(g.head_vertex, np.repeat(np.arange(g.n), g.d_in))
     assert g.tail_vertex.dtype == g.head_vertex.dtype == np.intp
     assert g.successors().dtype == np.intp
+    # So are the first half-edges of each vertex, here also for r-out and
+    # for a loaded graph with isolated vertices.
+    loaded = Multigraph.from_edges([(0, 2, 3), (2, 0, 1)], n=5)
+    for h in (g, sample_rout(40, 3, rng_seed=2), loaded):
+        assert "tail_ptr" not in vars(h) and "head_ptr" not in vars(h)
+        for ptr, d in ((h.tail_ptr, h.d_out), (h.head_ptr, h.d_in)):
+            assert ptr.dtype == np.intp
+            assert np.array_equal(ptr, np.concatenate(([0], np.cumsum(d))))
 
 
 def test_csr_with_out_degree_zero_vertices_is_warning_free():
@@ -141,6 +150,38 @@ def test_rout_degree_laws():
     )
     tv = 0.5 * (np.abs(emp - poisson).sum() + (1.0 - poisson.sum()))
     assert tv < 0.02
+
+
+def closed_classes_one_shot(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
+    """Reference closed-class test over all out-edges at once."""
+    n_comp, labels = sccs(g)
+    closed = np.ones(n_comp, dtype=bool)
+    src = np.repeat(labels, np.diff(g.csr.indptr))
+    closed[src[src != labels[g.csr.indices]]] = False
+    return labels, closed
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_closed_classes_by_row_blocks_match_one_shot(toy_dist, monkeypatch, rows):
+    # Toy-law and r-out graphs, and graphs whose out-degree-0 vertices make
+    # several closed classes. No n is a multiple of 7 or 64, so the last
+    # block is a partial one.
+    rng = np.random.default_rng(17)
+    graphs = [sample_dcm(realize_sequence(toy_dist, n), rng_seed=n) for n in (61, 200)]
+    graphs += [sample_rout(n, 2, rng_seed=n) for n in (65, 130)]
+    for n in (75, 150):
+        d_out = rng.choice([0, 1, 2, 3], size=n, p=[0.1, 0.3, 0.3, 0.3])
+        d_in = np.bincount(rng.integers(0, n, size=int(d_out.sum())), minlength=n)
+        graphs.append(sample_dcm(BiDegreeSequence.from_arrays(d_in, d_out), rng_seed=n))
+    monkeypatch.setattr(graph_module, "CLOSED_TEST_ROWS", rows)
+    most_closed = 0
+    for g in graphs:
+        ref_labels, ref_closed = closed_classes_one_shot(g)
+        labels, closed = closed_classes(g)
+        assert np.array_equal(labels, ref_labels)
+        assert np.array_equal(closed, ref_closed)
+        most_closed = max(most_closed, int(closed.sum()))
+    assert most_closed >= 3
 
 
 def test_scc_cycle_attractive():

@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +319,10 @@ def test_cli_fuzz_malformed_input_exits_cleanly(tmp_path, capsys):
         ["--threads", "-2", "exponent-sweep", "--dist", dist, "--n-ladder", "64",
          "--out", out],
     ]
+    # n = 1 has log(n) = 0, which the observed exponent divides by.
+    regular = tmp_path / "regular.json"
+    regular.write_text('{"pmf":[{"in":2,"out":2,"p":1.0}]}')
+    runs.append(["exponent-sweep", "--dist", str(regular), "--n-ladder", "1,8", "--out", out])
     blobs = {
         "law.json": b'{"pmf": 3}',
         "latin1.json": b"\xff\xfe{}",
@@ -352,6 +357,14 @@ def test_cli_fuzz_malformed_input_exits_cleanly(tmp_path, capsys):
         assert code in (2, 3, 4), argv
         assert "Traceback" not in err, argv
         assert err.strip(), argv
+    # A one-vertex graph is valid input; its exponent (0/0) is JSON null.
+    one = tmp_path / "one.edges"
+    one.write_text("# n=1\n0 0 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["stationary", "--graph", str(one)]) == 0
+    record = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(c))
+    assert record["exponent_observed"] is None and record["pi_min"] == 1.0
 
 
 def test_cli_walker_exit_codes(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,7 +415,7 @@ def test_step_takes_out_edge_of_uniform(value, last):
     g = Multigraph.from_edges(edges + [(9, 0, 1)])
     succ = g.successors()
     pos = np.repeat(np.arange(g.n), 3)
-    step = walks._advance(g, succ, pos, ConstantUniforms(value))
+    step = walks._advance(g.d_out, g.tail_ptr, succ, pos, ConstantUniforms(value))
     edge = g.tail_ptr[pos + 1] - 1 if last else g.tail_ptr[pos]
     assert np.array_equal(step, succ[edge])
 
@@ -573,6 +574,32 @@ def test_power_loop_matches_row_vector_reference(toy_dist, n):
     full = np.zeros(g.n)
     full[res.support] = pi
     assert np.array_equal(res.pi, full)
+
+
+def test_stationary_working_set_holds_one_image(toy_dist):
+    # The power loop holds the block, comp and three k-vectors (pi, gap and
+    # one image); the result holds comp, pi and the n-vector. The traced
+    # peak stays within the larger of the two plus a 64 KB slack, a quarter
+    # of one k-vector here: a second image alive across a matvec, or the
+    # block still alive when the n-vector is allocated, exceeds it.
+    n, slack = 2**16, 64 * 1024
+    g = sample_dcm(realize_sequence(toy_dist, n), rng_seed=n)
+    g.csr
+    comp = attractive_scc(g)
+    block = _closed_block(g, comp)
+    block_bytes = block.data.nbytes + block.indices.nbytes + block.indptr.nbytes
+    del block
+    k_vec = 8 * len(comp)
+    assert k_vec > 2 * slack and len(comp) < n
+    loop = block_bytes + comp.nbytes + 3 * k_vec
+    result = comp.nbytes + k_vec + 8 * n
+    tracemalloc.start()
+    try:
+        stationary_distribution(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(loop, result) + slack
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
