@@ -71,6 +71,14 @@ class BiDegreeDistribution:
     def mean_balanced(self) -> bool:
         return abs(self.mean_in - self.mean_out) <= PROB_TOL * max(1.0, self.mean_out)
 
+    def require_mean_balanced(self) -> None:
+        """Raise RealizationError (a ValidationError) unless mean-balanced."""
+        if not self.mean_balanced:
+            raise RealizationError(
+                f"distribution is not mean-balanced: "
+                f"E[D_in]={self.mean_in!r} != E[D_out]={self.mean_out!r}"
+            )
+
     @property
     def max_in(self) -> int:
         return max(k for k, _ in self.pmf)
@@ -107,7 +115,8 @@ class BiDegreeSequence:
 
     Construction is permissive about head/tail balance so that
     :func:`validate_sequence` can report the deficit; every model operation
-    requires a balanced sequence.
+    requires a balanced sequence. The constructors copy their input, so a
+    caller's array never becomes read-only.
     """
 
     def __init__(self, degrees):
@@ -123,16 +132,17 @@ class BiDegreeSequence:
         seq._set_arrays(in_degrees, out_degrees)
         return seq
 
-    def _set_arrays(self, in_degrees, out_degrees) -> None:
-        kin = np.array(in_degrees, dtype=np.int64)
-        kout = np.array(out_degrees, dtype=np.int64)
+    def _set_arrays(self, in_degrees, out_degrees, copy: bool = True) -> None:
+        """Store the degrees as read-only int64 arrays. copy=False adopts
+        int64 arrays the caller owns and never writes again, as they are."""
+        kin = np.array(in_degrees, dtype=np.int64, copy=copy or None)
+        kout = np.array(out_degrees, dtype=np.int64, copy=copy or None)
         if kin.ndim != 1 or kin.shape != kout.shape:
             raise ValidationError("in- and out-degree arrays differ in shape")
         if len(kin) == 0:
             raise ValidationError("empty degree sequence")
-        bad = np.flatnonzero((kin < 0) | (kout < 0))
-        if len(bad):
-            v = bad[0]
+        if kin.min() < 0 or kout.min() < 0:
+            v = np.flatnonzero((kin < 0) | (kout < 0))[0]
             raise ValidationError(f"negative degree in pair ({kin[v]}, {kout[v]})")
         kin.flags.writeable = kout.flags.writeable = False
         self.in_degrees, self.out_degrees = kin, kout
@@ -272,8 +282,12 @@ def realize_sequence(dist: BiDegreeDistribution, n: int) -> BiDegreeSequence:
     pairs = dist.support
     counts = _support_counts(dist, n)
     reps = [counts[pair] for pair in pairs]
-    seq = BiDegreeSequence.from_arrays(
-        np.repeat([k for k, _ in pairs], reps), np.repeat([ell for _, ell in pairs], reps)
+    # The fresh arrays are adopted, not copied: one copy of the sequence.
+    seq = BiDegreeSequence.__new__(BiDegreeSequence)
+    seq._set_arrays(
+        np.repeat(np.array([k for k, _ in pairs], dtype=np.int64), reps),
+        np.repeat(np.array([ell for _, ell in pairs], dtype=np.int64), reps),
+        copy=False,
     )
     if not seq.balanced:
         raise RealizationError("repair failed to balance head and tail totals")
@@ -284,11 +298,7 @@ def _support_counts(dist: BiDegreeDistribution, n: int) -> dict[tuple[int, int],
     """Vertex count per support pair for :func:`realize_sequence`."""
     if n < 1:
         raise RealizationError(f"need n >= 1, got {n}")
-    if not dist.mean_balanced:
-        raise RealizationError(
-            f"distribution is not mean-balanced: "
-            f"E[D_in]={dist.mean_in!r} != E[D_out]={dist.mean_out!r}"
-        )
+    dist.require_mean_balanced()
     pairs = dist.support
     counts = {pair: round(n * dist.pmf[pair]) for pair in pairs}
 

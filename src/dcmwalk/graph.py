@@ -23,12 +23,15 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .degrees import BiDegreeSequence
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 EDGE_LIST_HEADER = "# n="
 # Rows per block when `closed_classes` tests each vertex's out-edges: its
 # temporaries (9 bytes per edge) then span one block, not all m edges.
 CLOSED_TEST_ROWS = 1 << 14
+# Entries per chunk when `_closed_block` relabels its columns in place: the
+# gathered temporary then spans one chunk, not the whole block.
+RELABEL_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,13 @@ class Multigraph:
         indices are gathered straight into int32 while n < 2^31, the dtype
         scipy stores, rather than through the intp `successors()`.
         Out-degree-0 vertices own no tail, so their (unused) reciprocal is
-        taken of 1."""
+        taken of 1.
+
+        This module owns the cache policy: `_closed_block`, which copies a
+        closed block out for the stationary power loop, releases the cache
+        once the block's rows are selected, so the loop does not hold the
+        whole CSR; the next access rebuilds it. A graph whose attractive SCC
+        spans every vertex keeps it."""
         vertices = np.arange(self.n, dtype=_index_dtype(self.n))
         mat = sp.csr_matrix(
             (
@@ -255,6 +264,26 @@ def closed_classes(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
             dst = labels[indices[indptr[lo] : indptr[hi]]]
             closed[src[src != dst]] = False
     return labels, closed
+
+
+def _closed_block(g: Multigraph, comp: np.ndarray) -> sp.csr_matrix:
+    """`g.csr[comp][:, comp]` for a closed, sorted vertex set `comp` that
+    leaves out some vertex, built as one copy: the selected rows keep their
+    data and indptr. The graph's cached CSR is released next, and then the
+    rows' columns are relabelled in place, RELABEL_CHUNK entries at a time.
+    Each row keeps its column order and the matvec its float order. An edge
+    leaving `comp` raises NumericalError."""
+    rows = g.csr[comp]
+    vars(g).pop("csr", None)
+    local = np.full(g.n, -1, dtype=rows.indices.dtype)
+    local[comp] = np.arange(len(comp))
+    cols = rows.indices
+    for lo in range(0, len(cols), RELABEL_CHUNK):
+        chunk = cols[lo : lo + RELABEL_CHUNK]
+        chunk[:] = local[chunk]
+        if chunk.min() < 0:
+            raise NumericalError("attractive component has an outgoing edge")
+    return sp.csr_matrix((rows.data, cols, rows.indptr), shape=(len(comp),) * 2)
 
 
 def attractive_scc(g: Multigraph) -> np.ndarray | None:

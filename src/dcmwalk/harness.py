@@ -94,7 +94,9 @@ def analyze_distribution(
     dist: BiDegreeDistribution, rate_grid: int = 64
 ) -> tuple[ExponentReport, dict]:
     """Full analytic pipeline for one distribution: branching parameters,
-    log-mark law, exponent report, and the serializable record."""
+    log-mark law, exponent report, and the serializable record. The law
+    must be mean-balanced, as for :func:`realize_sequence`."""
+    dist.require_mean_balanced()
     params = compute_bp_parameters(dist)
     law = None
     if params.tilde is not None:

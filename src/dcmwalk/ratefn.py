@@ -21,6 +21,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 PROB_TOL = 1e-12
 MIN_LOG_MARK = math.log(2.0)
+# Relative band above the best grid value of phi that minimize_phi scans in
+# full. Bisection noise in I is about 1e-15 relative; only values inside the
+# band can tie or beat the minimum through it.
+PHI_TIE_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -199,6 +203,42 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
+def _first_grid_argmin(f, npts: int) -> int:
+    """First index i in 0..npts-1 with the smallest f(i), for f quasiconvex
+    up to noise far below PHI_TIE_BAND (relative).
+
+    Golden-section search over the indices brackets the minimum in about
+    log(npts) evaluations; a scan outward from the bracket's best index
+    then visits every index up to the first one, on each side, whose value
+    exceeds the band above the best value seen. Past that index f can only
+    grow, so the scan holds every index the exhaustive sweep could pick,
+    and it picks among them the same way: the first of the smallest.
+    """
+    cache: dict[int, float] = {}
+
+    def val(i: int) -> float:
+        if i not in cache:
+            cache[i] = f(i)
+        return cache[i]
+
+    lo, hi = 0, npts - 1
+    while hi - lo > 2:
+        width = hi - lo
+        inner = max(width // 2 + 1, round(_GOLDEN * width))
+        m1, m2 = hi - inner, lo + inner
+        if val(m1) <= val(m2):
+            hi = m2
+        else:
+            lo = m1
+    best = min(val(i) for i in range(lo, hi + 1))
+    for i, step in ((lo, -1), (hi, 1)):
+        while 0 <= i + step < npts and val(i) <= best * (1.0 + PHI_TIE_BAND):
+            i += step
+            best = min(best, val(i))
+    # Every index within the band of the minimum is cached by now.
+    return min(cache, key=lambda i: (cache[i], i))
+
+
 def minimize_phi(
     params: BpParameters,
     law: FiniteLogLaw | None,
@@ -208,9 +248,16 @@ def minimize_phi(
 ) -> ExponentReport:
     """Locate a0 = argmin phi over [1, z_max / H_hat] and build the report.
 
-    A coarse grid sweep at `grid_step` resolution guards against local
-    minima (phi need not be unimodal once I hits its boundary value); the
-    winning bracket is then refined by golden-section search to width `tol`.
+    The first minimizing index of phi on a grid of `grid_step` resolution
+    brackets a0, and golden-section search refines that bracket to width
+    `tol`. The index comes from a search over the grid
+    (:func:`_first_grid_argmin`), not from evaluating every grid point:
+    I is convex, non-negative and continuous up to z_max, so each sublevel
+    set {a : |log nu_hat| + I(a H_hat) <= t a} is an interval and phi is
+    quasiconvex on [1, z_max / H_hat]. Only grid points whose values lie
+    within PHI_TIE_BAND of the best one, a band far wider than the
+    bisection noise of I, can then hold the first minimizer, and the search
+    scans every one of them.
     The degenerate regime (nu_hat = 0) contributes exponent exactly 1.
     """
     if params.degenerate or law is None:
@@ -234,7 +281,7 @@ def minimize_phi(
         return ExponentReport(
             a0=1.0,
             phi_a0=phi_1,
-            exponent=1.0 + h_hat / phi_1,
+            exponent=_exponent(h_hat, phi_1),
             rate_samples=samples,
             a0_on_boundary=True,
             point_domain=True,
@@ -246,11 +293,7 @@ def minimize_phi(
 
     npts = max(2, int(math.ceil((a_hi - 1.0) / grid_step)) + 1)
     step = (a_hi - 1.0) / (npts - 1)
-    best_i, best_val = 0, math.inf
-    for i in range(npts):
-        val = objective(1.0 + i * step)
-        if val < best_val:
-            best_i, best_val = i, val
+    best_i = _first_grid_argmin(lambda i: objective(1.0 + i * step), npts)
     lo = 1.0 + max(0, best_i - 1) * step
     hi = 1.0 + min(npts - 1, best_i + 1) * step
     a0, phi_a0 = _golden_section(objective, lo, hi, tol)
@@ -264,12 +307,20 @@ def minimize_phi(
     return ExponentReport(
         a0=a0,
         phi_a0=phi_a0,
-        exponent=1.0 + h_hat / phi_a0,
+        exponent=_exponent(h_hat, phi_a0),
         rate_samples=samples,
         a0_on_boundary=(a0 - 1.0 <= tol) or (a_hi - a0 <= tol),
         point_domain=False,
         degenerate=False,
     )
+
+
+def _exponent(h_hat: float, phi_a0: float) -> float:
+    """1 + H_hat / phi(a0). phi(a0) = 0 needs nu_hat = 1, where no finite
+    exponent exists: DegenerateError."""
+    if phi_a0 == 0.0:
+        raise DegenerateError("phi(a0) = 0 (nu_hat = 1): no finite exponent")
+    return 1.0 + h_hat / phi_a0
 
 
 def rout_exponent(r: int) -> float:

@@ -25,7 +25,7 @@ from .errors import (
     UnreachableError,
     ValidationError,
 )
-from .graph import Multigraph, attractive_scc, closed_classes
+from .graph import Multigraph, _closed_block, attractive_scc, closed_classes
 
 POWER_TOL = 1e-12
 ACCEPT_RESIDUAL = 1e-10
@@ -171,21 +171,6 @@ def stationary_distribution(
         pi_min_rel_residual=pi_min_rel_residual,
         cross_check_linf=linf,
     )
-
-
-def _closed_block(g: Multigraph, comp: np.ndarray) -> sp.csr_matrix:
-    """`g.csr[comp][:, comp]` for a closed vertex set `comp`, built as one
-    copy: the selected rows keep their data and indptr, and only their
-    columns are relabelled. `comp` is sorted, so each row keeps its column
-    order and the matvec its float order. An edge leaving `comp` raises
-    NumericalError."""
-    rows = g.csr[comp]
-    local = np.full(g.n, -1, dtype=rows.indices.dtype)
-    local[comp] = np.arange(len(comp))
-    cols = local[rows.indices]
-    if np.any(cols < 0):
-        raise NumericalError("attractive component has an outgoing edge")
-    return sp.csr_matrix((rows.data, cols, rows.indptr), shape=(len(comp),) * 2)
 
 
 def _direct_stationary(p_sub: sp.csr_matrix) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,30 @@ def test_realize_arrays_match_pair_expansion(toy_dist):
             assert seq.in_degrees.dtype == seq.out_degrees.dtype == np.int64
             checked += 1
     assert checked >= 60
+
+
+def test_realize_holds_one_copy_of_the_sequence(toy_dist):
+    # realize adopts the two int64 arrays it builds instead of copying
+    # them: its traced peak is their bytes plus a 64 KB slack, and a second
+    # copy of either array (2 MB each at n = 2^18) exceeds that.
+    n, slack = 2**18, 64 * 1024
+    tracemalloc.start()
+    try:
+        seq = realize_sequence(toy_dist, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= seq.in_degrees.nbytes + seq.out_degrees.nbytes + slack
+    with pytest.raises(ValueError):
+        seq.out_degrees[0] = 9  # read-only
+
+
+def test_from_arrays_leaves_caller_arrays_writable():
+    d_in, d_out = np.array([1, 2], dtype=np.int64), np.array([2, 1], dtype=np.int64)
+    seq = BiDegreeSequence.from_arrays(d_in, d_out)
+    assert d_in.flags.writeable and d_out.flags.writeable
+    d_in[0] = 5
+    assert seq.in_degrees[0] == 1
 
 
 def test_sequence_tuple_and_array_construction_agree(tmp_path):

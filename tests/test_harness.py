@@ -326,6 +326,8 @@ def test_cli_fuzz_malformed_input_exits_cleanly(tmp_path, capsys):
     blobs = {
         "law.json": b'{"pmf": 3}',
         "latin1.json": b"\xff\xfe{}",
+        # Not mean-balanced; its nu_hat = 1 once made phi(1) = 0.
+        "unbalanced.json": b'{"pmf":[{"in":1,"out":3,"p":1.0}]}',
         "config.json": (
             f'{{"distribution": {toy_json()}, "n_ladder": [64], "seeds_per_n": 1, '
             f'"measures": 1}}'
@@ -340,6 +342,7 @@ def test_cli_fuzz_malformed_input_exits_cleanly(tmp_path, capsys):
     runs += [
         ["bp-sim", "--law", str(tmp_path / "law.json"), "--t", "3"],
         ["params", "--dist", str(tmp_path / "latin1.json")],
+        ["params", "--dist", str(tmp_path / "unbalanced.json")],
         ["exponent-sweep", "--config", str(tmp_path / "config.json"), "--out", out],
         ["exponent-sweep", "--config", str(tmp_path / "seed.json"), "--out", out],
     ]

@@ -5,6 +5,8 @@ import pytest
 
 from dcmwalk import (
     BiDegreeDistribution,
+    DegenerateError,
+    ExponentReport,
     FiniteLogLaw,
     ValidationError,
     analyze_distribution,
@@ -16,8 +18,11 @@ from dcmwalk import (
     phi,
     rate_function,
     rout_exponent,
+    run_params,
     single_survivor_law,
 )
+from dcmwalk import ratefn
+from dcmwalk.ratefn import _golden_section, rate_table
 
 from conftest import TOY_A0, TOY_EXPONENT, TOY_PHI_A0, zqcy_dist
 
@@ -212,3 +217,125 @@ def test_rout_matches_general_pipeline():
     dist = poisson_in_const_out_dist(2, 40)
     report, _ = analyze_distribution(dist)
     assert report.exponent == pytest.approx(rout_exponent(2), abs=2e-3)
+
+
+def random_grid_law(rng) -> BiDegreeDistribution:
+    """A random mean-balanced law: up to six pairs with out-degrees 2-4,
+    plus one pair, weighted to cancel the mean imbalance."""
+    pairs = sorted(
+        {(int(rng.integers(0, 9)), int(rng.integers(2, 5))) for _ in range(6)}
+    )
+    pmf = dict(zip(pairs, rng.dirichlet(np.ones(len(pairs))).tolist()))
+    gap = sum(p * (k - l) for (k, l), p in pmf.items())
+    fix = (0, int(rng.integers(2, 5))) if gap > 0 else (int(rng.integers(7, 12)), 2)
+    t = gap / (gap - (fix[0] - fix[1]))
+    pmf = {pair: p * (1.0 - t) for pair, p in pmf.items()}
+    pmf[fix] = pmf.get(fix, 0.0) + t
+    return BiDegreeDistribution(pmf)
+
+
+def exhaustive_minimize_phi(params, law, grid_step: float) -> ExponentReport:
+    """Reference for the grid path of minimize_phi at its default tol and
+    table_points: phi at every grid point, the first of the smallest kept."""
+    h_hat = params.H_hat
+    a_hi = law.z_max / h_hat
+
+    def objective(a: float) -> float:
+        return phi(params, law, min(max(a, 1.0), a_hi))
+
+    npts = max(2, int(math.ceil((a_hi - 1.0) / grid_step)) + 1)
+    step = (a_hi - 1.0) / (npts - 1)
+    best_i, best_val = 0, math.inf
+    for i in range(npts):
+        val = objective(1.0 + i * step)
+        if val < best_val:
+            best_i, best_val = i, val
+    lo = 1.0 + max(0, best_i - 1) * step
+    hi = 1.0 + min(npts - 1, best_i + 1) * step
+    a0, phi_a0 = _golden_section(objective, lo, hi, 1e-9)
+    for edge in (1.0, a_hi):
+        val = objective(edge)
+        if val < phi_a0:
+            a0, phi_a0 = edge, val
+    return ExponentReport(
+        a0=a0,
+        phi_a0=phi_a0,
+        exponent=1.0 + h_hat / phi_a0,
+        rate_samples=rate_table(law, 64),
+        a0_on_boundary=(a0 - 1.0 <= 1e-9) or (a_hi - a0 <= 1e-9),
+        point_domain=False,
+        degenerate=False,
+    )
+
+
+def test_minimize_phi_matches_exhaustive_grid(toy_dist):
+    # a0 = 1 exactly, from a two-point grid (a_hi - 1 < grid_step). No law
+    # has a0 = a_hi: I' grows without bound at z_max, so phi rises into a_hi.
+    at_one = BiDegreeDistribution(
+        {(1, 6): 0.4153902428555889, (8, 4): 0.5472543551015968, (0, 3): 0.03735540204281423}
+    )
+    # The random laws use a 1e-3 grid step, so that the reference costs
+    # about 25 ms per law instead of 250 ms; the search does not depend on it.
+    rng = np.random.default_rng(2024)
+    laws = [(toy_dist, 1e-4), (at_one, 1e-4)]
+    laws += [(random_grid_law(rng), 1e-3) for _ in range(70)]
+    grid, edges = 0, set()
+    for dist, grid_step in laws:
+        params = compute_bp_parameters(dist)
+        if params.degenerate:
+            continue
+        law = FiniteLogLaw.from_marked_law(params.tilde)
+        if law.z_max / params.H_hat <= 1.0 + 1e-12:
+            continue  # point domain: no grid
+        report = minimize_phi(params, law, grid_step=grid_step)
+        assert report == exhaustive_minimize_phi(params, law, grid_step)
+        grid += 1
+        if report.a0 == 1.0:
+            edges.add("a0 = 1")
+        if report.a0_on_boundary:
+            edges.add("boundary")
+    assert grid >= 60 and edges == {"a0 = 1", "boundary"}
+
+
+def test_first_grid_argmin_matches_first_of_smallest():
+    # Quasiconvex sequences with a flat bottom, some exactly tied and some
+    # with noise of 1e-15 (far inside PHI_TIE_BAND): the search must return
+    # numpy's argmin, the first of the smallest values, wherever the bottom is.
+    rng = np.random.default_rng(5)
+    for trial in range(400):
+        npts = int(rng.integers(2, 500))
+        i = np.arange(npts)
+        center, flat = rng.uniform(-0.2, 1.2) * npts, rng.uniform(0.0, 0.3) * npts
+        scale = 10.0 ** rng.uniform(-12, 0)
+        values = 1.0 + scale * np.maximum(0.0, np.abs(i - center) - flat) ** 2
+        if trial % 2:
+            values += 1e-15 * rng.uniform(-1.0, 1.0, size=npts)
+        found = ratefn._first_grid_argmin(lambda j: float(values[j]), npts)
+        assert found == int(np.argmin(values))
+
+
+def test_run_params_toy_makes_few_rate_solves(toy_dist, monkeypatch):
+    # 64 solves build the rate table. With every phi grid point evaluated,
+    # run_params made 1828 solves in all.
+    calls = []
+    real = ratefn.rate_function
+
+    def counted(law, z, *args):
+        calls.append(z)
+        return real(law, z, *args)
+
+    monkeypatch.setattr(ratefn, "rate_function", counted)
+    record = run_params(toy_dist)
+    assert record["exponent"] == pytest.approx(TOY_EXPONENT, abs=1e-4)
+    assert 64 < len(calls) <= 150
+
+
+def test_params_rejects_law_without_finite_exponent():
+    # One pair (1, 3): not mean-balanced, and nu_hat = 1 gives phi(1) = 0.
+    dist = BiDegreeDistribution({(1, 3): 1.0})
+    with pytest.raises(ValidationError, match="not mean-balanced"):
+        analyze_distribution(dist)
+    params = compute_bp_parameters(dist)
+    assert params.nu_hat == 1.0
+    with pytest.raises(DegenerateError):
+        minimize_phi(params, FiniteLogLaw.from_marked_law(params.tilde))

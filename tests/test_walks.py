@@ -28,8 +28,8 @@ from dcmwalk import (
     walk_times_exact,
 )
 from dcmwalk import walks
+from dcmwalk.graph import _closed_block
 from dcmwalk.walks import (
-    _closed_block,
     _direct_stationary,
     hitting_matrix,
     return_times_exact,
@@ -511,6 +511,20 @@ def test_closed_block_matches_fancy_index_reference(toy_dist):
             assert np.array_equal(getattr(block, name), getattr(ref, name)), name
 
 
+def test_closed_block_releases_graph_csr(toy_dist):
+    # The power loop reads only the block: the cached CSR is dropped when
+    # the block is a copy (k < n) and kept when it is the whole graph.
+    g = sample_dcm(realize_sequence(toy_dist, 2000), rng_seed=3)
+    assert len(attractive_scc(g)) < g.n
+    res = stationary_distribution(g)
+    assert "csr" not in vars(g)
+    again = stationary_distribution(g)  # rebuilds the CSR on access
+    assert np.array_equal(res.pi, again.pi) and res.iterations == again.iterations
+    cycle = directed_cycle(5)
+    stationary_distribution(cycle)
+    assert "csr" in vars(cycle)
+
+
 def test_stationary_rejects_non_closed_block(monkeypatch):
     # 0 -> 1 -> 2 -> 3 -> 0: {0, 1} has the edge 1 -> 2 leaving it.
     monkeypatch.setattr(walks, "attractive_scc", lambda g: np.array([0, 1]))
@@ -584,11 +598,11 @@ def test_stationary_working_set_holds_one_image(toy_dist):
     # block still alive when the n-vector is allocated, exceeds it.
     n, slack = 2**16, 64 * 1024
     g = sample_dcm(realize_sequence(toy_dist, n), rng_seed=n)
-    g.csr
     comp = attractive_scc(g)
     block = _closed_block(g, comp)
     block_bytes = block.data.nbytes + block.indices.nbytes + block.indptr.nbytes
     del block
+    g.csr  # built again after _closed_block released it, before tracing
     k_vec = 8 * len(comp)
     assert k_vec > 2 * slack and len(comp) < n
     loop = block_bytes + comp.nbytes + 3 * k_vec
