@@ -99,9 +99,10 @@ class GammaTrace:
 
 
 class _LawSampler:
-    """Inverse-CDF sampler over the support of a marked law; `draw` counts the
-    cumulative masses <= each uniform, one pass per atom (faster than
-    bisection up to about 50 atoms)."""
+    """Inverse-CDF sampler over the support of a marked law; `draw_index`
+    counts the cumulative masses <= each uniform, one pass per atom (faster
+    than bisection up to about 50 atoms), and `draw` maps the atom indices to
+    their (xi, zeta) pairs."""
 
     def __init__(self, eta: MarkedOffspringLaw):
         pairs = eta.support
@@ -111,11 +112,15 @@ class _LawSampler:
         self.cum = np.cumsum(probs)
         self.cum[-1] = 1.0
 
-    def draw(self, rng: np.random.Generator, size: int):
+    def draw_index(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
         idx = np.zeros(size, dtype=np.intp)
         for c in self.cum[:-1]:
             idx += u >= c
+        return idx
+
+    def draw(self, rng: np.random.Generator, size: int):
+        idx = self.draw_index(rng, size)
         return self.xi[idx], self.zeta[idx]
 
 
@@ -386,8 +391,10 @@ def subcritical_tail_experiment(
         raise DegenerateError("tail experiment needs a supercritical law")
     if not eta.marks_at_least_two:
         raise ValidationError("tail experiment needs marks >= 2")
-    if a < 1.0 or t < 1 or omega < 2 or reps < runs:
-        raise ValidationError("need a >= 1, t >= 1, omega >= 2, reps >= runs")
+    if not math.isfinite(a) or a < 1.0 or t < 1 or omega < 2 or reps < runs:
+        raise ValidationError(
+            "need a finite a >= 1, t >= 1, omega >= 2, reps >= runs"
+        )
     if event not in ("lb", "ub"):
         raise ValidationError(f"unknown event {event!r}")
 
@@ -465,38 +472,60 @@ def _splitting_run(
     probability. The potential steers the ensemble toward the near-collapse
     trajectories that dominate the event; it cancels exactly, so its choice
     affects variance only.
+
+    Each generation draws every node's atom, sums offspring counts into
+    per-replica widths and resamples before any child weight exists; child
+    weights are then built only for the kept replicas, into one compact
+    array. There, `block` holds each kept replica's children once, back to
+    back: block b starts at offsets[b], has block_sizes[b] >= 1 nodes and is
+    shared by counts[b] consecutive clones, which point at it instead of
+    copying it. Replica r of the generation draws for nodes bounds[r] to
+    bounds[r + 1] - 1 of the draw arrays. The final weight sums ("lb") or
+    minima ("ub") are taken once per block and repeated per clone; a block
+    holds the values, in the order, a per-clone copy would, so they match
+    it to the bit.
     """
     R = n_replicas
-    weights = np.ones(R)
-    # Replica r's nodes, at least one, are weights[bounds[r]:bounds[r + 1]];
-    # its children (in parent order) are child_w[child_bounds[r]:...[r + 1]].
-    bounds = np.arange(R + 1)
-    sizes_prev = np.ones(R, dtype=np.int64)
+    block = np.ones(R)
+    offsets = np.arange(R)
+    block_sizes = np.ones(R, dtype=np.int64)
+    counts = np.ones(R, dtype=np.int64)
     log_factor = -guide  # Psi(X_0) with X_0 = 1
     for _ in range(t):
-        xi, zeta = sampler.draw(rng, len(weights))
-        child_w = np.repeat(weights / zeta, xi)
-        child_bounds = np.concatenate(([0], np.cumsum(xi)))[bounds]
-        widths = np.diff(child_bounds)
+        sizes = np.repeat(block_sizes, counts)
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        atom = sampler.draw_index(rng, int(bounds[-1]))
+        xi = sampler.xi[atom]
+        widths = np.add.reduceat(xi, bounds[:-1])
         ok = (widths > 0) & (widths < kill_width)
-        u = np.where(ok, np.exp(-guide * (widths - sizes_prev)), 0.0)
+        u = np.where(ok, np.exp(-guide * (widths - sizes)), 0.0)
         u_total = float(u.sum())
         if u_total <= 0.0:
             return 0.0, 0
         log_factor += math.log(u_total / R)
         clones = _systematic_clones(u, rng.random())
-        sizes_prev = np.repeat(widths, clones)
-        bounds = np.concatenate(([0], np.cumsum(sizes_prev)))
-        shift = np.repeat(child_bounds[:-1], clones) - bounds[:-1]
-        weights = child_w[np.arange(bounds[-1]) + np.repeat(shift, sizes_prev)]
+        # Only the kept replicas' nodes have children that survive: gather
+        # their draw positions and their (shared) block positions.
+        kept = np.flatnonzero(clones)
+        kept_sizes = sizes[kept]
+        kept_starts = np.cumsum(kept_sizes) - kept_sizes
+        local = np.arange(kept_starts[-1] + kept_sizes[-1])
+        pos = local + np.repeat(bounds[kept] - kept_starts, kept_sizes)
+        base = np.repeat(offsets, counts)[kept]
+        src = local + np.repeat(base - kept_starts, kept_sizes)
+        block = np.repeat(block[src] / sampler.zeta[atom[pos]], xi[pos])
+        block_sizes = widths[kept]
+        offsets = np.cumsum(block_sizes) - block_sizes
+        counts = clones[kept]
+    sizes = np.repeat(block_sizes, counts)
     if event == "lb":
-        gamma_per = np.add.reduceat(weights, bounds[:-1])
+        gamma_per = np.repeat(np.add.reduceat(block, offsets), counts)
         success = (gamma_per > 0.0) & (gamma_per < gamma_threshold)
     else:
-        min_w = np.minimum.reduceat(weights, bounds[:-1])
-        success = (sizes_prev < omega) & (min_w < gamma_threshold)
+        min_w = np.repeat(np.minimum.reduceat(block, offsets), counts)
+        success = (sizes < omega) & (min_w < gamma_threshold)
     succ = int(success.sum())
-    correction = float(np.where(success, np.exp(guide * sizes_prev), 0.0).mean())
+    correction = float(np.where(success, np.exp(guide * sizes), 0.0).mean())
     return math.exp(log_factor) * correction, succ
 
 

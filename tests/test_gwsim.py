@@ -11,6 +11,7 @@ from dcmwalk import (
     MarkedOffspringLaw,
     MarkedTree,
     TruncationError,
+    ValidationError,
     compute_bp_parameters,
     duality_check,
     fit_decay_rate,
@@ -24,8 +25,10 @@ from dcmwalk import (
     subcritical_tail_experiment,
     truncated_gamma,
 )
+from dcmwalk import gwsim
 from dcmwalk.gwsim import (
     _LawSampler,
+    _splitting_run,
     _systematic_clones,
     least_squares_slope,
     tail_rate_theory,
@@ -427,6 +430,142 @@ def test_tail_estimate_reproducible():
         first = run(5, event)
         assert first.successes > 0 and first == run(5, event)
         assert first.p_hat != run(6, event).p_hat
+
+
+def _reference_splitting_run(
+    sampler, t, gamma_threshold, omega, kill_width, n_replicas, rng, event, guide,
+    probe=None,
+):
+    """The splitting loop as it was before clones shared their parent's
+    block: every replica's children are built, and each clone copies its
+    parent's block into one node array. A `probe` list receives the final
+    per-replica statistic (weight sum or minimum) and node counts."""
+    R = n_replicas
+    weights = np.ones(R)
+    bounds = np.arange(R + 1)
+    sizes_prev = np.ones(R, dtype=np.int64)
+    log_factor = -guide
+    for _ in range(t):
+        xi, zeta = sampler.draw(rng, len(weights))
+        child_w = np.repeat(weights / zeta, xi)
+        child_bounds = np.concatenate(([0], np.cumsum(xi)))[bounds]
+        widths = np.diff(child_bounds)
+        ok = (widths > 0) & (widths < kill_width)
+        u = np.where(ok, np.exp(-guide * (widths - sizes_prev)), 0.0)
+        u_total = float(u.sum())
+        if u_total <= 0.0:
+            return 0.0, 0
+        log_factor += math.log(u_total / R)
+        clones = _systematic_clones(u, rng.random())
+        sizes_prev = np.repeat(widths, clones)
+        bounds = np.concatenate(([0], np.cumsum(sizes_prev)))
+        shift = np.repeat(child_bounds[:-1], clones) - bounds[:-1]
+        weights = child_w[np.arange(bounds[-1]) + np.repeat(shift, sizes_prev)]
+    if event == "lb":
+        gamma_per = np.add.reduceat(weights, bounds[:-1])
+        success = (gamma_per > 0.0) & (gamma_per < gamma_threshold)
+    else:
+        min_w = np.minimum.reduceat(weights, bounds[:-1])
+        success = (sizes_prev < omega) & (min_w < gamma_threshold)
+    if probe is not None:
+        probe += [gamma_per if event == "lb" else min_w, sizes_prev]
+    succ = int(success.sum())
+    correction = float(np.where(success, np.exp(guide * sizes_prev), 0.0).mean())
+    return math.exp(log_factor) * correction, succ
+
+
+def _random_supercritical_law(rng):
+    """A supercritical law with marks 2..5 and an atom at zero offspring."""
+    while True:
+        pairs = {(0, int(rng.integers(2, 6)))}
+        while len(pairs) < int(rng.integers(2, 7)):
+            pairs.add((int(rng.integers(0, 8)), int(rng.integers(2, 6))))
+        probs = rng.dirichlet(np.ones(len(pairs)))
+        eta = MarkedOffspringLaw(dict(zip(sorted(pairs), probs)))
+        if eta.mean_offspring() > 1.05:
+            return eta
+
+
+def test_splitting_run_matches_reference_bit_for_bit():
+    # The estimate reads the weights only through `statistic < threshold`.
+    # Each case is also run at thresholds equal to the statistic of one of
+    # its largest replicas and one ulp above it, where that comparison flips
+    # if the statistic differs from the reference's in any bit: the order of
+    # a sum, a division or a minimum that moved.
+    rng = np.random.default_rng(2026)
+    results = []
+    knife_edges = 0
+    for case in range(160):
+        eta = _random_supercritical_law(rng)
+        sampler = _LawSampler(eta)
+        t = 1 + case % 9
+        omega = int(rng.integers(2, 41))
+        event = ("lb", "ub")[case % 2]
+        kill_width = omega if event == "lb" else max(8 * omega, 64)
+        thresholds = [math.exp(-rng.uniform(0.2, 1.5) * t)]
+        guide = (0.7, 0.3)[case % 3 == 0]
+        seed = int(rng.integers(2**32))
+        probe = []
+        _reference_splitting_run(
+            sampler, t, thresholds[0], omega, kill_width, 300,
+            np.random.default_rng(seed), event, guide, probe,
+        )
+        if probe:
+            stats, sizes = probe
+            for value in stats[np.argsort(sizes, kind="stable")[-2:]]:
+                if 0.0 < value < 1.0:
+                    thresholds += [float(value), float(np.nextafter(value, 1.0))]
+                    knife_edges += 1
+        for threshold in thresholds:
+            args = (sampler, t, threshold, omega, kill_width, 300)
+            new = _splitting_run(*args, np.random.default_rng(seed), event, guide)
+            ref = _reference_splitting_run(
+                *args, np.random.default_rng(seed), event, guide
+            )
+            assert new == ref, (case, threshold, eta.pmf)
+        results.append(new)
+    assert sum(succ > 0 for _, succ in results) >= 40
+    assert knife_edges >= 150
+    assert (0.0, 0) in results
+    # Every width is >= omega = 2 in the first generation: all replicas die.
+    dead = _LawSampler(MarkedOffspringLaw({(2, 2): 0.5, (3, 3): 0.5}))
+    for event in ("lb", "ub"):
+        args = (dead, 4, 0.5, 2, 2, 50, np.random.default_rng(1), event, 0.7)
+        assert _splitting_run(*args) == (0.0, 0)
+        args = (dead, 4, 0.5, 2, 2, 50, np.random.default_rng(1), event, 0.7)
+        assert _reference_splitting_run(*args) == (0.0, 0)
+
+
+def test_tail_estimate_matches_reference_loop(monkeypatch):
+    # The whole estimate, over one and several populations; repr pins every
+    # float bit, NaN intervals included.
+    rng = np.random.default_rng(77)
+    estimates = []
+    for case in range(60):
+        eta = _random_supercritical_law(rng)
+        kwargs = dict(
+            t=1 + case % 8, a=float(rng.uniform(1.0, 1.3)),
+            omega=int(rng.integers(2, 41)), rng_seed=int(rng.integers(2**32)),
+            event=("lb", "ub")[case % 2], runs=(1, 3)[case // 2 % 2],
+        )
+        kwargs["reps"] = 400 * kwargs["runs"]
+        try:
+            new = subcritical_tail_experiment(eta, **kwargs)
+        except DegenerateError:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(gwsim, "_splitting_run", _reference_splitting_run)
+            ref = subcritical_tail_experiment(eta, **kwargs)
+        assert repr(new) == repr(ref), kwargs
+        estimates.append(new)
+    assert len(estimates) >= 40
+    assert sum(e.successes > 0 for e in estimates) >= 10
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_tail_rejects_non_finite_a(toy_biased, a):
+    with pytest.raises(ValidationError):
+        subcritical_tail_experiment(toy_biased, t=3, a=a, omega=50, reps=400)
 
 
 def _toy_entropy(eta: MarkedOffspringLaw) -> float:

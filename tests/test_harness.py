@@ -160,6 +160,24 @@ def test_sweep_csv_golden_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SWEEP_SHA256
 
 
+# sha256 of the toy-law bp-sim CSVs below, one per event. Splitting is a
+# reproducibility contract too: a change to the draw, resampling or weight
+# bookkeeping of `gwsim._splitting_run` must leave these bytes alone.
+GOLDEN_BP_SIM_SHA256 = {
+    "lb": "7d905f933756165886748a6fb897ae5888fcf4626e6894456e95c8500c399ee4",
+    "ub": "e7c4f4512539b60f68e2a80853c4b9460d10aea22cb77e9c192718a7a55f831e",
+}
+
+
+@pytest.mark.parametrize("event", ["lb", "ub"])
+def test_bp_sim_csv_golden_digest(tmp_path, capsys, event):
+    out = tmp_path / f"bp_{event}.csv"
+    argv = ["--seed", "42", "bp-sim", "--dist", write_toy(tmp_path), "--t", "10,20",
+            "--reps", "100000", "--event", event, "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_BP_SIM_SHA256[event]
+
+
 def test_cli_params_golden(tmp_path, capsys):
     dist = write_toy(tmp_path)
     assert main(["params", "--dist", dist, "--rate-grid", "8"]) == 0
@@ -310,6 +328,8 @@ def test_cli_fuzz_malformed_input_exits_cleanly(tmp_path, capsys):
         ["cover", "--graph", str(good), "--starts", "0"],
         ["bp-sim", "--dist", dist, "--t", "x"],
         ["bp-sim", "--dist", dist, "--t", "3", "--reps", "0"],
+        ["bp-sim", "--dist", dist, "--t", "3", "--a", "nan"],
+        ["bp-sim", "--dist", dist, "--t", "3", "--a", "inf"],
         ["exponent-sweep", "--dist", dist, "--n-ladder", "a,b", "--out", out],
         ["exponent-sweep", "--dist", dist, "--n-ladder", "-5", "--out", out],
         ["exponent-sweep", "--dist", dist, "--n-ladder", "64", "--seeds-per-n", "0",
