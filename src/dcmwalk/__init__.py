@@ -56,8 +56,6 @@ from .gwsim import (
     duality_check,
     fit_decay_rate,
     gamma,
-    perturb_down,
-    perturb_up,
     simulate_marked_gw,
     subcritical_tail_experiment,
     truncated_gamma,

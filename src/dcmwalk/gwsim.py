@@ -14,6 +14,8 @@ exact-enumeration tests pin this down.
 from __future__ import annotations
 
 import math
+import numbers
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +104,15 @@ class _LawSampler:
     """Inverse-CDF sampler over the support of a marked law; `draw_index`
     counts the cumulative masses <= each uniform, one pass per atom (faster
     than bisection up to about 50 atoms), and `draw` maps the atom indices to
-    their (xi, zeta) pairs."""
+    their (xi, zeta) pairs.
+
+    Uniforms are drawn DRAW_CHUNK at a time into the smallest unsigned index
+    type that holds every atom (uint8 up to 256 atoms), so a draw's transient
+    memory is one chunk of doubles plus one small index per node.
+    `Generator.random` takes one 64-bit output per double, so the chunks
+    concatenate to the stream of a single `rng.random(size)` call."""
+
+    DRAW_CHUNK = 1 << 16
 
     def __init__(self, eta: MarkedOffspringLaw):
         pairs = eta.support
@@ -111,12 +121,15 @@ class _LawSampler:
         probs = np.array([eta.pmf[p] for p in pairs])
         self.cum = np.cumsum(probs)
         self.cum[-1] = 1.0
+        self.index_dtype = np.min_scalar_type(len(pairs) - 1)
 
     def draw_index(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        idx = np.zeros(size, dtype=np.intp)
-        for c in self.cum[:-1]:
-            idx += u >= c
+        idx = np.zeros(size, dtype=self.index_dtype)
+        for start in range(0, size, self.DRAW_CHUNK):
+            chunk = idx[start:start + self.DRAW_CHUNK]
+            u = rng.random(len(chunk))
+            for c in self.cum[:-1]:
+                chunk += u >= c
         return idx
 
     def draw(self, rng: np.random.Generator, size: int):
@@ -211,41 +224,6 @@ def truncated_gamma(tree: MarkedTree, t0: int, gamma_floor: float, t: int) -> fl
             return 0.0
         weights = np.repeat(weights / tree.zeta[r - 1], tree.xi[r - 1])
     return float(weights.sum())
-
-
-def perturb_down(eta: MarkedOffspringLaw, beta: float, n: int) -> MarkedOffspringLaw:
-    """Remove atoms with mass below n^(beta-1) and renormalize."""
-    _check_beta(beta, n)
-    threshold = n ** (beta - 1.0)
-    kept = {pair: p for pair, p in eta.pmf.items() if p >= threshold}
-    if not kept:
-        raise DegenerateError(f"every atom is below the threshold {threshold:.3e}")
-    mass = math.fsum(kept.values())
-    return MarkedOffspringLaw({pair: p / mass for pair, p in kept.items()})
-
-
-def perturb_up(eta: MarkedOffspringLaw, beta: float, n: int) -> MarkedOffspringLaw:
-    """Scale the law down slightly and park mass n^(beta-1) at offspring 0.
-
-    The added atom sits at (0, min mark); a childless node's mark never
-    enters any weight product, so the mark slot is immaterial.
-    """
-    _check_beta(beta, n)
-    added = n ** (beta - 1.0)
-    if added >= 1.0:
-        raise DegenerateError(f"perturbation mass {added} >= 1")
-    c_up = 1.0 - added
-    out = {pair: c_up * p for pair, p in eta.pmf.items()}
-    zero_pair = (0, min(z for _, z in eta.pmf))
-    out[zero_pair] = out.get(zero_pair, 0.0) + added
-    return MarkedOffspringLaw(out)
-
-
-def _check_beta(beta: float, n: int) -> None:
-    if not 0.0 < beta < 0.25:
-        raise ValidationError(f"beta must lie in (0, 1/4), got {beta}")
-    if n < 2:
-        raise ValidationError(f"need n >= 2, got {n}")
 
 
 @dataclass(frozen=True)
@@ -358,6 +336,14 @@ def tail_rate_theory(eta: MarkedOffspringLaw, a: float) -> float:
     return abs(math.log(chain.nu_hat)) + rate_function(law, a * chain.H_hat)
 
 
+# Populations of the last tail experiment and the generation they reached,
+# under the key of every argument their trajectory depends on (t and a set
+# only the threshold and the theory rate). One entry at most; a caller takes
+# it with `pop` under the lock, so no two threads advance one Generator.
+_CHECKPOINT: dict[tuple, tuple[int, list[_SplittingPopulation]]] = {}
+_CHECKPOINT_LOCK = threading.Lock()
+
+
 def subcritical_tail_experiment(
     eta: MarkedOffspringLaw,
     t: int,
@@ -376,12 +362,22 @@ def subcritical_tail_experiment(
 
     These probabilities decay like e^(-(|log nu_hat| + I(aH)) t), far below
     what vanilla Monte Carlo resolves at t ~ 30, so the estimator uses
-    guided splitting (`_splitting_run`): `reps` root trajectories split
-    across `runs` independent populations, each systematically resampled
-    every generation among the replicas within the width cap. For the "ub"
-    event, which does not constrain intermediate widths, trajectories are
-    still capped at 8 * omega nodes per generation (flagged; paths that
-    exceed the cap and return below omega are vanishingly rare here).
+    guided splitting (`_SplittingPopulation`): `reps` root trajectories
+    split across `runs` independent populations, each systematically
+    resampled every generation among the replicas within the width cap. For
+    the "ub" event, which does not constrain intermediate widths,
+    trajectories are still capped at 8 * omega nodes per generation
+    (flagged; paths that exceed the cap and return below omega are
+    vanishingly rare here).
+
+    Resume contract: the populations' trajectory does not depend on t or a.
+    The populations of the last call are kept at the generation it reached,
+    and a call that differs from it only in t or a, with t at least that
+    generation, resumes them instead of replaying those generations; a
+    smaller t starts cold. A ladder in increasing t therefore simulates
+    max(t) generations per population, not their sum. The output is
+    bit-identical to a cold call either way. The kept state is about 14
+    bytes per replica; a call with any other argument replaces it.
 
     The interval (ci_lo, ci_hi) is p_hat +- 1.96 standard errors across the
     runs; with runs=1 there is no spread estimate and both ends are NaN.
@@ -391,6 +387,10 @@ def subcritical_tail_experiment(
         raise DegenerateError("tail experiment needs a supercritical law")
     if not eta.marks_at_least_two:
         raise ValidationError("tail experiment needs marks >= 2")
+    if not isinstance(runs, numbers.Integral) or runs < 1:
+        raise ValidationError(f"runs must be an integer >= 1, got {runs!r}")
+    if not math.isfinite(guide):
+        raise ValidationError(f"guide must be finite, got {guide!r}")
     if not math.isfinite(a) or a < 1.0 or t < 1 or omega < 2 or reps < runs:
         raise ValidationError(
             "need a finite a >= 1, t >= 1, omega >= 2, reps >= runs"
@@ -408,16 +408,27 @@ def subcritical_tail_experiment(
     seeds = np.random.SeedSequence(rng_seed).spawn(runs)
     n_per_run = max(2, reps // runs)
 
+    seed_key = tuple(np.ravel(rng_seed).tolist())  # a sequence seed has no hash
+    key = (tuple(sorted(eta.pmf.items())), omega, event, reps, runs, guide, seed_key)
+    with _CHECKPOINT_LOCK:
+        done, pops = _CHECKPOINT.pop(key, (0, []))
+        _CHECKPOINT.clear()
+    if done > t:  # a Generator cannot rewind
+        done, pops = 0, []
     run_estimates = []
     total_successes = 0
-    for seq in seeds:
-        rng = np.random.default_rng(seq)
-        p_run, succ = _splitting_run(
-            sampler, t, gamma_threshold, omega, kill_width, n_per_run, rng,
-            event, guide,
-        )
+    for i, seq in enumerate(seeds):
+        if i == len(pops):
+            pops.append(_SplittingPopulation(
+                sampler, np.random.default_rng(seq), n_per_run, kill_width, guide
+            ))
+        pops[i].advance(t - done)
+        p_run, succ = pops[i].estimate(gamma_threshold, omega, event)
         run_estimates.append(p_run)
         total_successes += succ
+    with _CHECKPOINT_LOCK:
+        _CHECKPOINT.clear()
+        _CHECKPOINT[key] = (t, pops)
 
     p_hat = float(np.mean(run_estimates))
     if total_successes == 0 or p_hat == 0.0:
@@ -451,18 +462,8 @@ def subcritical_tail_experiment(
     )
 
 
-def _splitting_run(
-    sampler: _LawSampler,
-    t: int,
-    gamma_threshold: float,
-    omega: int,
-    kill_width: int,
-    n_replicas: int,
-    rng: np.random.Generator,
-    event: str,
-    guide: float,
-) -> tuple[float, int]:
-    """One guided-splitting population; returns (estimate, successes).
+class _SplittingPopulation:
+    """One guided-splitting population, advanced generation by generation.
 
     Incremental weights u_r = 1{0 < X_r < kill_width} * Psi(X_r)/Psi(X_r-1)
     with the thinning potential Psi(x) = exp(-guide * x); the population is
@@ -473,60 +474,96 @@ def _splitting_run(
     trajectories that dominate the event; it cancels exactly, so its choice
     affects variance only.
 
-    Each generation draws every node's atom, sums offspring counts into
-    per-replica widths and resamples before any child weight exists; child
-    weights are then built only for the kept replicas, into one compact
-    array. There, `block` holds each kept replica's children once, back to
-    back: block b starts at offsets[b], has block_sizes[b] >= 1 nodes and is
-    shared by counts[b] consecutive clones, which point at it instead of
-    copying it. Replica r of the generation draws for nodes bounds[r] to
-    bounds[r + 1] - 1 of the draw arrays. The final weight sums ("lb") or
-    minima ("ub") are taken once per block and repeated per clone; a block
-    holds the values, in the order, a per-clone copy would, so they match
-    it to the bit.
+    The state after a generation is all that later generations read: the
+    Generator, `log_factor` (log of Psi(1) * prod_r mean(u_r)) and the
+    shared-block arrays. `block` holds the node weights of each distinct
+    replica once, back to back: block b has block_sizes[b] >= 1 nodes,
+    starts at the sum of the sizes before it and is shared by counts[b]
+    consecutive clones, which point at it instead of copying it. A
+    population whose every replica dies out drops its arrays and estimates
+    (0.0, 0) from then on.
     """
-    R = n_replicas
-    block = np.ones(R)
-    offsets = np.arange(R)
-    block_sizes = np.ones(R, dtype=np.int64)
-    counts = np.ones(R, dtype=np.int64)
-    log_factor = -guide  # Psi(X_0) with X_0 = 1
-    for _ in range(t):
-        sizes = np.repeat(block_sizes, counts)
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        atom = sampler.draw_index(rng, int(bounds[-1]))
-        xi = sampler.xi[atom]
-        widths = np.add.reduceat(xi, bounds[:-1])
-        ok = (widths > 0) & (widths < kill_width)
-        u = np.where(ok, np.exp(-guide * (widths - sizes)), 0.0)
-        u_total = float(u.sum())
-        if u_total <= 0.0:
+
+    def __init__(
+        self,
+        sampler: _LawSampler,
+        rng: np.random.Generator,
+        n_replicas: int,
+        kill_width: int,
+        guide: float,
+    ):
+        self.sampler = sampler
+        self.rng = rng
+        self.kill_width = kill_width
+        self.guide = guide
+        self.block = np.ones(n_replicas)
+        self.block_sizes = np.ones(n_replicas, dtype=np.int64)
+        self.counts = np.ones(n_replicas, dtype=np.int64)
+        self.log_factor = -guide  # Psi(X_0) with X_0 = 1
+        self.dead = False
+
+    def advance(self, steps: int) -> None:
+        """Run `steps` more generations.
+
+        Each generation draws every node's atom, sums offspring counts into
+        per-replica widths and resamples before any child weight exists;
+        child weights are then built only for the kept replicas. Replica r
+        of the generation draws for nodes bounds[r] to bounds[r + 1] - 1.
+        """
+        if self.dead:
+            return
+        sampler = self.sampler
+        for _ in range(steps):
+            sizes = np.repeat(self.block_sizes, self.counts)
+            bounds = np.concatenate(([0], np.cumsum(sizes)))
+            atom = sampler.draw_index(self.rng, int(bounds[-1]))
+            widths = np.add.reduceat(sampler.xi[atom], bounds[:-1])
+            ok = (widths > 0) & (widths < self.kill_width)
+            u = np.where(ok, np.exp(-self.guide * (widths - sizes)), 0.0)
+            u_total = float(u.sum())
+            if u_total <= 0.0:
+                self.dead = True
+                self.block = self.block_sizes = self.counts = None
+                return
+            self.log_factor += math.log(u_total / len(u))
+            clones = _systematic_clones(u, self.rng.random())
+            # Only the kept replicas' nodes have children that survive: gather
+            # their draw positions and their (shared) block positions.
+            kept = np.flatnonzero(clones)
+            kept_sizes = sizes[kept]
+            kept_starts = np.cumsum(kept_sizes) - kept_sizes
+            local = np.arange(kept_starts[-1] + kept_sizes[-1])
+            pos = local + np.repeat(bounds[kept] - kept_starts, kept_sizes)
+            offsets = np.cumsum(self.block_sizes) - self.block_sizes
+            base = np.repeat(offsets, self.counts)[kept]
+            src = local + np.repeat(base - kept_starts, kept_sizes)
+            atom = atom[pos]
+            self.block = np.repeat(
+                self.block[src] / sampler.zeta[atom], sampler.xi[atom]
+            )
+            self.block_sizes = widths[kept]
+            self.counts = clones[kept]
+
+    def estimate(
+        self, gamma_threshold: float, omega: int, event: str
+    ) -> tuple[float, int]:
+        """(estimate, successes) of `event` at the current generation; draws
+        nothing. The weight sums ("lb") or minima ("ub") are taken once per
+        block and repeated per clone; a block holds the values, in the
+        order, a per-clone copy would, so they match it to the bit."""
+        if self.dead:
             return 0.0, 0
-        log_factor += math.log(u_total / R)
-        clones = _systematic_clones(u, rng.random())
-        # Only the kept replicas' nodes have children that survive: gather
-        # their draw positions and their (shared) block positions.
-        kept = np.flatnonzero(clones)
-        kept_sizes = sizes[kept]
-        kept_starts = np.cumsum(kept_sizes) - kept_sizes
-        local = np.arange(kept_starts[-1] + kept_sizes[-1])
-        pos = local + np.repeat(bounds[kept] - kept_starts, kept_sizes)
-        base = np.repeat(offsets, counts)[kept]
-        src = local + np.repeat(base - kept_starts, kept_sizes)
-        block = np.repeat(block[src] / sampler.zeta[atom[pos]], xi[pos])
-        block_sizes = widths[kept]
-        offsets = np.cumsum(block_sizes) - block_sizes
-        counts = clones[kept]
-    sizes = np.repeat(block_sizes, counts)
-    if event == "lb":
-        gamma_per = np.repeat(np.add.reduceat(block, offsets), counts)
-        success = (gamma_per > 0.0) & (gamma_per < gamma_threshold)
-    else:
-        min_w = np.repeat(np.minimum.reduceat(block, offsets), counts)
-        success = (sizes < omega) & (min_w < gamma_threshold)
-    succ = int(success.sum())
-    correction = float(np.where(success, np.exp(guide * sizes), 0.0).mean())
-    return math.exp(log_factor) * correction, succ
+        sizes = np.repeat(self.block_sizes, self.counts)
+        offsets = np.cumsum(self.block_sizes) - self.block_sizes
+        if event == "lb":
+            gamma_per = np.repeat(np.add.reduceat(self.block, offsets), self.counts)
+            success = (gamma_per > 0.0) & (gamma_per < gamma_threshold)
+        else:
+            min_w = np.repeat(np.minimum.reduceat(self.block, offsets), self.counts)
+            success = (sizes < omega) & (min_w < gamma_threshold)
+        succ = int(success.sum())
+        correction = float(np.where(success, np.exp(self.guide * sizes), 0.0).mean())
+        return math.exp(self.log_factor) * correction, succ
 
 
 def _systematic_clones(u: np.ndarray, uniform: float) -> np.ndarray:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,8 +19,6 @@ from dcmwalk import (
     fit_decay_rate,
     gamma,
     out_size_biased,
-    perturb_down,
-    perturb_up,
     rate_function,
     simulate_marked_gw,
     single_survivor_law,
@@ -28,7 +28,7 @@ from dcmwalk import (
 from dcmwalk import gwsim
 from dcmwalk.gwsim import (
     _LawSampler,
-    _splitting_run,
+    _SplittingPopulation,
     _systematic_clones,
     least_squares_slope,
     tail_rate_theory,
@@ -112,6 +112,20 @@ def test_law_sampler_matches_searchsorted(toy_biased):
         xi, zeta = sampler.draw(_FixedUniforms(edges), len(edges))
         ref = _searchsorted_draw(sampler, edges)
         assert xi.tobytes() == ref[0].tobytes() and zeta.tobytes() == ref[1].tobytes()
+
+
+@pytest.mark.parametrize("size", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+def test_chunked_draw_matches_one_uniform_draw(toy_biased, size):
+    # Chunks of uniforms must continue one stream: the atoms equal those
+    # read from a single rng.random(size) call, for small and wide indices.
+    wide = _random_law(np.random.default_rng(4), 300)
+    for eta, dtype in ((toy_biased, np.uint8), (wide, np.uint16)):
+        sampler = _LawSampler(eta)
+        atoms = sampler.draw_index(np.random.default_rng(size), size)
+        u = np.random.default_rng(size).random(size)
+        ref = np.minimum(np.searchsorted(sampler.cum, u, side="right"), len(sampler.cum) - 1)
+        assert atoms.dtype == dtype and len(atoms) == size
+        assert np.array_equal(atoms, ref)
 
 
 def test_gamma_unary_path():
@@ -278,29 +292,6 @@ def test_truncated_weight_concentration(toy_biased):
             hits += 1
     assert accepted >= 400
     assert hits / accepted > 0.99
-
-
-def test_perturb_down_identity_when_atoms_large(toy_biased):
-    assert perturb_down(toy_biased, 0.2, 10**4).pmf == pytest.approx(toy_biased.pmf)
-
-
-def test_perturb_up_normalization(toy_biased):
-    up = perturb_up(toy_biased, 0.2, 10**4)
-    assert math.fsum(up.pmf.values()) == pytest.approx(1.0, abs=1e-12)
-    assert up.pmf[(0, 2)] > toy_biased.pmf[(0, 2)]
-
-
-def test_perturb_mean_ratio_drift(toy_biased):
-    n, beta = 10**4, 0.2
-    m = 5  # max degree of the toy marks/offspring
-    for law in (perturb_down(toy_biased, beta, n), perturb_up(toy_biased, beta, n)):
-        assert abs(law.mean_ratio() - 1.0) <= m * n ** (beta - 1.0)
-
-
-def test_perturb_down_can_remove_small_atoms():
-    eta = MarkedOffspringLaw({(1, 2): 0.9999, (3, 2): 0.0001})
-    down = perturb_down(eta, 0.2, 10**4)
-    assert (3, 2) not in down.pmf
 
 
 def test_duality_quarter_law():
@@ -486,12 +477,28 @@ def _random_supercritical_law(rng):
             return eta
 
 
+def _population(sampler, seed, n_replicas, kill_width, guide, steps):
+    pop = _SplittingPopulation(
+        sampler, np.random.default_rng(seed), n_replicas, kill_width, guide
+    )
+    pop.advance(steps)
+    return pop
+
+
+def _resumed_population(sampler, seed, n_replicas, kill_width, guide, steps):
+    """The population at `steps`, reached through generation steps // 2."""
+    pop = _population(sampler, seed, n_replicas, kill_width, guide, steps // 2)
+    pop.advance(steps - steps // 2)
+    return pop
+
+
 def test_splitting_run_matches_reference_bit_for_bit():
     # The estimate reads the weights only through `statistic < threshold`.
     # Each case is also run at thresholds equal to the statistic of one of
     # its largest replicas and one ulp above it, where that comparison flips
     # if the statistic differs from the reference's in any bit: the order of
-    # a sum, a division or a minimum that moved.
+    # a sum, a division or a minimum that moved. Each population is reached
+    # both in one advance and by resuming from half the generations.
     rng = np.random.default_rng(2026)
     results = []
     knife_edges = 0
@@ -516,13 +523,16 @@ def test_splitting_run_matches_reference_bit_for_bit():
                 if 0.0 < value < 1.0:
                     thresholds += [float(value), float(np.nextafter(value, 1.0))]
                     knife_edges += 1
+        pop_args = (sampler, seed, 300, kill_width, guide, t)
+        pops = (_population(*pop_args), _resumed_population(*pop_args))
         for threshold in thresholds:
-            args = (sampler, t, threshold, omega, kill_width, 300)
-            new = _splitting_run(*args, np.random.default_rng(seed), event, guide)
             ref = _reference_splitting_run(
-                *args, np.random.default_rng(seed), event, guide
+                sampler, t, threshold, omega, kill_width, 300,
+                np.random.default_rng(seed), event, guide,
             )
-            assert new == ref, (case, threshold, eta.pmf)
+            for pop in pops:
+                new = pop.estimate(threshold, omega, event)
+                assert new == ref, (case, threshold, eta.pmf)
         results.append(new)
     assert sum(succ > 0 for _, succ in results) >= 40
     assert knife_edges >= 150
@@ -530,15 +540,79 @@ def test_splitting_run_matches_reference_bit_for_bit():
     # Every width is >= omega = 2 in the first generation: all replicas die.
     dead = _LawSampler(MarkedOffspringLaw({(2, 2): 0.5, (3, 3): 0.5}))
     for event in ("lb", "ub"):
-        args = (dead, 4, 0.5, 2, 2, 50, np.random.default_rng(1), event, 0.7)
-        assert _splitting_run(*args) == (0.0, 0)
+        for make in (_population, _resumed_population):
+            pop = make(dead, 1, 50, 2, 0.7, 4)
+            assert pop.dead and pop.estimate(0.5, 2, event) == (0.0, 0)
         args = (dead, 4, 0.5, 2, 2, 50, np.random.default_rng(1), event, 0.7)
         assert _reference_splitting_run(*args) == (0.0, 0)
 
 
+def test_population_that_dies_mid_ladder_stays_dead():
+    # Two replicas under a narrow width cap die out after a few generations
+    # on some seeds; from then on every t reads (0.0, 0), as the reference
+    # loop does, and so does a ladder of experiments resuming through it.
+    eta = MarkedOffspringLaw({(0, 2): 0.3, (1, 3): 0.3, (3, 2): 0.4})
+    sampler = _LawSampler(eta)
+    first_deaths = []
+    for seed in range(20):
+        pop = _population(sampler, seed, 2, 3, 0.7, 0)
+        for t in range(1, 13):
+            was_dead = pop.dead
+            pop.advance(1)
+            ref = _reference_splitting_run(
+                sampler, t, 0.5, 3, 3, 2, np.random.default_rng(seed), "lb", 0.7
+            )
+            assert pop.estimate(0.5, 3, "lb") == ref
+            if pop.dead:
+                assert ref == (0.0, 0)
+                if not was_dead:
+                    first_deaths.append(t)
+    assert sum(2 <= t <= 11 for t in first_deaths) >= 5
+    ladder = dict(a=1.0, omega=3, reps=2, runs=1)
+    dead_cells = 0
+    for rng_seed in range(10):
+        gwsim._CHECKPOINT.clear()
+        for t in range(1, 13):
+            est = subcritical_tail_experiment(eta, t=t, rng_seed=rng_seed, **ladder)
+            ((_, (pop,)),) = gwsim._CHECKPOINT.values()
+            if pop.dead:
+                dead_cells += 1
+                assert est.successes == 0 and est.p_hat == 0.0
+    gwsim._CHECKPOINT.clear()
+    assert dead_cells >= 10
+
+
+def _cold(eta, **kwargs):
+    """The estimate from an empty checkpoint."""
+    gwsim._CHECKPOINT.clear()
+    return subcritical_tail_experiment(eta, **kwargs)
+
+
+class _ReferencePopulation:
+    """Stands in for `_SplittingPopulation`: each estimate replays the
+    reference loop from the population's seed for every generation
+    advanced so far."""
+
+    def __init__(self, sampler, rng, n_replicas, kill_width, guide):
+        self.args = (sampler, n_replicas, kill_width, guide)
+        self.seed = rng.bit_generator.seed_seq
+        self.t = 0
+
+    def advance(self, steps):
+        self.t += steps
+
+    def estimate(self, gamma_threshold, omega, event):
+        sampler, n_replicas, kill_width, guide = self.args
+        return _reference_splitting_run(
+            sampler, self.t, gamma_threshold, omega, kill_width, n_replicas,
+            np.random.default_rng(self.seed), event, guide,
+        )
+
+
 def test_tail_estimate_matches_reference_loop(monkeypatch):
     # The whole estimate, over one and several populations; repr pins every
-    # float bit, NaN intervals included.
+    # float bit, NaN intervals included. Each case is reached cold and by
+    # resuming from a smaller t.
     rng = np.random.default_rng(77)
     estimates = []
     for case in range(60):
@@ -550,14 +624,17 @@ def test_tail_estimate_matches_reference_loop(monkeypatch):
         )
         kwargs["reps"] = 400 * kwargs["runs"]
         try:
-            new = subcritical_tail_experiment(eta, **kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(gwsim, "_SplittingPopulation", _ReferencePopulation)
+                ref = _cold(eta, **kwargs)
         except DegenerateError:
             continue
-        with monkeypatch.context() as m:
-            m.setattr(gwsim, "_splitting_run", _reference_splitting_run)
-            ref = subcritical_tail_experiment(eta, **kwargs)
-        assert repr(new) == repr(ref), kwargs
-        estimates.append(new)
+        cold = _cold(eta, **kwargs)
+        _cold(eta, **{**kwargs, "t": max(1, kwargs["t"] // 2)})
+        resumed = subcritical_tail_experiment(eta, **kwargs)
+        assert repr(cold) == repr(ref) == repr(resumed), kwargs
+        estimates.append(cold)
+    gwsim._CHECKPOINT.clear()
     assert len(estimates) >= 40
     assert sum(e.successes > 0 for e in estimates) >= 10
 
@@ -566,6 +643,117 @@ def test_tail_estimate_matches_reference_loop(monkeypatch):
 def test_tail_rejects_non_finite_a(toy_biased, a):
     with pytest.raises(ValidationError):
         subcritical_tail_experiment(toy_biased, t=3, a=a, omega=50, reps=400)
+
+
+def _ladder_cases():
+    """Eight ladders over random laws, both events, one or three runs and
+    integer or sequence seeds, each with successes at its top t so that a
+    wrong resume shows."""
+    rng = np.random.default_rng(1313)
+    cases = []
+    while len(cases) < 8:
+        eta = _random_supercritical_law(rng)
+        seed = int(rng.integers(2**32))
+        kwargs = dict(
+            a=1.0, omega=int(rng.integers(3, 41)),
+            rng_seed=seed if len(cases) < 4 else [seed, len(cases)],
+            event=("lb", "ub")[len(cases) % 2], runs=(1, 3)[len(cases) // 2 % 2],
+        )
+        kwargs["reps"] = 600 * kwargs["runs"]
+        ts = sorted(int(t) for t in rng.choice(np.arange(1, 9), 4, replace=False))
+        try:
+            top = _cold(eta, t=ts[-1], **kwargs)
+        except DegenerateError:
+            continue
+        if top.successes > 0:
+            cases.append((eta, kwargs, ts))
+    return cases
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "repeated", "interleaved"])
+def test_tail_ladder_resume_matches_cold_calls(order):
+    # Interleaved calls differ from the ladder in one argument of the
+    # checkpoint key each, so they replace the checkpoint; each of their
+    # estimates is checked too.
+    other_law = MarkedOffspringLaw({(0, 2): 0.25, (1, 3): 0.25, (2, 2): 0.30, (2, 3): 0.20})
+    successes = 0
+    for eta, kwargs, ts in _ladder_cases():
+        if order == "interleaved":
+            others = [(other_law, kwargs)] + [(eta, {**kwargs, **other}) for other in (
+                {"rng_seed": 0},
+                {"omega": kwargs["omega"] + 5},
+                {"guide": 0.5},
+                {"event": {"lb": "ub", "ub": "lb"}[kwargs["event"]]},
+                {"reps": 2 * kwargs["reps"]},
+                {"runs": kwargs["runs"] + 1},
+            )]
+            calls = []
+            for i, t in enumerate(ts):
+                calls.append((eta, t, kwargs))
+                calls += [(law, t, kw) for law, kw in others[2 * i:2 * i + 2]]
+        else:
+            calls = [(eta, t, kwargs) for t in {
+                "increasing": ts,
+                "decreasing": ts[::-1],
+                "repeated": [ts[0], ts[0], ts[3], ts[3], ts[1], ts[3]],
+            }[order]]
+        cold = [repr(_cold(law, t=t, **kw)) for law, t, kw in calls]
+        gwsim._CHECKPOINT.clear()
+        for (law, t, kw), expected in zip(calls, cold):
+            est = subcritical_tail_experiment(law, t=t, **kw)
+            assert repr(est) == expected, (order, t, kw)
+            successes += est.successes > 0
+    gwsim._CHECKPOINT.clear()
+    assert successes >= 4
+
+
+def test_tail_ladders_in_threads_match_serial():
+    # Threads share one checkpoint; each must still read its own ladder's
+    # bits. More threads than cores and a short switch interval make them
+    # take and replace the entry in between each other's calls.
+    eta = MarkedOffspringLaw({(0, 2): 0.25, (1, 3): 0.25, (2, 2): 0.30, (2, 3): 0.20})
+    ts = (3, 5, 7)
+
+    def ladder(seed):
+        return [
+            repr(subcritical_tail_experiment(
+                eta, t=t, a=1.0, omega=40, reps=1200, rng_seed=seed, runs=3
+            ))
+            for t in ts
+        ]
+
+    seeds = range(100, 106)
+    serial = {seed: [repr(_cold(eta, t=t, a=1.0, omega=40, reps=1200,
+                                 rng_seed=seed, runs=3)) for t in ts]
+              for seed in seeds}
+    results = {}
+
+    def worker(seed):
+        results[seed] = [ladder(seed) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in seeds]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        gwsim._CHECKPOINT.clear()
+    assert results == {seed: [serial[seed]] * 3 for seed in seeds}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"runs": 0}, {"runs": -1}, {"runs": 2.5}, {"guide": math.nan}, {"guide": math.inf}],
+    ids=["runs0", "runs-1", "runs2.5", "guide-nan", "guide-inf"],
+)
+def test_tail_rejects_bad_runs_and_guide(toy_biased, bad):
+    with pytest.raises(ValidationError):
+        subcritical_tail_experiment(toy_biased, t=3, a=1.0, omega=50, reps=400, **bad)
 
 
 def _toy_entropy(eta: MarkedOffspringLaw) -> float:
