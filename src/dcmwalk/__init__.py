@@ -4,22 +4,16 @@ desk-scale simulation of stationary distributions, hitting and cover times."""
 from .branching import (
     BpParameters,
     MarkedOffspringLaw,
-    bivariate_gf,
     compute_bp_parameters,
     conjugate_offspring,
-    in_size_biased,
-    out_entropy,
     out_size_biased,
     single_survivor_law,
-    subcritical_entropy,
-    subcritical_expansion_rate,
     survival_probability,
 )
 from .degrees import (
     BiDegreeDistribution,
     BiDegreeSequence,
     ValidationReport,
-    empirical_distribution,
     realize_sequence,
     validate_sequence,
 )
@@ -38,16 +32,12 @@ from .errors import (
     ValidationError,
 )
 from .graph import (
-    IncompleteTree,
     Multigraph,
-    StopRule,
     attractive_scc,
-    explore_in_tree,
     sample_dcm,
     sample_rout,
     sccs,
     t_omega,
-    t_omega_set,
 )
 from .gwsim import (
     GammaTrace,
@@ -70,7 +60,6 @@ from .harness import (
 from .ratefn import (
     ExponentReport,
     FiniteLogLaw,
-    bernoulli_rate,
     cumulant_gf,
     minimize_phi,
     phi,
@@ -83,7 +72,6 @@ from .walks import (
     WalkTimes,
     cover_time_mc,
     empirical_tail,
-    extremal_values,
     head_stationary,
     hitting_time_mc,
     hitting_times_exact,

@@ -1,9 +1,11 @@
 """Branching-process parameters derived from a bi-degree distribution.
 
 Everything here is closed-form or fixed-point arithmetic over finite pmfs:
-size biasing, survival probabilities, extinction-conditioned (conjugate)
-laws, the single-survivor law and its entropy, and the out-entropy that sets
-the entropic time scale. All functions are pure.
+out-size biasing, offspring pgfs and survival probabilities,
+extinction-conditioned (conjugate) laws, the single-survivor law and its
+entropy H_hat (`subcritical_chain` runs the chain from the pgf to H_hat), and
+the out-entropy H_plus that sets the entropic time scale. All functions are
+pure.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .degrees import PROB_TOL, BiDegreeDistribution, BiDegreeSequence
+from .degrees import PROB_TOL, BiDegreeDistribution
 from .errors import DegenerateError, NumericalError, ValidationError
 
 FIXED_POINT_TOL = 1e-14
@@ -139,11 +141,6 @@ class SubcriticalChain:
     H_hat: float
 
 
-def bivariate_gf(dist: BiDegreeDistribution, z: float, w: float) -> float:
-    """Evaluate sum p(k, ell) z^k w^ell over the finite support."""
-    return math.fsum(p * z**k * w**ell for (k, ell), p in dist.pmf.items())
-
-
 def out_size_biased(dist: BiDegreeDistribution) -> MarkedOffspringLaw:
     """Degree law of the vertex incident to a uniform random tail.
 
@@ -158,53 +155,12 @@ def out_size_biased(dist: BiDegreeDistribution) -> MarkedOffspringLaw:
     )
 
 
-def in_size_biased(dist: BiDegreeDistribution) -> MarkedOffspringLaw:
-    """Degree law of the vertex incident to a uniform random head.
-
-    Mirror of :func:`out_size_biased` with weights (k / lambda) p(k, ell).
-    Returned with the pair order swapped to (out-degree, in-degree): the
-    in-degree is positive on the biased support, so it takes the mark slot.
-    """
-    lam = dist.mean_in
-    if lam <= 0.0:
-        raise DegenerateError("in-size biasing needs mean in-degree > 0")
-    return MarkedOffspringLaw(
-        {(ell, k): k * p / lam for (k, ell), p in dist.pmf.items() if k > 0}
-    )
-
-
-def out_biased_mean_ratio_exact(dist: BiDegreeDistribution) -> Fraction:
-    """E[xi / zeta] of the out-size-biased law, in exact rational arithmetic.
-
-    Equals sum(k p 1{ell >= 1}) / sum(ell p); for a mean-balanced
-    distribution whose positive in-degree mass sits on out-degrees >= 1 this
-    is exactly 1 (the float pmf values convert to rationals losslessly).
-    """
-    num = sum(
-        (Fraction(p) * k for (k, ell), p in dist.pmf.items() if ell >= 1),
-        Fraction(0),
-    )
-    den = sum((Fraction(p) * ell for (_, ell), p in dist.pmf.items()), Fraction(0))
-    if den == 0:
-        raise DegenerateError("mean out-degree is zero")
-    return num / den
-
-
 def offspring_pgf(xi: OffspringLaw) -> list[float]:
     """Coefficients c_k = P{xi = k} of the pgf of an offspring law."""
     coeffs = [0.0] * (max(xi) + 1)
     for k, p in xi.items():
         coeffs[k] = p
     return coeffs
-
-
-def in_offspring_pgf(dist: BiDegreeDistribution) -> list[float]:
-    """Coefficients of the in-process offspring pgf (1/lam) df/dw(z, 1).
-
-    Coefficient c_k = (1/lam) sum_ell ell p(k, ell) is the offspring marginal
-    of the out-size-biased law.
-    """
-    return offspring_pgf(out_size_biased(dist).offspring_marginal())
 
 
 def pgf_value(coeffs, q: float) -> float:
@@ -248,11 +204,6 @@ def subcritical_chain(eta: MarkedOffspringLaw) -> SubcriticalChain:
     return SubcriticalChain(coeffs, s, nu_hat, tilde, _mean_log_mark(tilde))
 
 
-def subcritical_expansion_rate(dist: BiDegreeDistribution) -> float:
-    """nu_hat = g'(1 - s) of the in-process; lies in [0, 1)."""
-    return subcritical_chain(out_size_biased(dist)).nu_hat
-
-
 def conjugate_offspring(xi: OffspringLaw, s: float) -> OffspringLaw:
     """Offspring law of the process conditioned on extinction.
 
@@ -278,28 +229,6 @@ def conjugate_offspring(xi: OffspringLaw, s: float) -> OffspringLaw:
     return out
 
 
-def surviving_offspring(xi: OffspringLaw, s: float) -> OffspringLaw:
-    """Offspring law of the subprocess of individuals with surviving progeny.
-
-    p*(k) = s^(k-1) g^(k)(1-s) / k! for k >= 1. Test helper only: it backs
-    the nu and nu_hat identities and feeds no pipeline.
-    """
-    if not 0.0 < s <= 1.0:
-        raise DegenerateError("surviving-offspring law needs s > 0")
-    kmax = max(xi)
-    q = 1.0 - s
-    out: OffspringLaw = {}
-    for k in range(1, kmax + 1):
-        # g^(k)(q) / k! = sum_{m >= k} C(m, k) p(m) q^(m-k)
-        deriv = math.fsum(
-            math.comb(m, k) * p * q ** (m - k) for m, p in xi.items() if m >= k
-        )
-        val = s ** (k - 1) * deriv
-        if val > 0.0:
-            out[k] = val
-    return out
-
-
 def single_survivor_law(eta: MarkedOffspringLaw, s: float) -> MarkedOffspringLaw:
     """Law of (xi, zeta) conditioned on exactly one surviving child.
 
@@ -321,36 +250,8 @@ def single_survivor_law(eta: MarkedOffspringLaw, s: float) -> MarkedOffspringLaw
     return MarkedOffspringLaw({pair: w / nu_hat for pair, w in weights.items()})
 
 
-def subcritical_entropy(eta: MarkedOffspringLaw, s: float) -> float:
-    """H_hat = E[log zeta_tilde] under the single-survivor law."""
-    return _mean_log_mark(single_survivor_law(eta, s))
-
-
 def _mean_log_mark(law: MarkedOffspringLaw) -> float:
     return math.fsum(p * math.log(zeta) for (_, zeta), p in law.pmf.items())
-
-
-def out_entropy(seq: BiDegreeSequence) -> tuple[float, float]:
-    """Out-entropy H_plus = (1/m) sum d_in(x) log d_out(x) and 1 / H_plus.
-
-    The entropic time is log(n) / H_plus. Vertices with in-degree 0 do not
-    contribute; a vertex with in-degree > 0 and out-degree 0 makes the walk
-    entropy undefined.
-    """
-    m = seq.m
-    acc = []
-    for k, ell in seq.degrees:
-        if k == 0:
-            continue
-        if ell == 0:
-            raise DegenerateError(
-                "vertex with in-degree > 0 but out-degree 0: walk entropy undefined"
-            )
-        acc.append(k * math.log(ell))
-    h_plus = math.fsum(acc) / m
-    if h_plus <= 0.0:
-        raise DegenerateError("H_plus = 0: all reachable vertices have out-degree 1")
-    return h_plus, 1.0 / h_plus
 
 
 def distribution_out_entropy(dist: BiDegreeDistribution) -> float:

@@ -255,19 +255,6 @@ def validate_sequence(
     )
 
 
-def empirical_distribution(seq: BiDegreeSequence) -> BiDegreeDistribution:
-    """Empirical pmf of the degree pairs: count / n."""
-    counts: dict[tuple[int, int], int] = {}
-    for pair in seq.degrees:
-        counts[pair] = counts.get(pair, 0) + 1
-    n = seq.n
-    max_deg = max(max(k for k, _ in counts), max(ell for _, ell in counts))
-    return BiDegreeDistribution(
-        {pair: c / n for pair, c in counts.items()},
-        max_degree=max(DEFAULT_MAX_DEGREE, max_deg),
-    )
-
-
 def realize_sequence(dist: BiDegreeDistribution, n: int) -> BiDegreeSequence:
     """Realize a mean-balanced distribution as a balanced n-vertex sequence.
 
@@ -377,13 +364,3 @@ def _rebalance_counts(counts: dict[tuple[int, int], int], pairs) -> None:
                 break
         if not moved:
             raise RealizationError("repair move infeasible: no pair has spare count")
-
-
-def total_variation(
-    a: BiDegreeDistribution, b: BiDegreeDistribution
-) -> float:
-    """Total variation distance between two bi-degree distributions."""
-    support = set(a.pmf) | set(b.pmf)
-    return 0.5 * math.fsum(
-        abs(a.pmf.get(pair, 0.0) - b.pmf.get(pair, 0.0)) for pair in support
-    )

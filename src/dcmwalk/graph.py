@@ -1,5 +1,5 @@
-"""Directed configuration model: sampling, SCC structure, in-neighbourhood
-growth, and the marked in-exploration process.
+"""Directed configuration model: sampling, SCC structure and in-neighbourhood
+growth.
 
 Half-edges are flat arrays with index arithmetic: tails (out-half-edges) and
 heads (in-half-edges) are numbered 0..m-1, grouped by vertex, and a sampled
@@ -8,13 +8,11 @@ when m < 2^31 (int64 otherwise); vertex-indexed arrays stay intp. A graph
 stores only its degree arrays and the pairing: the owner of each half-edge
 and each vertex's first half-edge (`tail_ptr`, `head_ptr`) are derived from
 the degrees on access, so a caller that uses one in a loop reads it once.
-Sampled graphs are immutable and shareable; exploration is single-threaded
-per replicate.
+Sampled graphs are immutable and shareable.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -311,6 +309,8 @@ def t_omega(
     Levels are breadth-first over heads: the heads one level behind head h
     are the heads of the vertex whose tail is paired with h.
     """
+    if not 0 <= f < g.m:
+        raise ValidationError(f"head id {f} outside 0..{g.m - 1}")
     if omega < 1:
         raise ValidationError("omega must be >= 1")
     if omega == 1:
@@ -336,13 +336,6 @@ def t_omega(
     return None
 
 
-def t_omega_set(g: Multigraph, omega: int, t_cap: int) -> np.ndarray:
-    """Boolean mask over heads with finite t_omega (bulk form of t_omega)."""
-    return np.array(
-        [t_omega(g, f, omega, t_cap) is not None for f in range(g.m)], dtype=bool
-    )
-
-
 def _heads_of(
     d_in: np.ndarray, head_ptr: np.ndarray, vertices: np.ndarray
 ) -> np.ndarray:
@@ -357,198 +350,3 @@ def _heads_of(
         np.concatenate(([0], np.cumsum(counts)))[:-1], counts
     )
     return np.repeat(starts, counts) + offsets
-
-
-@dataclass(frozen=True)
-class StopRule:
-    """Stop condition for the in-exploration: whichever triggers first.
-
-    level: stop once every head at depth < level is paired (active set is
-    exactly that level). active_cap: stop at the first level boundary whose
-    level holds at least this many heads. budget: hard cap on pairings
-    (stopping mid-level, flagged).
-    """
-
-    level: int | None = None
-    active_cap: int | None = None
-    budget: int | None = None
-
-    def __post_init__(self):
-        if self.level is None and self.active_cap is None and self.budget is None:
-            raise ValidationError("stop rule needs at least one of level/cap/budget")
-
-
-@dataclass(frozen=True)
-class IncompleteTree:
-    """Marked tree of heads built by the in-exploration process.
-
-    Arrays are parallel over nodes; mark is -1 until the node is paired.
-    `pairs` records (head id, tail id) in pairing order; `collisions` counts
-    pairings that landed on an already-discovered vertex (the excess TX of
-    the explored subgraph); collided heads stay as paired leaves.
-    """
-
-    root_head: int
-    parent: np.ndarray
-    head_id: np.ndarray
-    level: np.ndarray
-    mark: np.ndarray
-    paired: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
-    collisions: int
-    stopped_at_boundary: bool
-    budget_exhausted: bool
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.parent)
-
-    @property
-    def num_paired(self) -> int:
-        return int(self.paired.sum())
-
-    @property
-    def level_sizes(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.level).tolist())
-
-    def active_levels(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.level[~self.paired].tolist())))
-
-    def gamma_at(self, t: int) -> float:
-        """Sum over level-t nodes of the in-tree path weights.
-
-        Weight of a node = product of 1/mark over its ancestors at levels
-        0..t-1 (each such ancestor is paired, so its mark is known).
-        """
-        weights = {0: 1.0}
-        for node in range(1, self.num_nodes):
-            if self.level[node] > t:
-                continue
-            par = int(self.parent[node])
-            if par not in weights or self.mark[par] < 1:
-                continue
-            weights[node] = weights[par] / float(self.mark[par])
-        return float(
-            sum(w for node, w in weights.items() if self.level[node] == t)
-        )
-
-
-def explore_in_tree(
-    seq: BiDegreeSequence,
-    f: int,
-    stop: StopRule,
-    rng_seed: int | np.random.SeedSequence = 0,
-) -> IncompleteTree:
-    """Run the marked breadth-first in-exploration from head f.
-
-    Heads are processed in FIFO order (earliest activated first). Each step
-    pairs the current head with a uniformly random unpaired tail — drawn by
-    a partial Fisher-Yates over the tail array, so the tree's law matches
-    the exploration of a uniform configuration without sampling the whole
-    graph. If the tail's vertex is new, its heads become the node's children
-    and the node's mark is that vertex's out-degree; if the vertex was
-    already discovered, the pairing is a collision: the node keeps the mark
-    but becomes a childless paired leaf.
-    """
-    d_in = seq.in_degrees
-    d_out = seq.out_degrees
-    m = seq.m
-    if not 0 <= f < m:
-        raise ValidationError(f"head id {f} outside 0..{m - 1}")
-    layout = _paired(d_in, d_out, np.arange(m))  # the half-edge layout; no pairing
-    head_ptr, head_vertex = layout.head_ptr, layout.head_vertex
-    tail_vertex = layout.tail_vertex
-
-    rng = np.random.default_rng(rng_seed)
-    pool = np.arange(m, dtype=np.int64)  # tails; consumed prefix is paired
-    consumed = 0
-    discovered = np.zeros(seq.n, dtype=bool)
-
-    parent = [-1]
-    head_id = [f]
-    level = [0]
-    mark = [-1]
-    paired = [False]
-    pairs: list[tuple[int, int]] = []
-    collisions = 0
-    discovered[head_vertex[f]] = True
-
-    queue: deque[int] = deque([0])
-    budget_exhausted = False
-    current_level = -1
-    level_counts = {0: 1}
-
-    def boundary_stop() -> bool:
-        if stop.level is not None and current_level >= stop.level:
-            return True
-        if stop.active_cap is not None and level_counts.get(current_level, 0) >= stop.active_cap:
-            return True
-        return False
-
-    stopped_at_boundary = False
-    while queue:
-        node = queue[0]
-        if level[node] > current_level:
-            current_level = level[node]
-            if boundary_stop():
-                stopped_at_boundary = True
-                break
-        if stop.budget is not None and len(pairs) >= stop.budget:
-            budget_exhausted = True
-            break
-        queue.popleft()
-        # Uniform unpaired tail via partial Fisher-Yates swap.
-        j = int(rng.integers(consumed, m))
-        pool[consumed], pool[j] = pool[j], pool[consumed]
-        tail = int(pool[consumed])
-        consumed += 1
-        u = int(tail_vertex[tail])
-        pairs.append((head_id[node], tail))
-        paired[node] = True
-        mark[node] = int(d_out[u])
-        if discovered[u]:
-            collisions += 1
-            continue
-        discovered[u] = True
-        child_level = level[node] + 1
-        for h in range(head_ptr[u], head_ptr[u + 1]):
-            parent.append(node)
-            head_id.append(int(h))
-            level.append(child_level)
-            mark.append(-1)
-            paired.append(False)
-            queue.append(len(parent) - 1)
-        level_counts[child_level] = level_counts.get(child_level, 0) + d_in[u]
-    else:
-        stopped_at_boundary = True  # exploration died out: active set empty
-
-    return IncompleteTree(
-        root_head=f,
-        parent=np.array(parent, dtype=np.int64),
-        head_id=np.array(head_id, dtype=np.int64),
-        level=np.array(level, dtype=np.int64),
-        mark=np.array(mark, dtype=np.int64),
-        paired=np.array(paired, dtype=bool),
-        pairs=tuple(pairs),
-        collisions=collisions,
-        stopped_at_boundary=stopped_at_boundary,
-        budget_exhausted=budget_exhausted,
-    )
-
-
-def complete_pairing(seq: BiDegreeSequence, pairs) -> Multigraph:
-    """Extend a partial (head, tail) pairing to a full multigraph, matching
-    the remaining half-edges in canonical order. Test-support helper for
-    shared-randomness consistency between exploration and sampling."""
-    m = seq.tail_total
-    match = np.full(m, -1, dtype=np.int64)
-    used_heads = np.zeros(m, dtype=bool)
-    for head, tail in pairs:
-        if match[tail] != -1 or used_heads[head]:
-            raise ValidationError("partial pairing reuses a half-edge")
-        match[tail] = head
-        used_heads[head] = True
-    free_heads = np.nonzero(~used_heads)[0]
-    free_tails = np.nonzero(match == -1)[0]
-    match[free_tails] = free_heads
-    return _paired(seq.in_degrees, seq.out_degrees, match)

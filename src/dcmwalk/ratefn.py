@@ -149,19 +149,6 @@ def rate_function(law: FiniteLogLaw, z: float, z_tol: float = 1e-12) -> float:
     return lam * z - cumulant_gf(law, lam)
 
 
-def bernoulli_rate(x: float, p: float) -> float:
-    """Closed-form rate function of a Bernoulli(p) variable at x in [0, 1]."""
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"Bernoulli parameter {p} outside (0, 1)")
-    if x < 0.0 or x > 1.0:
-        return math.inf
-    if x == 0.0:
-        return -math.log(1.0 - p)
-    if x == 1.0:
-        return -math.log(p)
-    return x * math.log(x / p) + (1.0 - x) * math.log((1.0 - x) / (1.0 - p))
-
-
 def phi(params: BpParameters, law: FiniteLogLaw | None, a: float) -> float:
     """phi(a) = (|log nu_hat| + I(a * H_hat)) / a, +inf in the degenerate regime."""
     if a <= 0.0:

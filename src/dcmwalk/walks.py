@@ -209,22 +209,6 @@ def head_stationary(g: Multigraph, result: StationaryResult) -> np.ndarray:
     return pi_e
 
 
-def extremal_values(result: StationaryResult) -> tuple[float, float, int, int]:
-    """(pi_min, pi_max, argmin vertex, argmax vertex) over the structural
-    support; ties break toward the smallest vertex id."""
-    if len(result.support) == 0:
-        raise NonUniqueError("empty support")
-    sub = result.pi[result.support]
-    i_min = int(np.argmin(sub))
-    i_max = int(np.argmax(sub))
-    return (
-        float(sub[i_min]),
-        float(sub[i_max]),
-        int(result.support[i_min]),
-        int(result.support[i_max]),
-    )
-
-
 def empirical_tail(result: StationaryResult, alpha: float) -> float:
     """psi((0, n^-alpha]) = fraction of vertices with 0 < pi <= n^-(1+alpha)."""
     if alpha < 0:

@@ -1,33 +1,19 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dcmwalk import (
     BiDegreeDistribution,
-    BiDegreeSequence,
     DegenerateError,
     MarkedOffspringLaw,
-    bivariate_gf,
     compute_bp_parameters,
     conjugate_offspring,
-    in_size_biased,
-    out_entropy,
     out_size_biased,
     single_survivor_law,
-    subcritical_entropy,
-    subcritical_expansion_rate,
     survival_probability,
 )
-from dcmwalk.branching import (
-    in_offspring_pgf,
-    out_biased_mean_ratio_exact,
-    pgf_derivative,
-    pgf_value,
-    surviving_offspring,
-)
-from dcmwalk.degrees import realize_sequence
+from dcmwalk.branching import pgf_derivative, pgf_value, subcritical_chain
 
 from conftest import TOY_H_HAT, TOY_NU_HAT, zqcy_dist
 
@@ -56,21 +42,6 @@ def smallest_fixed_point_oracle(coeffs) -> float:
     return 1.0
 
 
-def test_bivariate_gf_normalization(toy_dist):
-    assert bivariate_gf(toy_dist, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_bivariate_gf_toy_zero_in(toy_dist):
-    # (z, w) = (0, 1) keeps only the mass with in-degree 0.
-    assert bivariate_gf(toy_dist, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_bivariate_gf_monomial():
-    point = BiDegreeDistribution({(2, 2): 1.0})
-    for z, w in [(0.3, 0.9), (1.0, 0.5)]:
-        assert bivariate_gf(point, z, w) == pytest.approx(z**2 * w**2, abs=1e-12)
-
-
 def test_out_size_biased_regular_fixed_point():
     point = BiDegreeDistribution({(2, 2): 1.0})
     assert out_size_biased(point).pmf == {(2, 2): pytest.approx(1.0)}
@@ -86,15 +57,15 @@ def test_out_size_biased_toy(toy_dist):
     }
 
 
-def test_mean_ratio_exactly_one(toy_dist, toy_biased):
-    assert out_biased_mean_ratio_exact(toy_dist) == Fraction(1)
-    # The float-law version agrees to within accumulated rounding.
-    assert float(toy_biased.mean_ratio_exact()) == pytest.approx(1.0, abs=1e-15)
+def test_mean_ratio_exactly_one(toy_dist):
+    # E[xi / zeta] of the float law is 1 up to the rounding of its pmf.
+    ratio = out_size_biased(toy_dist).mean_ratio_exact()
+    assert float(ratio) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_mean_ratio_one_for_random_balanced():
     # Any mean-balanced distribution whose support has degrees >= 1 satisfies
-    # E[xi / zeta] = 1 exactly under out-size biasing.
+    # E[xi / zeta] = 1 under out-size biasing, up to the rounding of the pmf.
     rng = np.random.default_rng(3)
     for _ in range(20):
         pairs = sorted(
@@ -107,16 +78,8 @@ def test_mean_ratio_one_for_random_balanced():
             pmf[(l, k)] = pmf.get((l, k), 0.0) + float(w) / 2
         dist = BiDegreeDistribution(pmf)
         assert dist.mean_balanced
-        assert out_biased_mean_ratio_exact(dist) == Fraction(1)
-
-
-def test_in_size_biased_toy(toy_dist):
-    biased = in_size_biased(toy_dist)
-    # Only in-degree-5 pairs carry mass; (offspring, mark) = (out, in).
-    assert biased.pmf == {
-        (2, 5): pytest.approx(0.5),
-        (3, 5): pytest.approx(0.5),
-    }
+        ratio = out_size_biased(dist).mean_ratio_exact()
+        assert float(ratio) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_survival_always_two():
@@ -125,7 +88,7 @@ def test_survival_always_two():
 
 
 def test_survival_toy_fixed_point(toy_dist):
-    coeffs = in_offspring_pgf(toy_dist)
+    coeffs = subcritical_chain(out_size_biased(toy_dist)).coeffs
     assert coeffs == pytest.approx([0.5, 0, 0, 0, 0, 0.5], abs=1e-12)
     s = survival_probability(coeffs)
     oracle = smallest_fixed_point_oracle(coeffs)
@@ -146,19 +109,19 @@ def test_survival_fixed_point_identity_family():
 
 def test_subcritical_expansion_rate_degenerate_regime():
     dist = BiDegreeDistribution({(2, 2): 0.5, (3, 3): 0.5})
-    assert subcritical_expansion_rate(dist) == 0.0
+    assert compute_bp_parameters(dist).nu_hat == 0.0
 
 
 def test_subcritical_expansion_rate_toy(toy_dist):
-    assert subcritical_expansion_rate(toy_dist) == pytest.approx(
+    assert compute_bp_parameters(toy_dist).nu_hat == pytest.approx(
         TOY_NU_HAT, abs=1e-6
     )
 
 
 def test_subcritical_expansion_rate_zqcy_family():
     dist = zqcy_dist(10)
-    nu_hat = subcritical_expansion_rate(dist)
-    coeffs = in_offspring_pgf(dist)
+    nu_hat = compute_bp_parameters(dist).nu_hat
+    coeffs = subcritical_chain(out_size_biased(dist)).coeffs
     s = 1.0 - smallest_fixed_point_oracle(coeffs)
     assert 0.0 < nu_hat < 1.0
     assert nu_hat == pytest.approx(pgf_derivative(coeffs, 1.0 - s), abs=1e-9)
@@ -171,7 +134,7 @@ def test_conjugate_identity_at_s_zero():
 
 
 def test_conjugate_mean_is_nu_hat(toy_dist):
-    coeffs = in_offspring_pgf(toy_dist)
+    coeffs = subcritical_chain(out_size_biased(toy_dist)).coeffs
     s = survival_probability(coeffs)
     hat = conjugate_offspring({0: 0.5, 5: 0.5}, s)
     mean = sum(k * p for k, p in hat.items())
@@ -197,7 +160,7 @@ def test_conjugate_certain_survival_branch():
 
 
 def test_single_survivor_toy_marks(toy_biased, toy_dist):
-    coeffs = in_offspring_pgf(toy_dist)
+    coeffs = subcritical_chain(out_size_biased(toy_dist)).coeffs
     s = survival_probability(coeffs)
     tilde = single_survivor_law(toy_biased, s)
     marks = tilde.mark_marginal()
@@ -212,7 +175,7 @@ def test_single_survivor_unary_fixed_point():
 
 def test_single_survivor_zqcy_deterministic_mark():
     dist = zqcy_dist(10)
-    coeffs = in_offspring_pgf(dist)
+    coeffs = subcritical_chain(out_size_biased(dist)).coeffs
     s = survival_probability(coeffs)
     tilde = single_survivor_law(out_size_biased(dist), s)
     assert tilde.mark_marginal() == {2: pytest.approx(1.0)}
@@ -224,81 +187,17 @@ def test_single_survivor_degenerate():
         single_survivor_law(law, 1.0)
 
 
-def test_subcritical_entropy_toy(toy_biased, toy_dist):
-    s = survival_probability(in_offspring_pgf(toy_dist))
-    h = subcritical_entropy(toy_biased, s)
+def test_subcritical_entropy_toy(toy_biased):
+    h = subcritical_chain(toy_biased).H_hat
     assert h == pytest.approx(0.4 * math.log(2) + 0.6 * math.log(3), abs=1e-12)
     assert h == pytest.approx(TOY_H_HAT, abs=1e-6)
 
 
 def test_subcritical_entropy_constant_mark():
     dist = zqcy_dist(5)
-    s = survival_probability(in_offspring_pgf(dist))
-    assert subcritical_entropy(out_size_biased(dist), s) == pytest.approx(
+    assert subcritical_chain(out_size_biased(dist)).H_hat == pytest.approx(
         math.log(2), abs=1e-12
     )
-
-
-def test_surviving_offspring_rational_case():
-    # xi in {0, 2} with p(0) = 1/4: extinction probability q = 1/3, so
-    # p*(1) = 2 * (3/4) * s * q / s = ... worked in exact rationals below.
-    xi = {0: 0.25, 2: 0.75}
-    s_exact = Fraction(2, 3)
-    s = survival_probability([0.25, 0.0, 0.75])
-    assert s == pytest.approx(float(s_exact), abs=1e-12)
-    star = surviving_offspring(xi, s)
-    p1_exact = 2 * Fraction(3, 4) * Fraction(1, 3)  # g'(q) = 2 p2 q
-    p2_exact = s_exact * Fraction(3, 4)  # s * g''(q) / 2
-    assert star[1] == pytest.approx(float(p1_exact), abs=1e-12)
-    assert star[2] == pytest.approx(float(p2_exact), abs=1e-12)
-    # E[xi*] = nu and P{xi* = 1} = nu_hat.
-    assert sum(k * p for k, p in star.items()) == pytest.approx(1.5, abs=1e-12)
-    assert star[1] == pytest.approx(
-        pgf_derivative([0.25, 0.0, 0.75], 1.0 - s), abs=1e-12
-    )
-
-
-def test_surviving_offspring_toy_identities(toy_dist):
-    coeffs = in_offspring_pgf(toy_dist)
-    s = survival_probability(coeffs)
-    star = surviving_offspring({0: 0.5, 5: 0.5}, s)
-    assert sum(k * p for k, p in star.items()) == pytest.approx(2.5, abs=1e-10)
-    assert star[1] == pytest.approx(TOY_NU_HAT, abs=1e-6)
-    assert sum(star.values()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_out_entropy_regular():
-    seq = BiDegreeSequence(((2, 2),) * 6)
-    h_plus, coeff = out_entropy(seq)
-    assert h_plus == pytest.approx(math.log(2), abs=1e-12)
-    assert coeff == pytest.approx(1.0 / math.log(2), abs=1e-12)
-
-
-def test_out_entropy_toy_sequence(toy_dist):
-    seq = realize_sequence(toy_dist, 4000)
-    h_plus, _ = out_entropy(seq)
-    expected = (1000 * 5 * math.log(2) + 1000 * 5 * math.log(3)) / 10000
-    assert h_plus == pytest.approx(expected, abs=1e-12)
-
-
-def test_out_entropy_weighted_by_in_degree():
-    # Vertices with in-degree 0 contribute nothing regardless of out-degree.
-    rng = np.random.default_rng(5)
-    degrees = []
-    for _ in range(60):
-        k = int(rng.integers(0, 4))
-        ell = int(rng.integers(2, 6))
-        degrees.append((k, ell))
-    diff = sum(l for _, l in degrees) - sum(k for k, _ in degrees)
-    if diff >= 0:
-        degrees.extend([(diff + 2, 2), (2, 2)])
-    else:
-        degrees.extend([(2, -diff + 2), (2, 2)])
-    seq = BiDegreeSequence(tuple(degrees))
-    assert seq.balanced
-    h_plus, _ = out_entropy(seq)
-    brute = sum(k * math.log(l) for k, l in seq.degrees if k > 0) / seq.m
-    assert h_plus == pytest.approx(brute, abs=1e-12)
 
 
 def test_compute_bp_parameters_toy(toy_dist):

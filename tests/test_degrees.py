@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,13 +11,33 @@ from dcmwalk import (
     BiDegreeSequence,
     RealizationError,
     ValidationError,
-    empirical_distribution,
     realize_sequence,
     validate_sequence,
 )
-from dcmwalk.degrees import _support_counts, total_variation
+from dcmwalk.degrees import DEFAULT_MAX_DEGREE, _support_counts
 
 from conftest import TOY_PMF
+
+
+def empirical_distribution(seq: BiDegreeSequence) -> BiDegreeDistribution:
+    """Empirical pmf of the degree pairs: count / n."""
+    counts: dict[tuple[int, int], int] = {}
+    for pair in seq.degrees:
+        counts[pair] = counts.get(pair, 0) + 1
+    n = seq.n
+    max_deg = max(max(k for k, _ in counts), max(ell for _, ell in counts))
+    return BiDegreeDistribution(
+        {pair: c / n for pair, c in counts.items()},
+        max_degree=max(DEFAULT_MAX_DEGREE, max_deg),
+    )
+
+
+def total_variation(a: BiDegreeDistribution, b: BiDegreeDistribution) -> float:
+    """Total variation distance between two bi-degree distributions."""
+    support = set(a.pmf) | set(b.pmf)
+    return 0.5 * math.fsum(
+        abs(a.pmf.get(pair, 0.0) - b.pmf.get(pair, 0.0)) for pair in support
+    )
 
 
 def test_validate_regular_pair():
@@ -97,6 +118,7 @@ def test_empirical_inverts_realize(toy_dist):
 
 
 def test_empirical_counts():
+    # The oracle of the total-variation bounds below.
     emp = empirical_distribution(BiDegreeSequence(((0, 2), (2, 2), (2, 0))))
     assert emp.pmf == {
         (0, 2): pytest.approx(1 / 3),

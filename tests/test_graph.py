@@ -11,20 +11,16 @@ from dcmwalk import (
     BiDegreeSequence,
     Multigraph,
     ValidationError,
-    StopRule,
     attractive_scc,
-    explore_in_tree,
     realize_sequence,
     sample_dcm,
     sample_rout,
     sccs,
-    simulate_marked_gw,
     t_omega,
-    t_omega_set,
 )
 from dcmwalk import graph as graph_module
 from dcmwalk.cli import main
-from dcmwalk.graph import _paired, closed_classes, complete_pairing
+from dcmwalk.graph import _paired, closed_classes
 from dcmwalk.walks import transition_matrix
 
 
@@ -217,16 +213,17 @@ def test_attractive_scc_on_sampled_graphs(toy_dist):
 
 
 def test_t_omega_dead_in_growth():
-    # A pendant vertex chain into a cycle: heads whose in-neighbourhood dies.
-    g = Multigraph.from_edges(
-        [(0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 3, 1), (1, 3, 1), (2, 3, 1), (3, 0, 1), (3, 3, 1)]
-    )
-    # Vertex 3's second head is fed only through the self-loop plus chain;
-    # use the cycle graph below for the clean dead case instead.
+    # On a cycle every in-neighbourhood is a single head at each level.
     cyc = directed_cycle(5)
     for f in range(cyc.m):
         assert t_omega(cyc, f, omega=2, t_cap=50) is None
         assert t_omega(cyc, f, omega=1, t_cap=50) == 0
+
+
+@pytest.mark.parametrize("head", [-1, 5], ids=["-1", "m"])
+def test_t_omega_rejects_head_outside_range(head):
+    with pytest.raises(ValidationError):
+        t_omega(directed_cycle(5), head, omega=2, t_cap=10)
 
 
 def test_t_omega_fraction_matches_survival(toy_dist):
@@ -238,142 +235,6 @@ def test_t_omega_fraction_matches_survival(toy_dist):
     heads = rng.choice(g.m, size=3000, replace=False)
     finite = sum(t_omega(g, int(f), omega=32, t_cap=200) is not None for f in heads)
     assert finite / len(heads) == pytest.approx(0.4812, abs=0.03)
-
-
-def test_t_omega_set_small_graph():
-    cyc = directed_cycle(4)
-    assert not t_omega_set(cyc, omega=2, t_cap=20).any()
-
-
-def test_explore_unary_until_collision():
-    seq = BiDegreeSequence(((1, 1),) * 50)
-    tree = explore_in_tree(seq, 0, StopRule(budget=200), rng_seed=4)
-    # Every discovered vertex contributes one head: the tree is a path and
-    # the exploration ends on the first collision.
-    assert tree.collisions == 1
-    sizes = tree.level_sizes
-    assert all(s == 1 for s in sizes)
-
-
-def test_explore_stop_at_level_boundary(toy_dist):
-    seq = realize_sequence(toy_dist, 2000)
-    tree = explore_in_tree(seq, 0, StopRule(level=3), rng_seed=9)
-    assert tree.stopped_at_boundary
-    active_levels = tree.active_levels()
-    if active_levels:  # exploration may die out early
-        assert active_levels == (3,)
-    assert not tree.budget_exhausted
-
-
-def test_explore_budget_flag(toy_dist):
-    # The in-growth may die before the budget binds, so look for a seed
-    # whose exploration survives long enough to exhaust it.
-    seq = realize_sequence(toy_dist, 2000)
-    exhausted = 0
-    for seed in range(30):
-        tree = explore_in_tree(seq, 0, StopRule(budget=5), rng_seed=seed)
-        assert tree.num_paired <= 5
-        if tree.budget_exhausted:
-            exhausted += 1
-    assert exhausted >= 1
-
-
-def test_explore_collision_binomial_bound(toy_dist):
-    # Expected collisions in the first L pairings are dominated by
-    # Binomial(L, 2 L M / m).
-    seq = realize_sequence(toy_dist, 10_000)
-    m, cap, reps = seq.m, 100, 1500
-    bound = cap * (2 * cap * 5 / m)
-    collisions = []
-    for seed in range(reps):
-        tree = explore_in_tree(seq, seed % m, StopRule(budget=cap), rng_seed=seed)
-        collisions.append(tree.collisions)
-    mean = float(np.mean(collisions))
-    se = float(np.std(collisions)) / math.sqrt(reps)
-    assert mean - 3 * se <= bound
-
-
-def test_explore_matches_gw_shape_distribution(toy_dist, toy_biased):
-    # Depth-3 generation-size signatures of the exploration tree against the
-    # marked branching process: total variation within the finite-n coupling
-    # envelope plus Monte Carlo noise.
-    n, reps = 10_000, 30_000
-    seq = realize_sequence(toy_dist, n)
-    explore_counts: Counter = Counter()
-    for seed in range(reps):
-        tree = explore_in_tree(seq, seed % seq.m, StopRule(level=3), rng_seed=seed)
-        sizes = tree.level_sizes + (0, 0, 0)
-        explore_counts[sizes[1:4]] += 1
-    gw_counts: Counter = Counter()
-    for seed in range(reps):
-        tree = simulate_marked_gw(toy_biased, 3, rng_seed=seed)
-        sizes = tree.generation_sizes[1:] + (0, 0, 0)
-        gw_counts[sizes[:3]] += 1
-    keys = set(explore_counts) | set(gw_counts)
-    tv = 0.5 * sum(
-        abs(explore_counts[k] - gw_counts[k]) / reps for k in keys
-    )
-    # ~60 pairings explored => coupling error O(pairings^2 / m) plus 3-sigma
-    # multinomial noise on the signature distribution.
-    envelope = 60.0**2 / seq.m + 3.0 * math.sqrt(len(keys) / reps)
-    assert tv <= envelope
-
-
-def test_explore_consistency_with_sampled_graph(toy_dist):
-    # Completing the exploration's partial pairing must reproduce the same
-    # in-BFS levels and marks on the resulting graph (collision-free case).
-    seq = realize_sequence(toy_dist, 500)
-    for seed in range(20):
-        tree = explore_in_tree(seq, 2, StopRule(level=3), rng_seed=seed)
-        if tree.collisions:
-            continue
-        g = complete_pairing(seq, tree.pairs)
-        inv = g.inverse_match
-        # Walk the graph backwards from head 2 and compare level sizes.
-        frontier = {2}
-        seen = {2}
-        for level in range(1, 4):
-            nxt = set()
-            for h in frontier:
-                u = int(g.tail_vertex[inv[h]])
-                for hh in range(g.head_ptr[u], g.head_ptr[u + 1]):
-                    if hh not in seen:
-                        nxt.add(int(hh))
-            seen |= nxt
-            frontier = nxt
-            tree_level = int((tree.level == level).sum())
-            assert tree_level == len(nxt)
-
-
-def test_tree_gamma_matches_graph_path_products(toy_dist):
-    # On a collision-free instance, the tree weight sum at level t equals
-    # the brute-force sum over in-paths of products of 1/out-degree.
-    seq = realize_sequence(toy_dist, 48)
-    done = 0
-    for seed in range(40):
-        tree = explore_in_tree(seq, 1, StopRule(level=3), rng_seed=seed)
-        if tree.collisions:
-            continue
-        g = complete_pairing(seq, tree.pairs)
-        inv = g.inverse_match
-        for t in (1, 2, 3):
-            # Brute force: enumerate heads at distance exactly t and weight
-            # each by the product of 1/d_out along the unique path.
-            frontier = {1: 1.0}
-            seen = {1}
-            for _ in range(t):
-                nxt = {}
-                for h, w in frontier.items():
-                    u = int(g.tail_vertex[inv[h]])
-                    for hh in range(g.head_ptr[u], g.head_ptr[u + 1]):
-                        if hh not in seen:
-                            nxt[int(hh)] = w / g.d_out[u]
-                seen |= set(nxt)
-                frontier = nxt
-            brute = sum(frontier.values())
-            assert tree.gamma_at(t) == pytest.approx(brute, abs=1e-12)
-        done += 1
-    assert done >= 5
 
 
 def test_edge_list_roundtrip(toy_dist, tmp_path):

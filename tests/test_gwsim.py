@@ -26,6 +26,7 @@ from dcmwalk import (
     truncated_gamma,
 )
 from dcmwalk import gwsim
+from dcmwalk.branching import subcritical_chain
 from dcmwalk.gwsim import (
     _LawSampler,
     _SplittingPopulation,
@@ -356,7 +357,7 @@ def test_tail_guided_matches_naive():
         keep = ok[child_rep]
         weights, replica = child_w[keep], child_rep[keep]
     per = np.bincount(replica, weights=weights, minlength=reps)
-    events = ok & (per > 0.0) & (per < math.exp(-_toy_entropy(eta) * t))
+    events = ok & (per > 0.0) & (per < math.exp(-subcritical_chain(eta).H_hat * t))
     p_naive = float(events.mean())
     se_naive = float(events.std()) / math.sqrt(reps)
     joint = math.hypot(se_naive, (est.ci_hi - est.ci_lo) / 3.92)
@@ -366,7 +367,7 @@ def test_tail_guided_matches_naive():
 def test_tail_ub_guided_matches_naive():
     eta = MarkedOffspringLaw({(0, 2): 0.25, (1, 3): 0.25, (2, 2): 0.30, (2, 3): 0.20})
     t, omega = 6, 40
-    threshold = math.exp(-_toy_entropy(eta) * t)
+    threshold = math.exp(-subcritical_chain(eta).H_hat * t)
     est = subcritical_tail_experiment(
         eta, t=t, a=1.0, omega=omega, reps=80_000, rng_seed=3, event="ub"
     )
@@ -754,14 +755,6 @@ def test_tail_ladders_in_threads_match_serial():
 def test_tail_rejects_bad_runs_and_guide(toy_biased, bad):
     with pytest.raises(ValidationError):
         subcritical_tail_experiment(toy_biased, t=3, a=1.0, omega=50, reps=400, **bad)
-
-
-def _toy_entropy(eta: MarkedOffspringLaw) -> float:
-    from dcmwalk import subcritical_entropy, survival_probability
-
-    marginal = eta.offspring_marginal()
-    coeffs = [marginal.get(k, 0.0) for k in range(max(marginal) + 1)]
-    return subcritical_entropy(eta, survival_probability(coeffs))
 
 
 def test_fit_decay_rate_drops_smallest():

