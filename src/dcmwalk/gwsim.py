@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -364,7 +366,10 @@ def subcritical_tail_experiment(
     what vanilla Monte Carlo resolves at t ~ 30, so the estimator uses
     guided splitting (`_SplittingPopulation`): `reps` root trajectories
     split across `runs` independent populations, each systematically
-    resampled every generation among the replicas within the width cap. For
+    resampled every generation among the replicas within the width cap. The
+    populations advance concurrently, one thread per CPU this process may
+    use (at most `runs`; inline with one CPU), and each draws only from its
+    own Generator, so the output bits do not depend on the core count. For
     the "ub" event, which does not constrain intermediate widths,
     trajectories are still capped at 8 * omega nodes per generation
     (flagged; paths that exceed the cap and return below omega are
@@ -387,8 +392,11 @@ def subcritical_tail_experiment(
         raise DegenerateError("tail experiment needs a supercritical law")
     if not eta.marks_at_least_two:
         raise ValidationError("tail experiment needs marks >= 2")
-    if not isinstance(runs, numbers.Integral) or runs < 1:
-        raise ValidationError(f"runs must be an integer >= 1, got {runs!r}")
+    for name, value in (("t", t), ("omega", omega), ("reps", reps), ("runs", runs)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if runs < 1:
+        raise ValidationError(f"runs must be >= 1, got {runs!r}")
     if not math.isfinite(guide):
         raise ValidationError(f"guide must be finite, got {guide!r}")
     if not math.isfinite(a) or a < 1.0 or t < 1 or omega < 2 or reps < runs:
@@ -415,17 +423,32 @@ def subcritical_tail_experiment(
         _CHECKPOINT.clear()
     if done > t:  # a Generator cannot rewind
         done, pops = 0, []
-    run_estimates = []
-    total_successes = 0
-    for i, seq in enumerate(seeds):
-        if i == len(pops):
-            pops.append(_SplittingPopulation(
-                sampler, np.random.default_rng(seq), n_per_run, kill_width, guide
-            ))
+    if not pops:
+        pops = [None] * runs
+
+    def run(i: int) -> tuple[float, int]:
+        if pops[i] is None:
+            pops[i] = _SplittingPopulation(
+                sampler, np.random.default_rng(seeds[i]), n_per_run, kill_width, guide
+            )
         pops[i].advance(t - done)
-        p_run, succ = pops[i].estimate(gamma_threshold, omega, event)
-        run_estimates.append(p_run)
-        total_successes += succ
+        return pops[i].estimate(gamma_threshold, omega, event)
+
+    # Each run reads only its own Generator and the read-only sampler, and
+    # numpy releases the GIL in the loops that advance it; the results come
+    # back in run order, so the output does not depend on the worker count.
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(runs, cpus)
+    if workers == 1:
+        results = [run(i) for i in range(runs)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, range(runs)))
+    run_estimates = [p_run for p_run, _ in results]
+    total_successes = sum(succ for _, succ in results)
     with _CHECKPOINT_LOCK:
         _CHECKPOINT.clear()
         _CHECKPOINT[key] = (t, pops)
@@ -482,6 +505,9 @@ class _SplittingPopulation:
     consecutive clones, which point at it instead of copying it. A
     population whose every replica dies out drops its arrays and estimates
     (0.0, 0) from then on.
+
+    A population touches no state but its own and the read-only sampler,
+    so distinct populations may advance in distinct threads.
     """
 
     def __init__(
@@ -509,6 +535,8 @@ class _SplittingPopulation:
         per-replica widths and resamples before any child weight exists;
         child weights are then built only for the kept replicas. Replica r
         of the generation draws for nodes bounds[r] to bounds[r + 1] - 1.
+        Every temporary is dropped as soon as it is dead, and the gather
+        indices are int32 while the generation has fewer than 2^31 nodes.
         """
         if self.dead:
             return
@@ -518,8 +546,11 @@ class _SplittingPopulation:
             bounds = np.concatenate(([0], np.cumsum(sizes)))
             atom = sampler.draw_index(self.rng, int(bounds[-1]))
             widths = np.add.reduceat(sampler.xi[atom], bounds[:-1])
-            ok = (widths > 0) & (widths < self.kill_width)
-            u = np.where(ok, np.exp(-self.guide * (widths - sizes)), 0.0)
+            u = np.where(
+                (widths > 0) & (widths < self.kill_width),
+                np.exp(-self.guide * (widths - sizes)),
+                0.0,
+            )
             u_total = float(u.sum())
             if u_total <= 0.0:
                 self.dead = True
@@ -527,22 +558,33 @@ class _SplittingPopulation:
                 return
             self.log_factor += math.log(u_total / len(u))
             clones = _systematic_clones(u, self.rng.random())
+            del u
             # Only the kept replicas' nodes have children that survive: gather
             # their draw positions and their (shared) block positions.
+            index = np.int32 if bounds[-1] < 2**31 else np.int64
             kept = np.flatnonzero(clones)
             kept_sizes = sizes[kept]
+            del sizes
             kept_starts = np.cumsum(kept_sizes) - kept_sizes
-            local = np.arange(kept_starts[-1] + kept_sizes[-1])
-            pos = local + np.repeat(bounds[kept] - kept_starts, kept_sizes)
+            local = np.arange(kept_starts[-1] + kept_sizes[-1], dtype=index)
+            pos = local + np.repeat((bounds[kept] - kept_starts).astype(index), kept_sizes)
+            del bounds
+            atom = atom[pos]
+            del pos
             offsets = np.cumsum(self.block_sizes) - self.block_sizes
             base = np.repeat(offsets, self.counts)[kept]
-            src = local + np.repeat(base - kept_starts, kept_sizes)
-            atom = atom[pos]
-            self.block = np.repeat(
-                self.block[src] / sampler.zeta[atom], sampler.xi[atom]
-            )
+            del offsets
+            src = local + np.repeat((base - kept_starts).astype(index), kept_sizes)
+            del local, base, kept_starts, kept_sizes
+            weights = self.block[src]
+            self.block = None
+            del src
+            weights /= sampler.zeta[atom]
+            self.block = np.repeat(weights, sampler.xi[atom])
+            del weights, atom
             self.block_sizes = widths[kept]
             self.counts = clones[kept]
+            del widths, clones, kept
 
     def estimate(
         self, gamma_threshold: float, omega: int, event: str

@@ -1,7 +1,10 @@
 import itertools
 import math
+import os
 import sys
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -747,14 +750,71 @@ def test_tail_ladders_in_threads_match_serial():
     assert results == {seed: [serial[seed]] * 3 for seed in seeds}
 
 
+def test_tail_runs_concurrently_in_run_order(toy_biased, monkeypatch):
+    # Run 0 sleeps longest, so with four workers the runs finish out of
+    # order; the estimate must still be the inline one, bit for bit.
+    finished, threads = [], []
+
+    class SlowFirst(_SplittingPopulation):
+        def advance(self, steps):
+            run = self.rng.bit_generator.seed_seq.spawn_key[-1]
+            threads.append(threading.get_ident())
+            time.sleep(0.02 * (4 - run))
+            super().advance(steps)
+            finished.append(run)
+
+    kwargs = dict(t=4, a=1.0, omega=50, reps=1200, rng_seed=5, runs=4)
+    monkeypatch.setattr(gwsim, "_SplittingPopulation", SlowFirst)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    inline = _cold(toy_biased, **kwargs)
+    assert finished == [0, 1, 2, 3]
+    assert set(threads) == {threading.get_ident()}
+    finished.clear()
+    threads.clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    concurrent = _cold(toy_biased, **kwargs)
+    assert finished != [0, 1, 2, 3] and sorted(finished) == [0, 1, 2, 3]
+    assert len(set(threads)) > 1
+    assert repr(concurrent) == repr(inline)
+    threads.clear()
+    _cold(toy_biased, **{**kwargs, "runs": 1, "reps": 300})
+    gwsim._CHECKPOINT.clear()
+    assert threads == [threading.get_ident()]
+
+
+def test_advance_transient_memory_budget(toy_biased):
+    # Populations advance two at a time on two cores; this budget keeps two
+    # generations in flight near the peak that one took when each of its
+    # temporaries lived to the end of the generation (2.5 MB here).
+    pop = _SplittingPopulation(
+        _LawSampler(toy_biased), np.random.default_rng(0), 25000, 200, 0.7
+    )
+    pop.advance(3)
+    tracemalloc.start()
+    try:
+        pop.advance(1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not pop.dead
+    assert peak <= 2.0e6
+
+
 @pytest.mark.parametrize(
     "bad",
-    [{"runs": 0}, {"runs": -1}, {"runs": 2.5}, {"guide": math.nan}, {"guide": math.inf}],
-    ids=["runs0", "runs-1", "runs2.5", "guide-nan", "guide-inf"],
+    [{"runs": 0}, {"runs": -1}, {"runs": 2.5}, {"guide": math.nan}, {"guide": math.inf},
+     {"t": 2.5}, {"t": True}, {"reps": 400.0}, {"omega": 50.5}, {"runs": True}],
+    ids=["runs0", "runs-1", "runs2.5", "guide-nan", "guide-inf",
+         "t2.5", "t-bool", "reps-float", "omega50.5", "runs-bool"],
 )
-def test_tail_rejects_bad_runs_and_guide(toy_biased, bad):
+def test_tail_rejects_bad_runs_and_guide(toy_biased, bad, monkeypatch):
+    # Rejected before the checkpoint is touched.
+    kept = {"key": (1, [])}
+    monkeypatch.setattr(gwsim, "_CHECKPOINT", dict(kept))
+    kwargs = {**dict(t=3, a=1.0, omega=50, reps=400), **bad}
     with pytest.raises(ValidationError):
-        subcritical_tail_experiment(toy_biased, t=3, a=1.0, omega=50, reps=400, **bad)
+        subcritical_tail_experiment(toy_biased, **kwargs)
+    assert gwsim._CHECKPOINT == kept
 
 
 def test_fit_decay_rate_drops_smallest():
