@@ -39,22 +39,23 @@ from .errors import (
 from .ratefn import FiniteLogLaw, rate_function
 
 DEFAULT_WIDTH_CAP = 10**6
+# Most tree shapes duality_check enumerates before it gives up.
+DUALITY_MAX_SHAPES = 10**6
+# Thinning strength of the splitting potential Psi(x) = exp(-GUIDE * x) that
+# subcritical_tail_experiment steers its populations with.
+GUIDE = 0.7
 
 
 @dataclass(frozen=True)
 class MarkedTree:
-    """Generation-major marked tree: per generation, each node's parent index
-    in the previous generation, offspring count xi, and mark zeta."""
+    """Generation-major marked tree: per generation, each node's offspring
+    count xi and mark zeta. The children of node j of one generation occupy
+    a contiguous block of the next, in node order, so no parent index is
+    stored."""
 
-    parent: list[np.ndarray]
     xi: list[np.ndarray]
     zeta: list[np.ndarray]
     truncated: bool = False
-
-    @property
-    def depth(self) -> int:
-        """Index of the last materialized generation."""
-        return len(self.xi) - 1
 
     @property
     def generation_sizes(self) -> tuple[int, ...]:
@@ -71,22 +72,20 @@ class MarkedTree:
 
     @classmethod
     def from_offspring(cls, xi_per_gen, zeta_per_gen, truncated=False) -> "MarkedTree":
-        """Build a tree from explicit per-generation (xi, zeta) lists.
-
-        Parents follow the canonical layout: children of node j in one
-        generation occupy a contiguous block of the next.
+        """Build a tree from explicit per-generation (xi, zeta) lists, in
+        the canonical layout; each generation must hold exactly as many
+        nodes as the offspring counts of the one before it sum to.
         """
         xi = [np.asarray(x, dtype=np.int64) for x in xi_per_gen]
         zeta = [np.asarray(z, dtype=np.int64) for z in zeta_per_gen]
-        parent = [np.array([-1], dtype=np.int64)]
         for g in range(1, len(xi)):
-            parent.append(np.repeat(np.arange(len(xi[g - 1])), xi[g - 1]))
-            if len(parent[g]) != len(xi[g]):
+            implied = int(xi[g - 1].sum())
+            if implied != len(xi[g]):
                 raise ValidationError(
                     f"generation {g} has {len(xi[g])} nodes but parents imply "
-                    f"{len(parent[g])}"
+                    f"{implied}"
                 )
-        return cls(parent=parent, xi=xi, zeta=zeta, truncated=truncated)
+        return cls(xi=xi, zeta=zeta, truncated=truncated)
 
 
 @dataclass(frozen=True)
@@ -239,13 +238,12 @@ class DualityReport:
     conjugate_total: float
 
 
-def duality_check(
-    xi: OffspringLaw, depth: int, max_shapes: int = 10**6
-) -> DualityReport:
+def duality_check(xi: OffspringLaw, depth: int) -> DualityReport:
     """Enumerate all tree shapes to `depth` and compare P{shape | extinction}
     under `xi` with P{shape} under the conjugate law.
 
-    Requires a supercritical law (so extinction is a nontrivial event).
+    Requires a supercritical law (so extinction is a nontrivial event), and
+    raises CapacityError past DUALITY_MAX_SHAPES shapes.
     """
     nu = math.fsum(k * p for k, p in xi.items())
     if nu <= 1.0:
@@ -262,8 +260,8 @@ def duality_check(
     shapes: list[tuple[float, float, int]] = []  # (P_xi, P_hat, leaves at depth)
 
     def expand(level: int, p_orig: float, p_hat: float, width: int) -> None:
-        if len(shapes) > max_shapes:
-            raise CapacityError(f"more than {max_shapes} shapes at depth {depth}")
+        if len(shapes) > DUALITY_MAX_SHAPES:
+            raise CapacityError(f"more than {DUALITY_MAX_SHAPES} shapes at depth {depth}")
         if level == depth:
             shapes.append((p_orig, p_hat, width))
             return
@@ -355,7 +353,6 @@ def subcritical_tail_experiment(
     rng_seed: int = 0,
     event: str = "lb",
     runs: int = 8,
-    guide: float = 0.7,
 ) -> TailEstimate:
     """Estimate the probability of the thin-growth events at generation t.
 
@@ -364,14 +361,14 @@ def subcritical_tail_experiment(
 
     These probabilities decay like e^(-(|log nu_hat| + I(aH)) t), far below
     what vanilla Monte Carlo resolves at t ~ 30, so the estimator uses
-    guided splitting (`_SplittingPopulation`): `reps` root trajectories
-    split across `runs` independent populations, each systematically
-    resampled every generation among the replicas within the width cap. The
-    populations advance concurrently, one thread per CPU this process may
-    use (at most `runs`; inline with one CPU), and each draws only from its
-    own Generator, so the output bits do not depend on the core count. For
-    the "ub" event, which does not constrain intermediate widths,
-    trajectories are still capped at 8 * omega nodes per generation
+    guided splitting (`_SplittingPopulation`, with guide GUIDE): `reps` root
+    trajectories split across `runs` independent populations, each
+    systematically resampled every generation among the replicas within the
+    width cap. The populations advance concurrently, one thread per CPU this
+    process may use (at most `runs`; inline with one CPU), and each draws
+    only from its own Generator, so the output bits do not depend on the
+    core count. For the "ub" event, which does not constrain intermediate
+    widths, trajectories are still capped at 8 * omega nodes per generation
     (flagged; paths that exceed the cap and return below omega are
     vanishingly rare here).
 
@@ -397,8 +394,6 @@ def subcritical_tail_experiment(
             raise ValidationError(f"{name} must be an integer, got {value!r}")
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs!r}")
-    if not math.isfinite(guide):
-        raise ValidationError(f"guide must be finite, got {guide!r}")
     if not math.isfinite(a) or a < 1.0 or t < 1 or omega < 2 or reps < runs:
         raise ValidationError(
             "need a finite a >= 1, t >= 1, omega >= 2, reps >= runs"
@@ -417,7 +412,7 @@ def subcritical_tail_experiment(
     n_per_run = max(2, reps // runs)
 
     seed_key = tuple(np.ravel(rng_seed).tolist())  # a sequence seed has no hash
-    key = (tuple(sorted(eta.pmf.items())), omega, event, reps, runs, guide, seed_key)
+    key = (tuple(sorted(eta.pmf.items())), omega, event, reps, runs, seed_key)
     with _CHECKPOINT_LOCK:
         done, pops = _CHECKPOINT.pop(key, (0, []))
         _CHECKPOINT.clear()
@@ -429,7 +424,7 @@ def subcritical_tail_experiment(
     def run(i: int) -> tuple[float, int]:
         if pops[i] is None:
             pops[i] = _SplittingPopulation(
-                sampler, np.random.default_rng(seeds[i]), n_per_run, kill_width, guide
+                sampler, np.random.default_rng(seeds[i]), n_per_run, kill_width, GUIDE
             )
         pops[i].advance(t - done)
         return pops[i].estimate(gamma_threshold, omega, event)

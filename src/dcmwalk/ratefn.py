@@ -25,6 +25,10 @@ MIN_LOG_MARK = math.log(2.0)
 # full. Bisection noise in I is about 1e-15 relative; only values inside the
 # band can tie or beat the minimum through it.
 PHI_TIE_BAND = 1e-9
+# rate_function stops bisecting once |K'(lam) - z| falls below Z_TOL;
+# minimize_phi refines a0 by golden-section search to a bracket of A0_TOL.
+Z_TOL = 1e-12
+A0_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,12 +111,13 @@ def _tilted_mean(law: FiniteLogLaw, lam: float) -> float:
     return math.fsum(z * w for z, w in weights) / total
 
 
-def rate_function(law: FiniteLogLaw, z: float, z_tol: float = 1e-12) -> float:
+def rate_function(law: FiniteLogLaw, z: float) -> float:
     """I(z) = sup_lam {lam z - cumulant_gf(lam)} as an extended real.
 
     Returns +inf strictly outside [min atom, max atom] and -log P{Z = edge}
     at the edges. The interior supremum solves the monotone equation
-    K'(lam) = z by bisection on an adaptively doubled bracket.
+    K'(lam) = z by bisection on an adaptively doubled bracket, to within
+    Z_TOL.
     """
     z_min, z_max = law.z_min, law.z_max
     edge_pad = 1e-14 * max(1.0, abs(z_max), abs(z_min))
@@ -137,7 +142,7 @@ def rate_function(law: FiniteLogLaw, z: float, z_tol: float = 1e-12) -> float:
     for _ in range(300):
         lam = 0.5 * (lo + hi)
         val = _tilted_mean(law, lam)
-        if abs(val - z) < z_tol:
+        if abs(val - z) < Z_TOL:
             break
         if val < z:
             lo = lam
@@ -230,14 +235,13 @@ def minimize_phi(
     params: BpParameters,
     law: FiniteLogLaw | None,
     grid_step: float = 1e-4,
-    tol: float = 1e-9,
     table_points: int = 64,
 ) -> ExponentReport:
     """Locate a0 = argmin phi over [1, z_max / H_hat] and build the report.
 
     The first minimizing index of phi on a grid of `grid_step` resolution
     brackets a0, and golden-section search refines that bracket to width
-    `tol`. The index comes from a search over the grid
+    A0_TOL. The index comes from a search over the grid
     (:func:`_first_grid_argmin`), not from evaluating every grid point:
     I is convex, non-negative and continuous up to z_max, so each sublevel
     set {a : |log nu_hat| + I(a H_hat) <= t a} is an interval and phi is
@@ -283,7 +287,7 @@ def minimize_phi(
     best_i = _first_grid_argmin(lambda i: objective(1.0 + i * step), npts)
     lo = 1.0 + max(0, best_i - 1) * step
     hi = 1.0 + min(npts - 1, best_i + 1) * step
-    a0, phi_a0 = _golden_section(objective, lo, hi, tol)
+    a0, phi_a0 = _golden_section(objective, lo, hi, A0_TOL)
     # The refined bracket may sit next to a boundary whose endpoint wins.
     for edge in (1.0, a_hi):
         val = objective(edge)
@@ -296,7 +300,7 @@ def minimize_phi(
         phi_a0=phi_a0,
         exponent=_exponent(h_hat, phi_a0),
         rate_samples=samples,
-        a0_on_boundary=(a0 - 1.0 <= tol) or (a_hi - a0 <= tol),
+        a0_on_boundary=(a0 - 1.0 <= A0_TOL) or (a_hi - a0 <= A0_TOL),
         point_domain=False,
         degenerate=False,
     )

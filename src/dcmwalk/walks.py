@@ -82,7 +82,8 @@ class HittingEstimate:
 
 @dataclass(frozen=True)
 class WalkTimes:
-    """Exact maximal hitting time plus cover-time estimate and Matthews bound."""
+    """Exact maximal hitting time onto the attractive SCC, plus a cover-time
+    estimate and Matthews' bound. `targets` are the SCC's vertices, sorted."""
 
     targets: np.ndarray
     hitting: np.ndarray  # shape (len(targets), n); hitting[j, x] = E[tau_x(y_j)]
@@ -108,16 +109,16 @@ def transition_matrix(g: Multigraph) -> sp.csr_matrix:
 def stationary_distribution(
     g: Multigraph,
     tol: float = POWER_TOL,
-    max_iter: int = MAX_POWER_ITER,
     cross_check: bool | None = None,
 ) -> StationaryResult:
     """Stationary distribution of the walk, supported on the attractive SCC.
 
     Power iteration runs on the lazy kernel until the plain-kernel residual
-    ||pi P - pi||_1 drops below `tol`. For graphs with at most 2000 vertices
-    (or when cross_check=True), a square dense LU solve of the balance
-    equations with one replaced by sum(pi) = 1 verifies the result to 1e-10
-    in sup norm.
+    ||pi P - pi||_1 drops below `tol`, and raises NumericalError after
+    MAX_POWER_ITER iterations without that. For graphs with at most 2000
+    vertices (or when cross_check=True), a square dense LU solve of the
+    balance equations with one replaced by sum(pi) = 1 verifies the result
+    to 1e-10 in sup norm.
     """
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol}")
@@ -133,7 +134,7 @@ def stationary_distribution(
     gap = np.empty(k)
     residual = math.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_POWER_ITER + 1):
         image = p_t @ pi
         residual = float(np.abs(np.subtract(image, pi, out=gap), out=gap).sum())
         if residual < tol:
@@ -263,11 +264,14 @@ class _HittingSolver:
 
 
 def _check_vertices(g: Multigraph, vertices, what: str) -> np.ndarray:
-    """`vertices` as a flat int64 array, after checking each is in 0..n-1."""
-    v = np.asarray(vertices, dtype=np.int64).reshape(-1)
-    if np.any((v < 0) | (v >= g.n)):
-        raise ValidationError(f"{what} outside 0..{g.n - 1}")
-    return v
+    """`vertices` (one or many) as a flat int64 array, after checking each
+    is in 0..n-1. The check runs before the int64 conversion, so an integer
+    too large for int64 is reported as out of range too."""
+    v = np.asarray(vertices).reshape(-1)
+    bad = (v < 0) | (v >= g.n)
+    if bad.any():
+        raise ValidationError(f"{what} {v[bad][0]} outside 0..{g.n - 1}")
+    return v.astype(np.int64, copy=False)
 
 
 def hitting_times_exact(g: Multigraph, y: int) -> np.ndarray:
@@ -278,8 +282,7 @@ def hitting_times_exact(g: Multigraph, y: int) -> np.ndarray:
     """
     if g.n > 5000:
         raise ValidationError("exact hitting times budgeted for n <= 5000")
-    if not 0 <= y < g.n:
-        raise ValidationError(f"target {y} outside 0..{g.n - 1}")
+    _check_vertices(g, y, "target")
     return _HittingSolver(g).solve(y)
 
 
@@ -380,30 +383,21 @@ def _hitting_matrix(g: Multigraph, comp: np.ndarray) -> np.ndarray:
 
 
 def walk_times_exact(
-    g: Multigraph,
-    targets: np.ndarray | None = None,
-    cover_reps: int = 200,
-    step_cap: int | None = None,
-    rng_seed: int = 0,
+    g: Multigraph, cover_reps: int = 200, rng_seed: int = 0
 ) -> WalkTimes:
-    """Exact maximal hitting time over the given targets (default: the whole
-    attractive SCC), a Monte Carlo cover-time estimate, and Matthews' bound."""
+    """Exact maximal hitting time onto the attractive SCC, a Monte Carlo
+    cover-time estimate, and Matthews' bound. The cover walkers stop at
+    max(10^4, 50 * Matthews' bound) steps."""
     comp = attractive_scc(g)
     if comp is None:
         raise NonUniqueError()
-    if targets is None:
-        targets = comp
-    targets = np.sort(_check_vertices(g, targets, "target"))
-    if len(targets) == 0:
-        raise ValidationError("need at least one target")
-    hitting = _target_times(g, comp, targets)
+    hitting = _target_times(g, comp, comp)
     t_hit = float(hitting[np.isfinite(hitting)].max())
     bound = matthews_bound(t_hit, len(comp))
-    if step_cap is None:
-        step_cap = max(10_000, int(50 * bound))
+    step_cap = max(10_000, int(50 * bound))
     cov = cover_time_mc(g, reps=cover_reps, step_cap=step_cap, rng_seed=rng_seed)
     return WalkTimes(
-        targets=targets,
+        targets=comp,
         hitting=hitting,
         t_hit=t_hit,
         t_cov=cov,
@@ -419,9 +413,7 @@ def _check_walkable(g: Multigraph, reps: int, step_cap: int, *vertices: int) -> 
         raise ValidationError(f"reps must be >= 1, got {reps}")
     if step_cap < 1:
         raise ValidationError(f"step_cap must be >= 1, got {step_cap}")
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValidationError(f"vertex {v} outside 0..{g.n - 1}")
+    _check_vertices(g, vertices, "vertex")
     if np.any(g.d_out == 0):
         raise NonUniqueError("vertex with out-degree 0: walk transitions undefined")
 

@@ -686,7 +686,6 @@ def test_tail_ladder_resume_matches_cold_calls(order):
             others = [(other_law, kwargs)] + [(eta, {**kwargs, **other}) for other in (
                 {"rng_seed": 0},
                 {"omega": kwargs["omega"] + 5},
-                {"guide": 0.5},
                 {"event": {"lb": "ub", "ub": "lb"}[kwargs["event"]]},
                 {"reps": 2 * kwargs["reps"]},
                 {"runs": kwargs["runs"] + 1},
@@ -802,10 +801,10 @@ def test_advance_transient_memory_budget(toy_biased):
 
 @pytest.mark.parametrize(
     "bad",
-    [{"runs": 0}, {"runs": -1}, {"runs": 2.5}, {"guide": math.nan}, {"guide": math.inf},
-     {"t": 2.5}, {"t": True}, {"reps": 400.0}, {"omega": 50.5}, {"runs": True}],
-    ids=["runs0", "runs-1", "runs2.5", "guide-nan", "guide-inf",
-         "t2.5", "t-bool", "reps-float", "omega50.5", "runs-bool"],
+    [{"runs": 0}, {"runs": -1}, {"runs": 2.5}, {"t": 2.5}, {"t": True},
+     {"reps": 400.0}, {"omega": 50.5}, {"runs": True}],
+    ids=["runs0", "runs-1", "runs2.5", "t2.5", "t-bool", "reps-float", "omega50.5",
+         "runs-bool"],
 )
 def test_tail_rejects_bad_runs_and_guide(toy_biased, bad, monkeypatch):
     # Rejected before the checkpoint is touched.

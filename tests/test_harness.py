@@ -1,17 +1,17 @@
 import hashlib
-import importlib.util
-import itertools
 import json
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dcmwalk import ConfigError, ExperimentConfig, derive_seed, run_exponent_sweep, run_params
+from dcmwalk import walks
 from dcmwalk.cli import main
-from dcmwalk.degrees import BiDegreeDistribution
+from dcmwalk.degrees import BiDegreeDistribution, realize_sequence
+from dcmwalk.graph import sample_dcm
+from dcmwalk.harness import _sweep_cell
 
 from conftest import TOY_EXPONENT, TOY_PMF
 
@@ -95,6 +95,37 @@ def test_sweep_measures_t_hit(tmp_path):
     rows = run_exponent_sweep(config, str(out))
     ok_rows = [r for r in rows if r["status"] == "ok"]
     assert ok_rows and all(math_isfinite(r["t_hit_hat"]) for r in ok_rows)
+
+
+def _refuse_cover_mc(*args, **kwargs):
+    raise AssertionError("the sweep's t_hit measure ran the cover Monte Carlo")
+
+
+def test_sweep_t_hit_runs_no_cover_mc(monkeypatch):
+    monkeypatch.setattr(walks, "cover_time_mc", _refuse_cover_mc)
+    rows = [_sweep_cell((toy_json(), 300, s, 3, 1e-12, ("t_hit",))) for s in range(3)]
+    assert any(row["status"] == "ok" for row in rows)
+    assert all(math_isfinite(row["t_hit_hat"]) for row in rows if row["status"] == "ok")
+
+
+def test_sweep_t_hit_is_walk_times_t_hit(toy_dist, monkeypatch):
+    # The cover Monte Carlo plays no part in t_hit: it is stubbed out of the
+    # reference call, and the cell must not run it at all.
+    covers = []
+    monkeypatch.setattr(walks, "cover_time_mc", lambda g, **kw: covers.append(kw))
+    master, checked = 170, 0
+    for n in (1024, 2000):
+        seq = realize_sequence(toy_dist, n)
+        for seed_idx in range(5):
+            row = _sweep_cell((toy_json(), n, seed_idx, master, 1e-12, ("t_hit",)))
+            assert covers == []
+            if row["status"] != "ok":
+                continue
+            g = sample_dcm(seq, rng_seed=derive_seed(master, n, seed_idx))
+            assert row["t_hit_hat"] == walks.walk_times_exact(g).t_hit
+            covers.clear()
+            checked += 1
+    assert checked >= 8
 
 
 def math_isfinite(v) -> bool:
@@ -470,12 +501,3 @@ def test_cli_censored_column_matches_count(tmp_path, capsys, command, step_cap):
     # whatever the random stream.
     assert any(int(r[-2]) == step_cap and r[-1] == "0" for r in rows)
 
-
-def test_traced_layer_functions_resolve():
-    # The benchmark's tracer looks each traced function up by name.
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    for module, attr in itertools.chain(*spans.LAYER_FUNCTIONS.values()):
-        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)

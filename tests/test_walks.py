@@ -248,36 +248,6 @@ def test_return_times_batch_matches_solver(toy_dist):
         assert batched[i] == pytest.approx(single, rel=1e-9)
 
 
-def test_walk_times_off_support_target(toy_dist):
-    # A target outside the attractive SCC is solved per target: it is never
-    # hit from the support (+inf), but is hit from some transient starts.
-    seq = realize_sequence(toy_dist, 150)
-    g = sample_dcm(seq, rng_seed=3)
-    support = stationary_distribution(g).support
-    off = int(np.setdiff1d(np.arange(g.n), support)[0])
-    on = int(support[0])
-    times = walk_times_exact(g, targets=[off, on], cover_reps=20, rng_seed=1)
-    for y in (off, on):
-        row = np.array([times.hitting_time(x, y) for x in range(g.n)])
-        assert np.array_equal(row, hitting_times_exact(g, y))
-    assert np.all(np.isinf(times.hitting[list(times.targets).index(off), support]))
-    assert math.isfinite(times.t_hit)
-
-
-def test_walk_times_partial_support_targets(toy_dist):
-    # Two support targets take the per-target solver, three take one
-    # fundamental-matrix solve; both agree with the single-target solve.
-    seq = realize_sequence(toy_dist, 150)
-    g = sample_dcm(seq, rng_seed=3)
-    support = stationary_distribution(g).support
-    for picked in (support[[0, -1]], support[[0, len(support) // 2, -1]]):
-        times = walk_times_exact(g, targets=picked, cover_reps=20, rng_seed=1)
-        for j, y in enumerate(picked):
-            solved = hitting_times_exact(g, int(y))
-            rel = np.abs(times.hitting[j] - solved) / np.maximum(solved, 1.0)
-            assert rel.max() <= 1e-9
-
-
 def test_hitting_mc_cycle_exact():
     g = directed_cycle(8)
     est = hitting_time_mc(g, 3, 2, reps=200, step_cap=100, rng_seed=0)
@@ -385,10 +355,15 @@ def test_cover_all_censored():
 
 
 def test_walkers_reject_bad_vertices():
+    # 2**70 does not fit in int64; it is out of range all the same.
     g = directed_cycle(3)
-    for x, y in ((0, 9), (-1, 0), (3, 1)):
+    for x, y in ((0, 9), (-1, 0), (3, 1), (2**70, 0)):
         with pytest.raises(ValidationError):
             hitting_time_mc(g, x, y, reps=10, step_cap=100, rng_seed=0)
+    with pytest.raises(ValidationError):
+        hitting_times_exact(g, 2**70)
+    with pytest.raises(ValidationError):
+        return_times_exact(g, [0, 2**70])
     with pytest.raises(ValidationError):
         hitting_time_mc(g, 0, 1, reps=0, step_cap=100, rng_seed=0)
     with pytest.raises(ValidationError):
