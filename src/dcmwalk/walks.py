@@ -6,12 +6,20 @@ stationary vector and no periodicity obstruction), with a square dense LU
 solve (one balance equation swapped for the normalisation) as a cross-check
 on small graphs. Support is structural (SCC membership), never a numeric
 threshold on pi.
+
+The Monte Carlo walkers (`hitting_time_mc`, `cover_time_mc`) share one
+block stepper, `_walk`: it draws the uniforms of WALK_BLOCK steps for every
+live walker in one call, steps through per-tail tables of the next vertex's
+first tail and out-degree, and hands each block's tails to the caller's
+bookkeeping (arrivals, traps, first visits) once per block.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +45,16 @@ HITTING_MATRIX_MAX_K = 2500
 # 2000 support vertices, the dense solve cost as much as 0.3 to 2.9 sparse
 # solves (LU fill-in makes each sparse solve nearly dense).
 HITTING_MATRIX_MIN_TARGETS = 3
+# Steps per block of the Monte Carlo walkers (`_walk`): one draw of
+# uniforms and one round of visit, arrival and trap bookkeeping per block.
+# It stays below _UNSEEN, so a block-relative step fits an int8 stamp.
+WALK_BLOCK = 64
+# Most uniforms per block (256 KB of float64): with more than
+# WALK_BLOCK_CELLS / WALK_BLOCK = 512 live walkers, blocks are shorter, so
+# a block's arrays stay small and finished walkers leave sooner.
+WALK_BLOCK_CELLS = 1 << 15
+_UNSEEN = np.iinfo(np.int8).max
+_SEEN = -1
 
 
 @dataclass(frozen=True)
@@ -405,32 +423,66 @@ def walk_times_exact(
     )
 
 
-def _check_walkable(g: Multigraph, reps: int, step_cap: int, *vertices: int) -> None:
-    """Walkers need at least one replicate, a step cap of at least one,
-    every given vertex in 0..n-1, and an out-edge at every vertex they may
-    reach."""
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
-    if step_cap < 1:
-        raise ValidationError(f"step_cap must be >= 1, got {step_cap}")
+def _check_walkable(g: Multigraph, vertices: tuple = (), **counts: int) -> None:
+    """Walkers need integer counts (replicates, step cap, starts) of at
+    least one, every given vertex in 0..n-1, and an out-edge at every vertex
+    they may reach. A bool or a float count is refused, not rounded."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
     _check_vertices(g, vertices, "vertex")
     if np.any(g.d_out == 0):
         raise NonUniqueError("vertex with out-degree 0: walk transitions undefined")
 
 
-def _advance(
-    d_out: np.ndarray,
-    tail_ptr: np.ndarray,
-    succ: np.ndarray,
-    pos: np.ndarray,
+def _walk(
+    g: Multigraph,
+    starts: np.ndarray,
+    step_cap: int,
     rng: np.random.Generator,
+    settle: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """One uniform out-edge step (multiplicity-weighted) for each walker:
-    a uniform u in [0, 1) picks out-edge floor(u * d_out) of its vertex.
-    `tail_ptr` and `succ` are the graph's, read once per walk."""
-    # u <= 1 - 2^-53, and floor((1 - 2^-53) * d) = d - 1 for integers d < 2^53.
-    pick = (rng.random(len(pos)) * d_out[pos]).astype(np.intp)
-    return succ[tail_ptr[pos] + pick]
+    """Walk one walker from each vertex of `starts`, WALK_BLOCK steps at a
+    time (fewer while more than WALK_BLOCK_CELLS / WALK_BLOCK walkers are
+    live), until `settle` has stopped them all or step_cap steps are taken.
+
+    A walker's state is the first tail of its vertex and that vertex's
+    out-degree. Each block draws one uniform u per step and live walker in
+    a single call; a step takes tail first + floor(u * deg), a uniform
+    multiplicity-weighted out-edge (u <= 1 - 2^-53, and
+    floor((1 - 2^-53) * d) = d - 1 for integers d < 2^53), and reads the
+    next state from per-tail tables. After each block,
+    settle(step, live, tails) gets the steps taken before the block, the
+    indices of the walkers live in it and the tails they took, shape
+    (block, len(live)), and returns the mask of those that stop. Stopped
+    walkers still draw to the end of their block. The last block is cut at
+    step_cap, so the cap is exact. Returns the walkers live at the cap.
+    """
+    # Tails stay intp: np.take converts narrower indices on every call.
+    # The degrees are values, so the narrowest dtype serves.
+    succ, tail_ptr = g.successors(), g.tail_ptr
+    next_first = tail_ptr[succ]
+    next_deg = g.d_out[succ].astype(np.min_scalar_type(int(g.d_out.max())))
+    del succ
+    first = tail_ptr[starts]
+    deg = g.d_out[starts].astype(next_deg.dtype)
+    live = np.arange(len(starts))
+    step = 0
+    while len(live) and step < step_cap:
+        nb = min(WALK_BLOCK, max(1, WALK_BLOCK_CELLS // len(live)), step_cap - step)
+        u = rng.random((nb, len(live)))
+        tails = np.empty(u.shape, dtype=first.dtype)
+        for row, t in zip(u, tails):
+            np.multiply(row, deg, out=row)
+            t[...] = row  # truncation is floor for u * deg >= 0
+            np.add(t, first, out=t)
+            first, deg = next_first.take(t), next_deg.take(t)
+        keep = ~settle(step, live, tails)
+        step += nb
+        live, first, deg = live[keep], first[keep], deg[keep]
+    return live
 
 
 def _summarize(
@@ -474,9 +526,11 @@ def hitting_time_mc(
     any walk starts. Censored walks (step cap reached, or stopped on
     entering a vertex from which y cannot be reached) are excluded from
     the mean and reported; if every walk is censored a CensoredError is
-    raised.
+    raised. The walkers step in blocks of WALK_BLOCK (`_walk`): the law of
+    the samples does not depend on the block length, but the samples drawn
+    for a given seed do.
     """
-    _check_walkable(g, reps, step_cap, x, y)
+    _check_walkable(g, (x, y), reps=reps, step_cap=step_cap)
     reach = breadth_first_order(g.csr, x, return_predecessors=False)
     if y not in reach:
         raise UnreachableError(f"vertex {y} cannot be reached from vertex {x}")
@@ -485,28 +539,25 @@ def hitting_time_mc(
     trap = np.ones(g.n, dtype=bool)
     trap[breadth_first_order(g.csr.T, y, return_predecessors=False)] = False
     trap = trap if trap[reach].any() else None
-    succ, tail_ptr = g.successors(), g.tail_ptr
-    rng = np.random.default_rng(rng_seed)
+    # Per tail: it leads to y; a walker taking it stops (at y or in a trap).
+    succ = g.successors()
+    at_y = succ == y
+    stop = at_y if trap is None else at_y | trap[succ]
+    del succ, trap
     times = np.zeros(reps, dtype=np.int64)
     active = np.zeros(reps, dtype=bool)
-    # Walkers still on their way, in replicate order, and their positions.
-    live = np.arange(reps) if x != y else np.zeros(0, dtype=np.int64)
-    pos = np.full(len(live), x, dtype=np.int64)
-    step = 0
-    while len(live) and step < step_cap:
-        step += 1
-        pos = _advance(g.d_out, tail_ptr, succ, pos, rng)
-        arrived = pos == y
-        done = arrived
-        if trap is not None:
-            lost = trap[pos]
-            active[live[lost]] = True
-            done = arrived | lost
-        if np.count_nonzero(done):
-            times[live[arrived]] = step
-            keep = ~done
-            live, pos = live[keep], pos[keep]
-    active[live] = True
+
+    def settle(step: int, live: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        row = stop[tails].argmax(axis=0)  # first stop in the block, else 0
+        tail = tails[row, np.arange(len(live))]
+        done, hit = stop[tail], at_y[tail]
+        times[live[hit]] = step + 1 + row[hit]
+        active[live[done & ~hit]] = True
+        return done
+
+    if x != y:
+        rng = np.random.default_rng(rng_seed)
+        active[_walk(g, np.full(reps, x), step_cap, rng, settle)] = True
     return _summarize(times, active, step_cap)
 
 
@@ -521,12 +572,12 @@ def cover_time_mc(
     start set, all steps counted from the start vertex.
 
     All starts walk together in one walker array, `reps // n_starts` (at
-    least 2) walkers per start.
+    least 2) walkers per start. The walkers step in blocks of WALK_BLOCK
+    (`_walk`), and their first visits are found once per block: the law of
+    the samples does not depend on the block length, but the samples drawn
+    for a given seed do.
     """
-    _check_walkable(g, reps, step_cap)
-    if n_starts < 1:
-        raise ValidationError(f"n_starts must be >= 1, got {n_starts}")
-    succ, tail_ptr = g.successors(), g.tail_ptr
+    _check_walkable(g, reps=reps, step_cap=step_cap, n_starts=n_starts)
     comp = attractive_scc(g)
     if comp is None:
         raise NonUniqueError()
@@ -534,37 +585,45 @@ def cover_time_mc(
     starts = rng.choice(g.n, size=min(n_starts, g.n), replace=False)
     per_start = max(2, reps // len(starts))
     k = len(comp)
-    # seen[w, local[v]] marks vertex v as visited by walker w. Column k
-    # stands for every vertex outside the support; it is marked from the
-    # start, so stepping there never counts as a fresh visit.
+    # stamp[w * (k + 1) + local[v]] is _SEEN once walker w has visited
+    # vertex v, and _UNSEEN before. Column k stands for every vertex outside
+    # the support; it is _SEEN from the start, so stepping there never
+    # counts as a fresh visit.
     local = np.full(g.n, k, dtype=np.int64)
     local[comp] = np.arange(k)
     walkers = len(starts) * per_start
     rows = np.arange(walkers) * (k + 1)
-    seen = np.zeros(walkers * (k + 1), dtype=bool)
-    seen[rows + k] = True
+    stamp = np.full(walkers * (k + 1), _UNSEEN, dtype=np.int8)
+    stamp[rows + k] = _SEEN
     pos = np.repeat(starts, per_start)
-    seen[rows + local[pos]] = True
+    stamp[rows + local[pos]] = _SEEN
     left = k - (local[pos] < k)
     times = np.zeros(walkers, dtype=np.int64)
-    live = np.flatnonzero(left > 0)
-    pos, rows, left = pos[live], rows[live], left[live]
-    step = 0
-    while len(live) and step < step_cap:
-        step += 1
-        pos = _advance(g.d_out, tail_ptr, succ, pos, rng)
-        cells = rows + local[pos]
-        fresh = ~seen[cells]
-        if np.count_nonzero(fresh):
-            seen[cells] = True
-            left -= fresh
-            done = left == 0
-            if np.count_nonzero(done):
-                times[live[done]] = step
-                keep = ~done
-                live, pos, rows, left = live[keep], pos[keep], rows[keep], left[keep]
+    walking = np.flatnonzero(left > 0)
+    cell_of = local[g.successors()]  # per tail: column of its head vertex
+
+    def settle(step: int, live: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        w = walking[live]
+        cells = (rows[w] + cell_of.take(tails)).ravel()
+        visits = np.flatnonzero(stamp.take(cells) == _UNSEEN)
+        fresh = cells[visits]
+        row, col = np.divmod(visits, len(w))
+        # Stamp each fresh cell with the block-relative step of its first
+        # visit, then keep one (step, walker) entry per fresh cell.
+        row = row.astype(np.int8)
+        np.minimum.at(stamp, fresh, row)
+        first = stamp[fresh] == row
+        stamp[fresh] = _SEEN
+        row, col = row[first], col[first]
+        left[w] -= np.bincount(col, minlength=len(w))
+        done = left[w] == 0
+        last = np.zeros(len(w), dtype=np.int8)
+        np.maximum.at(last, col, row)
+        times[w[done]] = step + 1 + last[done].astype(np.int64)
+        return done
+
     active = np.zeros(walkers, dtype=bool)
-    active[live] = True
+    active[walking[_walk(g, pos[walking], step_cap, rng, settle)]] = True
     estimates = [
         _summarize(t, a, step_cap, start=int(s))
         for s, t, a in zip(

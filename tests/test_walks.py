@@ -291,6 +291,44 @@ def test_cover_batched_reproducible(toy_dist):
     assert first.hits + first.censored == first.reps
 
 
+@pytest.mark.parametrize("block", [1, 7, walks.WALK_BLOCK])
+def test_walkers_exact_across_block_boundaries(monkeypatch, block):
+    # On a directed 200-cycle every walk is deterministic: covering takes
+    # 199 steps and reaching the vertex 150 ahead takes 150, whatever the
+    # block length. A cap equal to that count (199 is prime, so no block
+    # length above 1 divides it) is met by every walk; one step less
+    # censors them all.
+    monkeypatch.setattr(walks, "WALK_BLOCK", block)
+    g = directed_cycle(200)
+    for step_cap in (199, 1000):
+        cov = cover_time_mc(g, reps=40, step_cap=step_cap, rng_seed=4)
+        assert cov.censored == 0 and np.all(cov.samples == 199)
+    with pytest.raises(CensoredError):
+        cover_time_mc(g, reps=40, step_cap=198, rng_seed=4)
+    for step_cap in (150, 1000):
+        hit = hitting_time_mc(g, 30, 180, reps=40, step_cap=step_cap, rng_seed=4)
+        assert hit.censored == 0 and np.all(hit.samples == 150)
+    with pytest.raises(CensoredError):
+        hitting_time_mc(g, 30, 180, reps=40, step_cap=149, rng_seed=4)
+
+
+def test_walk_block_shrinks_for_many_walkers(monkeypatch):
+    # A block holds at most WALK_BLOCK_CELLS uniforms, and the last block
+    # is cut at the step cap.
+    monkeypatch.setattr(walks, "WALK_BLOCK_CELLS", 100)
+    g = directed_cycle(20)
+    shapes = []
+
+    def settle(step, live, tails):
+        shapes.append(tails.shape)
+        return live % 2 == 1  # the first block stops half the walkers
+
+    left = walks._walk(g, np.zeros(60, dtype=np.int64), 5,
+                       np.random.default_rng(0), settle)
+    assert shapes == [(1, 60), (3, 30), (1, 30)]
+    assert np.array_equal(left, np.arange(0, 60, 2))
+
+
 def exact_cover_times(g: Multigraph, support) -> np.ndarray:
     """Expected steps to visit every support vertex, from each start, by a
     linear solve over (position, visited set) states."""
@@ -333,6 +371,22 @@ def test_cover_matches_exact_small_graph():
     assert len(starts) >= 4
 
 
+def test_cover_matches_exact_slow_graph():
+    # Heavy self-loops hold each walker at a vertex for about 60 steps on
+    # average, so covering takes hundreds of steps and spans many blocks.
+    edges = [(0, 1, 1), (1, 2, 1), (1, 3, 1), (2, 0, 1), (3, 4, 1), (4, 0, 1),
+             (4, 2, 1)] + [(v, v, 60) for v in range(5)]
+    g = Multigraph.from_edges(edges)
+    support = stationary_distribution(g).support
+    assert support.tolist() == [0, 1, 2, 3, 4]
+    exact = exact_cover_times(g, support)
+    assert exact.min() > walks.WALK_BLOCK
+    for seed in range(4):
+        est = cover_time_mc(g, reps=1000, step_cap=10**5, rng_seed=seed, n_starts=1)
+        assert est.censored == 0
+        assert abs(est.mean - exact[est.start]) <= 4 * est.se
+
+
 def test_cover_censoring_consistent():
     # A lollipop: the cycle 0..5 plus a self-loop at 0 and the pendant
     # vertex 6 feeding into it. Some walkers cover the cycle within the cap
@@ -370,27 +424,52 @@ def test_walkers_reject_bad_vertices():
         cover_time_mc(g, reps=10, step_cap=100, rng_seed=0, n_starts=0)
 
 
+def test_walkers_reject_non_integer_counts():
+    # A fractional cap would let a 9-step walk count as a hit under 8.5.
+    g = directed_cycle(10)
+    for reps, step_cap in ((5, 8.5), (5.0, 100), (True, 100), (5, True)):
+        with pytest.raises(ValidationError):
+            hitting_time_mc(g, 0, 9, reps=reps, step_cap=step_cap)
+    for reps, step_cap, n_starts in ((20.0, 100, 2), (20, 100.0, 2), (20, 100, 2.5),
+                                     (20, 100, True)):
+        with pytest.raises(ValidationError):
+            cover_time_mc(g, reps=reps, step_cap=step_cap, n_starts=n_starts)
+    est = hitting_time_mc(g, 0, 9, reps=np.int64(5), step_cap=np.int32(9))
+    assert est.mean == 9.0 and est.censored == 0
+
+
 class ConstantUniforms:
-    """Generator stub whose `random` returns one value for every draw."""
+    """Generator stub whose `random` fills every draw with one value."""
 
     def __init__(self, value: float):
         self.value = value
 
-    def random(self, size: int) -> np.ndarray:
-        return np.full(size, self.value)
+    def random(self, shape) -> np.ndarray:
+        return np.full(shape, self.value)
 
 
 @pytest.mark.parametrize("value, last", [(np.nextafter(1.0, 0.0), True), (0.0, False)])
 def test_step_takes_out_edge_of_uniform(value, last):
     # The largest uniform picks the last out-edge of every vertex, zero the
-    # first, at out-degrees 1 to 9.
+    # first, at out-degrees 1 to 9, on the first step and the next.
     edges = [(v, (v + j) % 10, 1) for v in range(9) for j in range(1, v + 2)]
     g = Multigraph.from_edges(edges + [(9, 0, 1)])
     succ = g.successors()
+    blocks = []
+
+    def settle(step, live, tails):
+        blocks.append((step, live, tails.copy()))
+        return np.ones(len(live), dtype=bool)
+
     pos = np.repeat(np.arange(g.n), 3)
-    step = walks._advance(g.d_out, g.tail_ptr, succ, pos, ConstantUniforms(value))
-    edge = g.tail_ptr[pos + 1] - 1 if last else g.tail_ptr[pos]
-    assert np.array_equal(step, succ[edge])
+    left = walks._walk(g, pos, 2, ConstantUniforms(value), settle)
+    assert len(left) == 0
+    (step, live, tails), = blocks
+    assert step == 0 and np.array_equal(live, np.arange(len(pos)))
+    for t in tails:
+        edge = g.tail_ptr[pos + 1] - 1 if last else g.tail_ptr[pos]
+        assert np.array_equal(t, edge)
+        pos = succ[t]
 
 
 def test_step_weights_parallel_edges():
