@@ -40,11 +40,6 @@ ACCEPT_RESIDUAL = 1e-10
 MAX_POWER_ITER = 10**6
 CROSS_CHECK_MAX_N = 2000
 HITTING_MATRIX_MAX_K = 2500
-# Fewest targets for which one dense fundamental-matrix solve beats a sparse
-# solve per target. On sampled graphs with in/out-degrees 3-4 and k = 100 to
-# 2000 support vertices, the dense solve cost as much as 0.3 to 2.9 sparse
-# solves (LU fill-in makes each sparse solve nearly dense).
-HITTING_MATRIX_MIN_TARGETS = 3
 # Steps per block of the Monte Carlo walkers (`_walk`): one draw of
 # uniforms and one round of visit, arrival and trap bookkeeping per block.
 # It stays below _UNSEEN, so a block-relative step fits an int8 stamp.
@@ -104,16 +99,17 @@ class WalkTimes:
     estimate and Matthews' bound. `targets` are the SCC's vertices, sorted."""
 
     targets: np.ndarray
-    hitting: np.ndarray  # shape (len(targets), n); hitting[j, x] = E[tau_x(y_j)]
+    hitting: np.ndarray  # H of `hitting_matrix`: hitting[x, j] = E[tau_x(y_j)]
     t_hit: float
     t_cov: HittingEstimate
     matthews_upper: float
 
     def hitting_time(self, x: int, y: int) -> float:
+        x, y = _check_vertices(len(self.hitting), (x, y), "vertex")
         j = int(np.searchsorted(self.targets, y))
         if j >= len(self.targets) or self.targets[j] != y:
             raise ValidationError(f"{y} is not one of the solved targets")
-        return float(self.hitting[j, x])
+        return float(self.hitting[x, j])
 
 
 def transition_matrix(g: Multigraph) -> sp.csr_matrix:
@@ -127,16 +123,14 @@ def transition_matrix(g: Multigraph) -> sp.csr_matrix:
 def stationary_distribution(
     g: Multigraph,
     tol: float = POWER_TOL,
-    cross_check: bool | None = None,
 ) -> StationaryResult:
     """Stationary distribution of the walk, supported on the attractive SCC.
 
     Power iteration runs on the lazy kernel until the plain-kernel residual
     ||pi P - pi||_1 drops below `tol`, and raises NumericalError after
     MAX_POWER_ITER iterations without that. For graphs with at most 2000
-    vertices (or when cross_check=True), a square dense LU solve of the
-    balance equations with one replaced by sum(pi) = 1 verifies the result
-    to 1e-10 in sup norm.
+    vertices, a square dense LU solve of the balance equations with one
+    replaced by sum(pi) = 1 verifies the result to 1e-10 in sup norm.
     """
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol}")
@@ -170,7 +164,7 @@ def stationary_distribution(
     pi_min_rel_residual = float(gap[v] / pi[v])
 
     linf = None
-    if cross_check or (cross_check is None and g.n <= CROSS_CHECK_MAX_N):
+    if g.n <= CROSS_CHECK_MAX_N:
         direct = _direct_stationary(p_sub)
         linf = float(np.max(np.abs(direct - pi)))
         if linf > ACCEPT_RESIDUAL:
@@ -238,57 +232,22 @@ def empirical_tail(result: StationaryResult, alpha: float) -> float:
     return float((sub <= threshold).sum()) / n
 
 
-class _HittingSolver:
-    """Per-target sparse solves of E[tau_x(y)], for targets that the
-    fundamental matrix does not cover (single or off-support targets)."""
-
-    def __init__(self, g: Multigraph):
-        self.n = g.n
-        self.p = transition_matrix(g)
-        # sink_of[v]: label of the closed class holding v, or -1 for a
-        # transient vertex.
-        labels, closed = closed_classes(g)
-        self.sink_of = np.where(closed[labels], labels, -1)
-        # Column v of P lists the predecessors of v, for reverse reachability.
-        self.pred = self.p.tocsc()
-
-    def solve(self, y: int) -> np.ndarray:
-        """E[tau_x(y)] for all x; +inf where y is not hit with probability 1."""
-        # States that can reach a closed class other than y's without
-        # stepping on y first have hitting probability < 1, hence infinite
-        # expectation.
-        sink = self.sink_of
-        blocked = (sink >= 0) & (sink != sink[y])
-        stack = np.flatnonzero(blocked).tolist()
-        while stack:
-            v = stack.pop()
-            for u in self.pred.indices[self.pred.indptr[v] : self.pred.indptr[v + 1]]:
-                if not blocked[u] and u != y:
-                    blocked[u] = True
-                    stack.append(int(u))
-        finite = ~blocked
-        finite[y] = True
-        h = np.full(self.n, np.inf)
-        h[y] = 0.0
-        others = np.nonzero(finite & (np.arange(self.n) != y))[0]
-        if len(others) == 0:
-            return h
-        sub = self.p[others][:, others]
-        ident = sp.identity(len(others), format="csr")
-        rhs = np.ones(len(others))
-        sol = spla.spsolve((ident - sub).tocsc(), rhs)
-        h[others] = sol
-        return h
-
-
-def _check_vertices(g: Multigraph, vertices, what: str) -> np.ndarray:
+def _check_vertices(n: int, vertices, what: str) -> np.ndarray:
     """`vertices` (one or many) as a flat int64 array, after checking each
-    is in 0..n-1. The check runs before the int64 conversion, so an integer
-    too large for int64 is reported as out of range too."""
-    v = np.asarray(vertices).reshape(-1)
-    bad = (v < 0) | (v >= g.n)
+    is an integer in 0..n-1. A bool or a float id is refused, not rounded.
+    The range check runs before the int64 conversion, so an integer too
+    large for int64 is reported as out of range too."""
+    v = np.asarray(vertices)
+    # np.asarray reads (True, 0) as ints, so ids that do not come as an
+    # integer array are checked one by one.
+    if not (isinstance(vertices, np.ndarray) and v.dtype.kind in "iu"):
+        ids = np.asarray(vertices, dtype=object).reshape(-1).tolist()
+        if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in ids):
+            raise ValidationError(f"{what} ids must be integers, got {vertices!r}")
+    v = v.reshape(-1)
+    bad = (v < 0) | (v >= n)
     if bad.any():
-        raise ValidationError(f"{what} {v[bad][0]} outside 0..{g.n - 1}")
+        raise ValidationError(f"{what} {v[bad][0]} outside 0..{n - 1}")
     return v.astype(np.int64, copy=False)
 
 
@@ -296,12 +255,40 @@ def hitting_times_exact(g: Multigraph, y: int) -> np.ndarray:
     """Expected steps to hit y from every vertex, by a sparse linear solve.
 
     States that fail to hit y with probability 1 (they can drain into a
-    closed class avoiding y) are reported as +inf.
+    closed class avoiding y) are reported as +inf. This is the independent
+    reference for `hitting_matrix`, and the one exact route to a target
+    outside the attractive SCC.
     """
     if g.n > 5000:
         raise ValidationError("exact hitting times budgeted for n <= 5000")
-    _check_vertices(g, y, "target")
-    return _HittingSolver(g).solve(y)
+    y = _check_vertices(g.n, y, "target").item()
+    p = transition_matrix(g)
+    # sink[v]: label of the closed class holding v, or -1 for a transient
+    # vertex. States that can reach a closed class other than y's without
+    # stepping on y first have hitting probability < 1, hence infinite
+    # expectation.
+    labels, closed = closed_classes(g)
+    sink = np.where(closed[labels], labels, -1)
+    blocked = (sink >= 0) & (sink != sink[y])
+    # Column v of P lists the predecessors of v, for reverse reachability.
+    pred = p.tocsc()
+    stack = np.flatnonzero(blocked).tolist()
+    while stack:
+        v = stack.pop()
+        for u in pred.indices[pred.indptr[v] : pred.indptr[v + 1]]:
+            if not blocked[u] and u != y:
+                blocked[u] = True
+                stack.append(int(u))
+    finite = ~blocked
+    finite[y] = True
+    h = np.full(g.n, np.inf)
+    h[y] = 0.0
+    others = np.nonzero(finite & (np.arange(g.n) != y))[0]
+    if len(others) == 0:
+        return h
+    a = sp.identity(len(others), format="csr") - p[others][:, others]
+    h[others] = spla.spsolve(a.tocsc(), np.ones(len(others)))
+    return h
 
 
 def return_time_exact(g: Multigraph, x: int) -> float:
@@ -312,43 +299,29 @@ def return_time_exact(g: Multigraph, x: int) -> float:
 def return_times_exact(g: Multigraph, vertices) -> np.ndarray:
     """Expected return times E[tau+_x] for many vertices x.
 
-    The hitting times come from one fundamental-matrix solve when every
-    vertex is in the attractive SCC, else from one sparse solve per vertex.
+    A vertex x of the attractive SCC gets 1 + the mean over its out-edges
+    of E[tau_dst(x)], read from `hitting_matrix`; a vertex outside it is
+    transient and gets +inf. Raises NonUniqueError, as `hitting_matrix`
+    does, when there is no attractive SCC.
     """
-    xs = _check_vertices(g, vertices, "vertex")
+    xs = _check_vertices(g.n, vertices, "vertex")
     if len(xs) == 0:
         return np.empty(0)
-    times = _target_times(g, attractive_scc(g), xs)
+    targets, hitting = hitting_matrix(g)
+    col = np.full(g.n, -1)
+    col[targets] = np.arange(len(targets))
+    j = col[xs]
+    on = j >= 0
+    times = np.full(len(xs), np.inf)
+    xs, j = xs[on], j[on]
     # Out-edges of each x, owner[j] = position in xs of the tail of edges[j].
     deg = g.d_out[xs]
     owner = np.repeat(np.arange(len(xs)), deg)
     first = np.cumsum(deg) - deg
     edges = np.repeat(g.tail_ptr[xs] - first, deg) + np.arange(len(owner))
-    steps = times[owner, g.successors()[edges]]
-    return 1.0 + np.bincount(owner, weights=steps, minlength=len(xs)) / deg
-
-
-def _target_times(
-    g: Multigraph, comp: np.ndarray | None, targets: np.ndarray
-) -> np.ndarray:
-    """E[tau_x(y)] with one row per target y and one column per vertex x.
-
-    At least HITTING_MATRIX_MIN_TARGETS targets inside an attractive SCC of
-    at most HITTING_MATRIX_MAX_K vertices share one fundamental-matrix
-    solve; any other request falls back to a sparse solve per target.
-    """
-    if (
-        comp is not None
-        and len(targets) >= HITTING_MATRIX_MIN_TARGETS
-        and len(comp) <= HITTING_MATRIX_MAX_K
-        and np.isin(targets, comp).all()
-    ):
-        h = _hitting_matrix(g, comp)
-        if np.array_equal(targets, comp):
-            return h.T
-        return h[:, np.searchsorted(comp, targets)].T
-    solver = _HittingSolver(g)
-    return np.vstack([solver.solve(int(y)) for y in targets])
+    steps = hitting[g.successors()[edges], j[owner]]
+    times[on] = 1.0 + np.bincount(owner, weights=steps, minlength=len(xs)) / deg
+    return times
 
 
 def hitting_matrix(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +333,7 @@ def hitting_matrix(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
     (Kemeny & Snell): pi = u G, the column means of G, and
     m(x, y) = (G[y, y] - G[x, y]) / pi(y). Transient starts add their entry
     time and entry distribution into the support. Much faster than a linear
-    solve per target; the per-target solver cross-checks it in the tests.
+    solve per target; `hitting_times_exact` cross-checks it in the tests.
     """
     comp = attractive_scc(g)
     if comp is None:
@@ -369,11 +342,6 @@ def hitting_matrix(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(
             f"hitting_matrix budgeted for supports up to {HITTING_MATRIX_MAX_K}"
         )
-    return comp, _hitting_matrix(g, comp)
-
-
-def _hitting_matrix(g: Multigraph, comp: np.ndarray) -> np.ndarray:
-    """H of `hitting_matrix` for the attractive SCC `comp`."""
     p = transition_matrix(g)
     k = len(comp)
     # I - P + 1 u, built in place on the dense restriction of P.
@@ -387,7 +355,7 @@ def _hitting_matrix(g: Multigraph, comp: np.ndarray) -> np.ndarray:
     np.subtract(z.diagonal().copy(), z, out=z)
     z /= pi
     if k == g.n:
-        return z
+        return comp, z
     transient = np.setdiff1d(np.arange(g.n), comp)
     h = np.empty((g.n, k))
     h[comp] = z
@@ -397,7 +365,7 @@ def _hitting_matrix(g: Multigraph, comp: np.ndarray) -> np.ndarray:
     entry_steps = lu.solve(np.ones(len(transient)))
     entry_dist = lu.solve(t_rows[:, comp].toarray())
     h[transient] = entry_steps[:, None] + entry_dist @ z
-    return h
+    return comp, h
 
 
 def walk_times_exact(
@@ -406,10 +374,7 @@ def walk_times_exact(
     """Exact maximal hitting time onto the attractive SCC, a Monte Carlo
     cover-time estimate, and Matthews' bound. The cover walkers stop at
     max(10^4, 50 * Matthews' bound) steps."""
-    comp = attractive_scc(g)
-    if comp is None:
-        raise NonUniqueError()
-    hitting = _target_times(g, comp, comp)
+    comp, hitting = hitting_matrix(g)
     t_hit = float(hitting[np.isfinite(hitting)].max())
     bound = matthews_bound(t_hit, len(comp))
     step_cap = max(10_000, int(50 * bound))
@@ -432,7 +397,7 @@ def _check_walkable(g: Multigraph, vertices: tuple = (), **counts: int) -> None:
             raise ValidationError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise ValidationError(f"{name} must be >= 1, got {value}")
-    _check_vertices(g, vertices, "vertex")
+    _check_vertices(g.n, vertices, "vertex")
     if np.any(g.d_out == 0):
         raise NonUniqueError("vertex with out-degree 0: walk transitions undefined")
 

@@ -243,9 +243,48 @@ def test_return_times_batch_matches_solver(toy_dist):
     g = sample_dcm(seq, rng_seed=6)
     support = stationary_distribution(g).support
     batched = return_times_exact(g, support)
+    succ = g.successors()
+    # Reference: one sparse solve per vertex, independent of hitting_matrix.
     for i in (0, len(support) // 3, len(support) - 1):
-        single = return_time_exact(g, int(support[i]))
-        assert batched[i] == pytest.approx(single, rel=1e-9)
+        x = int(support[i])
+        dst = succ[g.tail_ptr[x] : g.tail_ptr[x] + g.d_out[x]]
+        reference = 1.0 + hitting_times_exact(g, x)[dst].mean()
+        assert batched[i] == pytest.approx(reference, rel=1e-9)
+
+
+def test_return_time_of_transient_vertex_is_infinite():
+    # 2 -> 0 <-> 1 with a loop at 2: a walk from 2 that leaves never returns.
+    g = Multigraph.from_edges([(0, 1, 1), (1, 0, 1), (2, 0, 1), (2, 2, 1)])
+    assert return_times_exact(g, [2, 0]).tolist() == [math.inf, 2.0]
+    assert return_time_exact(g, 2) == math.inf
+    assert 1.0 + hitting_times_exact(g, 2)[[0, 2]].mean() == math.inf
+
+
+def test_return_times_need_attractive_scc():
+    g = Multigraph.from_edges([(0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, 1)])
+    with pytest.raises(NonUniqueError):
+        return_times_exact(g, [0])
+    assert return_times_exact(g, []).shape == (0,)
+
+
+def test_walk_times_refuse_large_support_before_solving(monkeypatch):
+    # Every exact solve starts from transition_matrix; none may run.
+    def no_solve(g):
+        raise AssertionError("solve started")
+
+    monkeypatch.setattr(walks, "transition_matrix", no_solve)
+    with pytest.raises(ValidationError, match="budgeted"):
+        walk_times_exact(directed_cycle(walks.HITTING_MATRIX_MAX_K + 100))
+
+
+def test_walk_times_hitting_time_checks_vertices():
+    times = walk_times_exact(directed_cycle(5), cover_reps=20, rng_seed=1)
+    assert times.hitting.shape == (5, 5)
+    assert times.hitting_time(0, 3) == pytest.approx(3.0, abs=1e-12)
+    assert times.hitting_time(np.int64(4), 0) == pytest.approx(1.0, abs=1e-12)
+    for x, y in ((-1, 0), (5, 0), (1.5, 0), (True, 0), (0, 2.0), (0, 5)):
+        with pytest.raises(ValidationError):
+            times.hitting_time(x, y)
 
 
 def test_hitting_mc_cycle_exact():
@@ -411,13 +450,20 @@ def test_cover_all_censored():
 def test_walkers_reject_bad_vertices():
     # 2**70 does not fit in int64; it is out of range all the same.
     g = directed_cycle(3)
-    for x, y in ((0, 9), (-1, 0), (3, 1), (2**70, 0)):
+    # A bool or a non-integral id is refused, not truncated.
+    for x, y in ((0, 9), (-1, 0), (3, 1), (2**70, 0), (1.5, 0), (0, 1.5), (True, 0)):
         with pytest.raises(ValidationError):
             hitting_time_mc(g, x, y, reps=10, step_cap=100, rng_seed=0)
+    for y in (2**70, True, 1.5, np.float64(1.0)):
+        with pytest.raises(ValidationError):
+            hitting_times_exact(g, y)
+    for xs in ([0, 2**70], [0, 1.5], [True, 0], np.array([0.0, 1.0])):
+        with pytest.raises(ValidationError):
+            return_times_exact(g, xs)
     with pytest.raises(ValidationError):
-        hitting_times_exact(g, 2**70)
-    with pytest.raises(ValidationError):
-        return_times_exact(g, [0, 2**70])
+        return_time_exact(g, 2.7)
+    assert hitting_times_exact(g, np.int64(1))[0] == pytest.approx(1.0)
+    assert return_times_exact(g, np.array([2], dtype=np.uint8))[0] == pytest.approx(3.0)
     with pytest.raises(ValidationError):
         hitting_time_mc(g, 0, 1, reps=0, step_cap=100, rng_seed=0)
     with pytest.raises(ValidationError):
@@ -513,7 +559,7 @@ def test_power_iteration_matches_direct(toy_dist):
     for seed in range(3):
         g = sample_dcm(seq, rng_seed=seed)
         try:
-            res = stationary_distribution(g, cross_check=True)
+            res = stationary_distribution(g)
         except NonUniqueError:
             continue
         assert res.cross_check_linf is not None
@@ -612,7 +658,7 @@ def test_direct_stationary_matches_lstsq_reference(toy_dist):
 def test_cross_check_catches_early_stopped_power_iteration(toy_dist):
     g = sample_dcm(realize_sequence(toy_dist, 400), rng_seed=0)
     with pytest.raises(NumericalError, match="disagree"):
-        stationary_distribution(g, tol=1e-4, cross_check=True)
+        stationary_distribution(g, tol=1e-4)
 
 
 def test_direct_stationary_singular_system_is_numerical_error():
