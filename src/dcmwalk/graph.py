@@ -9,6 +9,12 @@ stores only its degree arrays and the pairing: the owner of each half-edge
 and each vertex's first half-edge (`tail_ptr`, `head_ptr`) are derived from
 the degrees on access, so a caller that uses one in a loop reads it once.
 Sampled graphs are immutable and shareable.
+
+Structure comes before values. `Multigraph.adjacency` is the cached
+multiplicity CSR; the SCC, closed-class and reachability searches read only
+its pattern. `Multigraph.csr`, the transition matrix, shares its index arrays
+and adds one float per entry, and `_closed_block` builds those values only for
+the rows of the attractive block, after releasing both caches.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ CLOSED_TEST_ROWS = 1 << 14
 # Entries per chunk when `_closed_block` relabels its columns in place: the
 # gathered temporary then spans one chunk, not the whole block.
 RELABEL_CHUNK = 1 << 16
+# Rows per chunk when `_transition_values` turns multiplicities into
+# transition values: its temporaries then span one chunk of rows.
+VALUE_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -93,38 +102,51 @@ class Multigraph:
         return self.head_vertex[self.match]
 
     @cached_property
-    def csr(self) -> sp.csr_matrix:
-        """Canonical read-only CSR of the walk, built once per graph.
+    def adjacency(self) -> sp.csr_matrix:
+        """Canonical read-only multiplicity CSR of the graph, built once per
+        graph.
 
         Row u holds u's distinct out-neighbours in increasing order, valued
-        mult(u, v) / d_out(u) (1 / d_out(u) summed per parallel edge): the
-        pattern is the adjacency, the values the transition matrix. The rows
-        are the tail blocks, merged by sum_duplicates because scipy's
-        strong-component search stalls on duplicate columns; the merge works
-        in place, so indptr starts as a fresh tail_ptr. The column
-        indices are gathered straight into int32 while n < 2^31, the dtype
-        scipy stores, rather than through the intp `successors()`.
-        Out-degree-0 vertices own no tail, so their (unused) reciprocal is
-        taken of 1.
+        mult(u, v) in the narrowest unsigned dtype that holds d_out.max().
+        The rows are the tail blocks, merged by sum_duplicates because
+        scipy's strong-component search stalls on duplicate columns; the
+        merge works in place, so indptr starts as a fresh tail_ptr. The
+        column indices are gathered straight into int32 while n < 2^31, the
+        dtype scipy stores, rather than through the intp `successors()`.
 
-        This module owns the cache policy: `_closed_block`, which copies a
-        closed block out for the stationary power loop, releases the cache
-        once the block's rows are selected, so the loop does not hold the
-        whole CSR; the next access rebuilds it. A graph whose attractive SCC
-        spans every vertex keeps it."""
+        The structural searches (`sccs`, `closed_classes`, the walkers'
+        reachability) read only its pattern, through `_pattern`; `csr`
+        shares its index arrays. `_closed_block` releases both caches."""
         vertices = np.arange(self.n, dtype=_index_dtype(self.n))
+        mult = np.ones(self.m, dtype=np.min_scalar_type(int(self.d_out.max())))
         mat = sp.csr_matrix(
-            (
-                np.repeat(1.0 / np.maximum(self.d_out, 1), self.d_out),
-                np.repeat(vertices, self.d_in)[self.match],
-                self.tail_ptr,
-            ),
+            (mult, np.repeat(vertices, self.d_in)[self.match], self.tail_ptr),
             shape=(self.n, self.n),
         )
         mat.sum_duplicates()
         for arr in (mat.data, mat.indices, mat.indptr):
             arr.flags.writeable = False
         return mat
+
+    @cached_property
+    def csr(self) -> sp.csr_matrix:
+        """Canonical read-only CSR of the walk, built once per graph.
+
+        It has the pattern of `adjacency`, whose index arrays it shares, and
+        the transition values mult(u, v) / d_out(u), formed as
+        sum_duplicates forms them: 1 / d_out(u) added left to right once per
+        parallel edge (`_transition_values`). Out-degree-0 vertices own no
+        entry.
+
+        This module owns the cache policy: `_closed_block`, which builds a
+        closed block for the stationary power loop, releases this cache and
+        `adjacency` once the block's rows are selected, so the loop holds
+        neither; the next access rebuilds them. A graph whose attractive SCC
+        spans every vertex keeps both."""
+        adj = self.adjacency
+        values = _transition_values(adj.data, adj.indptr, self.d_out)
+        values.flags.writeable = False
+        return sp.csr_matrix((values, adj.indices, adj.indptr), shape=adj.shape)
 
     def edge_multiplicities(self) -> dict[tuple[int, int], int]:
         """Multiplicity of each (src, dst) pair that has an edge, in sorted order."""
@@ -241,9 +263,44 @@ def sample_rout(n: int, r: int, rng_seed: int | np.random.SeedSequence = 0) -> M
     return _from_successors(targets, np.full(n, r, dtype=np.int64))
 
 
+def _transition_values(
+    mult: np.ndarray, indptr: np.ndarray, d_out: np.ndarray
+) -> np.ndarray:
+    """Transition values of CSR rows with multiplicities `mult`, row
+    pointers `indptr` and out-degrees `d_out`: 1 / d_out added left to right
+    mult times per entry, the float order of sum_duplicates over the
+    unmerged rows (out-degree 0 is taken as 1; such a row has no entry).
+    Built VALUE_ROWS rows at a time."""
+    values = np.empty(len(mult))
+    for lo in range(0, len(d_out), VALUE_ROWS):
+        hi = min(lo + VALUE_ROWS, len(d_out))
+        span = slice(indptr[lo], indptr[hi])
+        out, copies = values[span], mult[span]
+        step = np.repeat(1.0 / np.maximum(d_out[lo:hi], 1), np.diff(indptr[lo : hi + 1]))
+        out[:] = step
+        dup = np.flatnonzero(copies > 1)
+        step, added = step[dup], 1
+        while len(dup):
+            out[dup] += step
+            added += 1
+            keep = copies[dup] > added
+            dup, step = dup[keep], step[keep]
+    return values
+
+
+def _pattern(g: Multigraph) -> sp.csr_matrix:
+    """The pattern of `g.adjacency` as a float CSR for scipy's graph
+    searches, which read only indices and indptr: its data is one
+    zero-stride 1.0, so no per-edge value is stored or copied."""
+    adj = g.adjacency
+    return sp.csr_matrix(
+        (np.broadcast_to(1.0, adj.nnz), adj.indices, adj.indptr), shape=adj.shape
+    )
+
+
 def sccs(g: Multigraph) -> tuple[int, np.ndarray]:
     """Strongly connected component labeling (count, per-vertex labels)."""
-    n_comp, labels = connected_components(g.csr, directed=True, connection="strong")
+    n_comp, labels = connected_components(_pattern(g), directed=True, connection="strong")
     return int(n_comp), labels
 
 
@@ -255,7 +312,7 @@ def closed_classes(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
     n_comp, labels = sccs(g)
     closed = np.ones(n_comp, dtype=bool)
     if n_comp > 1:
-        indptr, indices = g.csr.indptr, g.csr.indices
+        indptr, indices = g.adjacency.indptr, g.adjacency.indices
         for lo in range(0, g.n, CLOSED_TEST_ROWS):
             hi = min(lo + CLOSED_TEST_ROWS, g.n)
             src = np.repeat(labels[lo:hi], np.diff(indptr[lo : hi + 1]))
@@ -266,13 +323,16 @@ def closed_classes(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
 
 def _closed_block(g: Multigraph, comp: np.ndarray) -> sp.csr_matrix:
     """`g.csr[comp][:, comp]` for a closed, sorted vertex set `comp` that
-    leaves out some vertex, built as one copy: the selected rows keep their
-    data and indptr. The graph's cached CSR is released next, and then the
-    rows' columns are relabelled in place, RELABEL_CHUNK entries at a time.
-    Each row keeps its column order and the matvec its float order. An edge
-    leaving `comp` raises NumericalError."""
-    rows = g.csr[comp]
+    leaves out some vertex. The rows of `comp` are selected from
+    `g.adjacency` as one copy, which keeps its indptr; the graph's cached
+    `adjacency` and `csr` are released next. The rows' columns are then
+    relabelled in place, RELABEL_CHUNK entries at a time, and only then are
+    their transition values built (`_transition_values`). Each row keeps its
+    column order and its values' bits, so the matvec keeps its float order.
+    An edge leaving `comp` raises NumericalError."""
+    rows = g.adjacency[comp]
     vars(g).pop("csr", None)
+    vars(g).pop("adjacency", None)
     local = np.full(g.n, -1, dtype=rows.indices.dtype)
     local[comp] = np.arange(len(comp))
     cols = rows.indices
@@ -281,7 +341,9 @@ def _closed_block(g: Multigraph, comp: np.ndarray) -> sp.csr_matrix:
         chunk[:] = local[chunk]
         if chunk.min() < 0:
             raise NumericalError("attractive component has an outgoing edge")
-    return sp.csr_matrix((rows.data, cols, rows.indptr), shape=(len(comp),) * 2)
+    del local
+    values = _transition_values(rows.data, rows.indptr, g.d_out[comp])
+    return sp.csr_matrix((values, cols, rows.indptr), shape=(len(comp),) * 2)
 
 
 def attractive_scc(g: Multigraph) -> np.ndarray | None:

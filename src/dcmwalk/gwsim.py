@@ -540,7 +540,12 @@ class _SplittingPopulation:
             sizes = np.repeat(self.block_sizes, self.counts)
             bounds = np.concatenate(([0], np.cumsum(sizes)))
             atom = sampler.draw_index(self.rng, int(bounds[-1]))
-            widths = np.add.reduceat(sampler.xi[atom], bounds[:-1])
+            # A width is at most its replica's size times the largest
+            # offspring count, so the per-node gather and its sums run in the
+            # narrowest dtype that holds that bound, not in int64.
+            top = np.min_scalar_type(int(self.block_sizes.max()) * int(sampler.xi.max()))
+            widths = np.add.reduceat(sampler.xi.astype(top)[atom], bounds[:-1], dtype=top)
+            widths = widths.astype(np.int64)
             u = np.where(
                 (widths > 0) & (widths < self.kill_width),
                 np.exp(-self.guide * (widths - sizes)),
@@ -606,9 +611,14 @@ class _SplittingPopulation:
 def _systematic_clones(u: np.ndarray, uniform: float) -> np.ndarray:
     """Systematic resampling (Douc, Cappe & Moulines 2005): with c = cumsum(u)
     / sum(u) (u >= 0, c_(R-1) = 1 exactly), replica r gets floor(R c_r + U) -
-    floor(R c_(r-1) + U) clones, none at zero weight, R in all (edges <= R)."""
-    cdf = np.cumsum(u)
-    edges = np.minimum(np.floor(cdf / cdf[-1] * len(u) + uniform), len(u))
+    floor(R c_(r-1) + U) clones, none at zero weight, R in all (edges <= R).
+    The edges are formed in place, in that order of operations."""
+    edges = np.cumsum(u)
+    edges /= edges[-1]
+    edges *= len(u)
+    edges += uniform
+    np.floor(edges, out=edges)
+    np.minimum(edges, len(u), out=edges)
     return np.diff(edges, prepend=0.0).astype(np.int64)
 
 

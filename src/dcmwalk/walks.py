@@ -33,7 +33,7 @@ from .errors import (
     UnreachableError,
     ValidationError,
 )
-from .graph import Multigraph, _closed_block, attractive_scc, closed_classes
+from .graph import Multigraph, _closed_block, _pattern, attractive_scc, closed_classes
 
 POWER_TOL = 1e-12
 ACCEPT_RESIDUAL = 1e-10
@@ -261,7 +261,10 @@ def hitting_times_exact(g: Multigraph, y: int) -> np.ndarray:
     """
     if g.n > 5000:
         raise ValidationError("exact hitting times budgeted for n <= 5000")
-    y = _check_vertices(g.n, y, "target").item()
+    ys = _check_vertices(g.n, y, "target")
+    if len(ys) != 1:
+        raise ValidationError(f"expected one target id, got {y!r}")
+    y = ys.item()
     p = transition_matrix(g)
     # sink[v]: label of the closed class holding v, or -1 for a transient
     # vertex. States that can reach a closed class other than y's without
@@ -270,8 +273,9 @@ def hitting_times_exact(g: Multigraph, y: int) -> np.ndarray:
     labels, closed = closed_classes(g)
     sink = np.where(closed[labels], labels, -1)
     blocked = (sink >= 0) & (sink != sink[y])
-    # Column v of P lists the predecessors of v, for reverse reachability.
-    pred = p.tocsc()
+    # Column v of the adjacency lists the predecessors of v, for reverse
+    # reachability.
+    pred = g.adjacency.tocsc()
     stack = np.flatnonzero(blocked).tolist()
     while stack:
         v = stack.pop()
@@ -496,13 +500,14 @@ def hitting_time_mc(
     for a given seed do.
     """
     _check_walkable(g, (x, y), reps=reps, step_cap=step_cap)
-    reach = breadth_first_order(g.csr, x, return_predecessors=False)
+    pattern = _pattern(g)
+    reach = breadth_first_order(pattern, x, return_predecessors=False)
     if y not in reach:
         raise UnreachableError(f"vertex {y} cannot be reached from vertex {x}")
     # trap[v]: y cannot be reached from v. None when every vertex a walker
     # can visit still reaches y, so y is hit almost surely.
     trap = np.ones(g.n, dtype=bool)
-    trap[breadth_first_order(g.csr.T, y, return_predecessors=False)] = False
+    trap[breadth_first_order(pattern.T, y, return_predecessors=False)] = False
     trap = trap if trap[reach].any() else None
     # Per tail: it leads to y; a walker taking it stops (at y or in a trap).
     succ = g.successors()

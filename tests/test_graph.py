@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -340,4 +341,30 @@ def test_shared_csr_canonical_and_matches_coo_reference():
         assert np.array_equal(adj.data, ref_p.data)
         if np.all(g.d_out > 0):
             assert transition_matrix(g) is adj
+        # Structure: the multiplicity adjacency, read-only, whose index
+        # arrays the transition matrix shares.
+        counts = g.adjacency
+        assert np.array_equal(counts.indptr, mult.indptr)
+        assert np.array_equal(counts.indices, mult.indices)
+        assert np.array_equal(counts.data, mult.data)
+        assert counts.data.dtype == np.min_scalar_type(int(g.d_out.max()))
+        assert np.shares_memory(counts.indices, adj.indices)
+        assert np.shares_memory(counts.indptr, adj.indptr)
+        for arr in (counts.data, counts.indices, counts.indptr, adj.data):
+            assert not arr.flags.writeable
     assert max_mult >= 4
+
+
+def test_scc_search_reads_the_pattern_only(toy_dist):
+    # The adjacency build plus the strong-component search, traced on a fresh
+    # graph, stays below 16 bytes per edge: int32 columns and narrow
+    # multiplicities, and no float value per edge, built or copied by scipy.
+    g = sample_dcm(realize_sequence(toy_dist, 2**16), rng_seed=5)
+    tracemalloc.start()
+    try:
+        sccs(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "csr" not in vars(g)
+    assert peak < 16 * g.m

@@ -784,7 +784,9 @@ def test_tail_runs_concurrently_in_run_order(toy_biased, monkeypatch):
 def test_advance_transient_memory_budget(toy_biased):
     # Populations advance two at a time on two cores; this budget keeps two
     # generations in flight near the peak that one took when each of its
-    # temporaries lived to the end of the generation (2.5 MB here).
+    # temporaries lived to the end of the generation (2.5 MB here). It also
+    # fails on an int64 gather of every drawn node's offspring count (1.80
+    # MB here) or on resampling edges built with one temporary per step.
     pop = _SplittingPopulation(
         _LawSampler(toy_biased), np.random.default_rng(0), 25000, 200, 0.7
     )
@@ -796,7 +798,7 @@ def test_advance_transient_memory_budget(toy_biased):
     finally:
         tracemalloc.stop()
     assert not pop.dead
-    assert peak <= 2.0e6
+    assert peak <= 1.7e6
 
 
 @pytest.mark.parametrize(

@@ -454,7 +454,8 @@ def test_walkers_reject_bad_vertices():
     for x, y in ((0, 9), (-1, 0), (3, 1), (2**70, 0), (1.5, 0), (0, 1.5), (True, 0)):
         with pytest.raises(ValidationError):
             hitting_time_mc(g, x, y, reps=10, step_cap=100, rng_seed=0)
-    for y in (2**70, True, 1.5, np.float64(1.0)):
+    # One target id: a list of two (or none) is refused, not a raw ValueError.
+    for y in (2**70, True, 1.5, np.float64(1.0), [1, 2], []):
         with pytest.raises(ValidationError):
             hitting_times_exact(g, y)
     for xs in ([0, 2**70], [0, 1.5], [True, 0], np.array([0.0, 1.0])):
