@@ -115,8 +115,9 @@ class Multigraph:
         dtype scipy stores, rather than through the intp `successors()`.
 
         The structural searches (`sccs`, `closed_classes`, the walkers'
-        reachability) read only its pattern, through `_pattern`; `csr`
-        shares its index arrays. `_closed_block` releases both caches."""
+        reachability) read only its pattern, scipy's through `_pattern`;
+        `csr` shares its index arrays. `_closed_block` releases both
+        caches."""
         vertices = np.arange(self.n, dtype=_index_dtype(self.n))
         mult = np.ones(self.m, dtype=np.min_scalar_type(int(self.d_out.max())))
         mat = sp.csr_matrix(
