@@ -10,11 +10,11 @@ and each vertex's first half-edge (`tail_ptr`, `head_ptr`) are derived from
 the degrees on access, so a caller that uses one in a loop reads it once.
 Sampled graphs are immutable and shareable.
 
-Structure comes before values. `Multigraph.adjacency` is the cached
-multiplicity CSR; the SCC, closed-class and reachability searches read only
-its pattern. `Multigraph.csr`, the transition matrix, shares its index arrays
-and adds one float per entry, and `_closed_block` builds those values only for
-the rows of the attractive block, after releasing both caches.
+Structure is cached, values are built per request. `Multigraph.adjacency`,
+the multiplicity CSR, is a graph's one cache; the SCC, closed-class and
+reachability searches read only its pattern. Transition values are built
+from it on each request: `_closed_block` builds them only for the rows of a
+closed block, after releasing the cache.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ class Multigraph:
 
         The structural searches (`sccs`, `closed_classes`, the walkers'
         reachability) read only its pattern, scipy's through `_pattern`;
-        `csr` shares its index arrays. `_closed_block` releases both
-        caches."""
+        `walks.transition_matrix` shares its index arrays. `_closed_block`
+        releases this cache; the next access rebuilds it."""
         vertices = np.arange(self.n, dtype=_index_dtype(self.n))
         mult = np.ones(self.m, dtype=np.min_scalar_type(int(self.d_out.max())))
         mat = sp.csr_matrix(
@@ -128,26 +128,6 @@ class Multigraph:
         for arr in (mat.data, mat.indices, mat.indptr):
             arr.flags.writeable = False
         return mat
-
-    @cached_property
-    def csr(self) -> sp.csr_matrix:
-        """Canonical read-only CSR of the walk, built once per graph.
-
-        It has the pattern of `adjacency`, whose index arrays it shares, and
-        the transition values mult(u, v) / d_out(u), formed as
-        sum_duplicates forms them: 1 / d_out(u) added left to right once per
-        parallel edge (`_transition_values`). Out-degree-0 vertices own no
-        entry.
-
-        This module owns the cache policy: `_closed_block`, which builds a
-        closed block for the stationary power loop, releases this cache and
-        `adjacency` once the block's rows are selected, so the loop holds
-        neither; the next access rebuilds them. A graph whose attractive SCC
-        spans every vertex keeps both."""
-        adj = self.adjacency
-        values = _transition_values(adj.data, adj.indptr, self.d_out)
-        values.flags.writeable = False
-        return sp.csr_matrix((values, adj.indices, adj.indptr), shape=adj.shape)
 
     def edge_multiplicities(self) -> dict[tuple[int, int], int]:
         """Multiplicity of each (src, dst) pair that has an edge, in sorted order."""
@@ -323,16 +303,15 @@ def closed_classes(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _closed_block(g: Multigraph, comp: np.ndarray) -> sp.csr_matrix:
-    """`g.csr[comp][:, comp]` for a closed, sorted vertex set `comp` that
-    leaves out some vertex. The rows of `comp` are selected from
-    `g.adjacency` as one copy, which keeps its indptr; the graph's cached
-    `adjacency` and `csr` are released next. The rows' columns are then
-    relabelled in place, RELABEL_CHUNK entries at a time, and only then are
-    their transition values built (`_transition_values`). Each row keeps its
-    column order and its values' bits, so the matvec keeps its float order.
-    An edge leaving `comp` raises NumericalError."""
+    """The transition matrix restricted to a closed, sorted vertex set
+    `comp`, which may be every vertex: P[comp][:, comp]. The rows of `comp`
+    are selected from `g.adjacency` as one copy, which keeps its indptr, and
+    the graph's cached `adjacency` is released next. The rows' columns are
+    then relabelled in place, RELABEL_CHUNK entries at a time, and only then
+    are their transition values built (`_transition_values`). Each row keeps
+    its column order and its values' bits, so the matvec keeps its float
+    order. An edge leaving `comp` raises NumericalError."""
     rows = g.adjacency[comp]
-    vars(g).pop("csr", None)
     vars(g).pop("adjacency", None)
     local = np.full(g.n, -1, dtype=rows.indices.dtype)
     local[comp] = np.arange(len(comp))

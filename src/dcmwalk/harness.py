@@ -59,6 +59,10 @@ class ExperimentConfig:
             raise ConfigError("seeds_per_n must be >= 1")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
+        if not 0.0 < self.power_tol < math.inf:
+            raise ConfigError(
+                f"power_tol must be positive and finite, got {self.power_tol}"
+            )
         unknown = set(self.measures) - {"t_hit"}
         if unknown:
             raise ConfigError(f"unknown measures {sorted(unknown)}")

@@ -21,7 +21,7 @@ from dcmwalk import (
 )
 from dcmwalk import graph as graph_module
 from dcmwalk.cli import main
-from dcmwalk.graph import _paired, closed_classes
+from dcmwalk.graph import _closed_block, _paired, closed_classes
 from dcmwalk.walks import transition_matrix
 
 
@@ -91,9 +91,10 @@ def test_csr_with_out_degree_zero_vertices_is_warning_free():
         sample_dcm(seq, rng_seed=2),
     ]
     for g in graphs:
+        # The whole vertex set is closed; its block is the full matrix.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            adj = g.csr
+            adj = _closed_block(g, np.arange(g.n))
         assert np.any(g.d_out == 0)
         tail = np.repeat(np.arange(g.n), g.d_out)
         ref = sp.csr_matrix((1.0 / g.d_out[tail], (tail, g.successors())), shape=adj.shape)
@@ -104,21 +105,26 @@ def test_csr_with_out_degree_zero_vertices_is_warning_free():
 def test_csr_indices_are_int32_and_match_intp_build(toy_dist, monkeypatch):
     graphs = [sample_dcm(realize_sequence(toy_dist, n), rng_seed=n) for n in (50, 3000)]
     graphs += [sample_rout(n, r, rng_seed=r) for n, r in ((40, 2), (2000, 3))]
-    # The build gathers int32 columns itself, never the intp successors.
+    # The builds gather int32 columns themselves, never the intp successors.
     with monkeypatch.context() as patch:
         patch.setattr(Multigraph, "successors", None)
+        built = []
         for g in graphs:
-            g.csr
-    for g in graphs:
-        adj = g.csr
+            mats = [_closed_block(g, np.arange(g.n))]
+            if np.all(g.d_out > 0):
+                mats.append(transition_matrix(g))
+            built.append(mats)
+    assert sum(map(len, built)) > len(graphs)
+    for g, mats in zip(graphs, built):
         ref = sp.csr_matrix(
             (np.repeat(1.0 / g.d_out, g.d_out), g.successors(), g.tail_ptr.copy()),
             shape=(g.n, g.n),
         )
         ref.sum_duplicates()
-        assert adj.indices.dtype == np.int32
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(adj, name), getattr(ref, name)), name
+        for adj in mats:
+            assert adj.indices.dtype == np.int32
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(adj, name), getattr(ref, name)), name
 
 
 @pytest.mark.parametrize(
@@ -153,8 +159,9 @@ def closed_classes_one_shot(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
     """Reference closed-class test over all out-edges at once."""
     n_comp, labels = sccs(g)
     closed = np.ones(n_comp, dtype=bool)
-    src = np.repeat(labels, np.diff(g.csr.indptr))
-    closed[src[src != labels[g.csr.indices]]] = False
+    adj = g.adjacency
+    src = np.repeat(labels, np.diff(adj.indptr))
+    closed[src[src != labels[adj.indices]]] = False
     return labels, closed
 
 
@@ -321,16 +328,17 @@ def test_shared_csr_canonical_and_matches_coo_reference():
     for g in multigraphs_with_parallel_edges():
         tail = np.repeat(np.arange(g.n), g.d_out)
         succ = g.successors()
-        adj = g.csr
-        assert adj.has_canonical_format
-        for u in range(g.n):
-            cols = adj.indices[adj.indptr[u]:adj.indptr[u + 1]]
-            assert np.all(np.diff(cols) > 0)
-        # Building the CSR leaves the half-edge arrays alone.
+        # The whole vertex set is closed: its block is the full matrix, and
+        # building it releases the graph's one cache.
+        block = _closed_block(g, np.arange(g.n))
+        assert "adjacency" not in vars(g)
+        mats = [block]
+        if np.all(g.d_out > 0):
+            mats += [transition_matrix(g), transition_matrix(g)]
+            assert mats[1] is not mats[2]  # built per call, never cached
+        # Building the CSRs leaves the half-edge arrays alone.
         assert np.array_equal(g.tail_ptr, np.concatenate(([0], np.cumsum(g.d_out))))
         mult = sp.csr_matrix((np.ones(g.m), (tail, succ)), shape=(g.n, g.n))
-        assert np.array_equal(adj.indptr, mult.indptr)
-        assert np.array_equal(adj.indices, mult.indices)
         max_mult = max(max_mult, int(mult.data.max()))
         ref_comp, ref_labels = connected_components(mult, directed=True, connection="strong")
         n_comp, labels = sccs(g)
@@ -338,9 +346,14 @@ def test_shared_csr_canonical_and_matches_coo_reference():
         # Values: the transition matrix, bit for bit (isolated vertices
         # have empty rows; the walk itself is undefined there).
         ref_p = sp.csr_matrix((1.0 / g.d_out[tail], (tail, succ)), shape=(g.n, g.n))
-        assert np.array_equal(adj.data, ref_p.data)
-        if np.all(g.d_out > 0):
-            assert transition_matrix(g) is adj
+        for adj in mats:
+            assert adj.has_canonical_format
+            for u in range(g.n):
+                cols = adj.indices[adj.indptr[u]:adj.indptr[u + 1]]
+                assert np.all(np.diff(cols) > 0)
+            assert np.array_equal(adj.indptr, mult.indptr)
+            assert np.array_equal(adj.indices, mult.indices)
+            assert np.array_equal(adj.data, ref_p.data)
         # Structure: the multiplicity adjacency, read-only, whose index
         # arrays the transition matrix shares.
         counts = g.adjacency
@@ -348,9 +361,10 @@ def test_shared_csr_canonical_and_matches_coo_reference():
         assert np.array_equal(counts.indices, mult.indices)
         assert np.array_equal(counts.data, mult.data)
         assert counts.data.dtype == np.min_scalar_type(int(g.d_out.max()))
-        assert np.shares_memory(counts.indices, adj.indices)
-        assert np.shares_memory(counts.indptr, adj.indptr)
-        for arr in (counts.data, counts.indices, counts.indptr, adj.data):
+        for adj in mats[1:]:
+            assert np.shares_memory(counts.indices, adj.indices)
+            assert np.shares_memory(counts.indptr, adj.indptr)
+        for arr in (counts.data, counts.indices, counts.indptr):
             assert not arr.flags.writeable
     assert max_mult >= 4
 
@@ -366,5 +380,6 @@ def test_scc_search_reads_the_pattern_only(toy_dist):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "csr" not in vars(g)
+    # The adjacency is the graph's one cache.
+    assert set(vars(g)) == {"n", "m", "d_in", "d_out", "match", "adjacency"}
     assert peak < 16 * g.m

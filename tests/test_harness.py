@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import time
 import warnings
 
@@ -47,6 +48,27 @@ def test_config_validation():
         ExperimentConfig(dist_json=toy_json(), n_ladder=(64, 32), seeds_per_n=1)
     with pytest.raises(ConfigError):
         ExperimentConfig(dist_json=toy_json(), n_ladder=(64,), seeds_per_n=0)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_config_rejects_bad_power_tol(tmp_path, capsys, tol):
+    with pytest.raises(ConfigError, match="power_tol"):
+        ExperimentConfig(dist_json=toy_json(), n_ladder=(64,), seeds_per_n=1, power_tol=tol)
+    blob = {"distribution": json.loads(toy_json()), "n_ladder": [64], "seeds_per_n": 1,
+            "power_tol": tol}
+    with pytest.raises(ConfigError, match="power_tol"):
+        ExperimentConfig.from_json(json.dumps(blob))
+    # A sweep whose every row is already done checks its tolerance too.
+    out = tmp_path / "sweep.csv"
+    run_exponent_sweep(
+        ExperimentConfig(dist_json=toy_json(), n_ladder=(64,), seeds_per_n=1), str(out)
+    )
+    done = out.read_bytes()
+    argv = ["--tol", repr(tol), "exponent-sweep", "--dist", write_toy(tmp_path),
+            "--n-ladder", "64", "--out", str(out)]
+    assert main(argv) == 2
+    assert "power_tol" in capsys.readouterr().err
+    assert out.read_bytes() == done
 
 
 def test_seed_derivation_stable():

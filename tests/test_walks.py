@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -155,6 +156,13 @@ def test_empirical_tail_definition(toy_dist):
     assert psi0 == pytest.approx(brute, abs=1e-15)
     # Far beyond the predicted exponent the tail is empty.
     assert empirical_tail(res, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("alpha", [-0.5, math.nan])
+def test_empirical_tail_rejects_bad_alpha(two_vertex, alpha):
+    res = stationary_distribution(two_vertex)
+    with pytest.raises(ValidationError):
+        empirical_tail(res, alpha)
 
 
 def test_empirical_tail_trend(toy_dist):
@@ -362,7 +370,7 @@ def test_walk_block_shrinks_for_many_walkers(monkeypatch):
         shapes.append(tails.shape)
         return live % 2 == 1  # the first block stops half the walkers
 
-    left = walks._walk(g, np.zeros(60, dtype=np.int64), 5,
+    left = walks._walk(g, g.successors(), np.zeros(60, dtype=np.int64), 5,
                        np.random.default_rng(0), settle)
     assert shapes == [(1, 60), (3, 30), (1, 30)]
     assert np.array_equal(left, np.arange(0, 60, 2))
@@ -509,7 +517,7 @@ def test_step_takes_out_edge_of_uniform(value, last):
         return np.ones(len(live), dtype=bool)
 
     pos = np.repeat(np.arange(g.n), 3)
-    left = walks._walk(g, pos, 2, ConstantUniforms(value), settle)
+    left = walks._walk(g, succ, pos, 2, ConstantUniforms(value), settle)
     assert len(left) == 0
     (step, live, tails), = blocks
     assert step == 0 and np.array_equal(live, np.arange(len(pos)))
@@ -586,9 +594,16 @@ def test_pi_min_rel_residual_matches_direct(toy_dist, two_vertex):
     assert checked >= 4
 
 
+def reference_transition(g: Multigraph) -> sp.csr_matrix:
+    """The walk's transition matrix built from the tails' COO triples, apart
+    from the graph module's builders (out-degree-0 rows stay empty)."""
+    tail = g.tail_vertex
+    return sp.csr_matrix((1.0 / g.d_out[tail], (tail, g.successors())), shape=(g.n, g.n))
+
+
 def attractive_block(g: Multigraph) -> sp.csr_matrix:
     comp = attractive_scc(g)
-    return g.csr[comp][:, comp]
+    return reference_transition(g)[comp][:, comp]
 
 
 def test_closed_block_matches_fancy_index_reference(toy_dist):
@@ -604,24 +619,53 @@ def test_closed_block_matches_fancy_index_reference(toy_dist):
         comp = attractive_scc(g)
         assert comp is not None and len(comp) < g.n
         block = _closed_block(g, comp)
-        ref = g.csr[comp][:, comp]
+        ref = reference_transition(g)[comp][:, comp]
         assert block.shape == ref.shape
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(block, name), getattr(ref, name)), name
 
 
-def test_closed_block_releases_graph_csr(toy_dist):
-    # The power loop reads only the block: the cached CSR is dropped when
-    # the block is a copy (k < n) and kept when it is the whole graph.
-    g = sample_dcm(realize_sequence(toy_dist, 2000), rng_seed=3)
-    assert len(attractive_scc(g)) < g.n
+def test_closed_block_releases_adjacency_for_every_class(toy_dist):
+    # The power loop reads only the block, whether the attractive class
+    # leaves vertices out (toy law) or is the whole graph (a cycle): the
+    # graph's cached adjacency is dropped either way and rebuilt on access.
+    toy = sample_dcm(realize_sequence(toy_dist, 2000), rng_seed=3)
+    for g, whole in ((toy, False), (directed_cycle(5), True)):
+        assert (len(attractive_scc(g)) == g.n) == whole
+        res = stationary_distribution(g)
+        assert "adjacency" not in vars(g)
+        again = stationary_distribution(g)
+        assert np.array_equal(res.pi, again.pi) and res.iterations == again.iterations
+
+
+# Graphs whose attractive class is every vertex: the walk-times law (in- and
+# out-degrees 3 or 4, sampled with rng_seed=n) and a directed 7-cycle. Per
+# graph: sha256 of pi.tobytes(), then residual, pi_min_rel_residual and the
+# iteration count. The sweep digest covers only the toy law, whose class
+# leaves vertices out; a change to the block build or the power loop must
+# leave these bits alone too.
+WALK_PMF = {(3, 3): 0.25, (3, 4): 0.25, (4, 3): 0.25, (4, 4): 0.25}
+WHOLE_GRAPH_STATIONARY = {
+    250: ("33c2a6ecd2ea323d02c53345e4111140097e4633cc4c7024815a8aedfd3e34e2",
+          "0x1.032a600000000p-40", "0x1.7637cc18bf62fp-39", 92),
+    4096: ("cdedf87c839695820b047f49083ce0b7de29944281093fccc06e84c2008023d9",
+           "0x1.0ab6f58000000p-40", "0x1.314ca277fbce2p-41", 94),
+    "cycle": ("e1d3578cfc4a7af6e7e16a6ff8c25d12de8a7160ec7774838256d646a6301bf0",
+              "0x0.0p+0", "0x0.0p+0", 1),
+}
+
+
+@pytest.mark.parametrize("case", list(WHOLE_GRAPH_STATIONARY))
+def test_whole_graph_stationary_bits(case):
+    if case == "cycle":
+        g = directed_cycle(7)
+    else:
+        g = sample_dcm(realize_sequence(BiDegreeDistribution(WALK_PMF), case), rng_seed=case)
     res = stationary_distribution(g)
-    assert "csr" not in vars(g)
-    again = stationary_distribution(g)  # rebuilds the CSR on access
-    assert np.array_equal(res.pi, again.pi) and res.iterations == again.iterations
-    cycle = directed_cycle(5)
-    stationary_distribution(cycle)
-    assert "csr" in vars(cycle)
+    assert len(res.support) == g.n
+    got = (hashlib.sha256(res.pi.tobytes()).hexdigest(), res.residual.hex(),
+           res.pi_min_rel_residual.hex(), res.iterations)
+    assert got == WHOLE_GRAPH_STATIONARY[case]
 
 
 def test_stationary_rejects_non_closed_block(monkeypatch):
@@ -701,7 +745,7 @@ def test_stationary_working_set_holds_one_image(toy_dist):
     block = _closed_block(g, comp)
     block_bytes = block.data.nbytes + block.indices.nbytes + block.indptr.nbytes
     del block
-    g.csr  # built again after _closed_block released it, before tracing
+    g.adjacency  # built again after _closed_block released it, before tracing
     k_vec = 8 * len(comp)
     assert k_vec > 2 * slack and len(comp) < n
     loop = block_bytes + comp.nbytes + 3 * k_vec
