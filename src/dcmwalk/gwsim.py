@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._threads import thread_map, usable_cores
 from .branching import (
     MarkedOffspringLaw,
     OffspringLaw,
@@ -432,16 +431,8 @@ def subcritical_tail_experiment(
     # Each run reads only its own Generator and the read-only sampler, and
     # numpy releases the GIL in the loops that advance it; the results come
     # back in run order, so the output does not depend on the worker count.
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    workers = min(runs, cpus)
-    if workers == 1:
-        results = [run(i) for i in range(runs)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(runs)))
+    with thread_map(min(runs, usable_cores())) as each:
+        results = list(each(run, range(runs)))
     run_estimates = [p_run for p_run, _ in results]
     total_successes = sum(succ for _, succ in results)
     with _CHECKPOINT_LOCK:

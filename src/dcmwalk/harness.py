@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import share_cores
 from .branching import compute_bp_parameters
 from .degrees import BiDegreeDistribution, realize_sequence, validate_sequence
 from .errors import ConfigError, NonUniqueError
@@ -192,7 +193,11 @@ def run_exponent_sweep(
         if (n, s) not in done
     ]
     if threads > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # Each worker runs its power loops on its share of the cores, so a
+        # cell's column-part threads do not outnumber them.
+        with ProcessPoolExecutor(
+            max_workers=threads, initializer=share_cores, initargs=(threads,)
+        ) as pool:
             fresh = list(pool.map(_sweep_cell, tasks))
     else:
         fresh = [_sweep_cell(t) for t in tasks]

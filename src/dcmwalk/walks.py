@@ -5,7 +5,10 @@ The stationary vector is computed by power iteration on the lazy kernel
 stationary vector and no periodicity obstruction), with a square dense LU
 solve (one balance equation swapped for the normalisation) as a cross-check
 on small graphs. Support is structural (SCC membership), never a numeric
-threshold on pi.
+threshold on pi. A large attractive block is cut by destination column into
+parts, one thread each (PART_ROWS, `_threads.usable_cores`); every entry of
+pi is still summed in the same order, so the bits do not depend on the part
+count.
 
 The Monte Carlo walkers (`hitting_time_mc`, `cover_time_mc`) share one
 block stepper, `_walk`: it draws the uniforms of WALK_BLOCK steps for every
@@ -24,8 +27,10 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csc_matvec
 from scipy.sparse.csgraph import breadth_first_order
 
+from ._threads import thread_map, usable_cores
 from .errors import (
     CensoredError,
     NonUniqueError,
@@ -46,6 +51,12 @@ POWER_TOL = 1e-12
 ACCEPT_RESIDUAL = 1e-10
 MAX_POWER_ITER = 10**6
 CROSS_CHECK_MAX_N = 2000
+# Fewest block rows per column part of the power loop: a block with k rows
+# runs min(usable cores, k // PART_ROWS) parts, one thread each, and one
+# part inline below 2 * PART_ROWS. On the toy law with 2 cores, two parts
+# took 15% longer at k = 252k than one, tied at k = 378k and saved 20% at
+# k = 505k: a part's matvec still reads every source.
+PART_ROWS = 150_000
 HITTING_MATRIX_MAX_K = 2500
 # Steps per block of the Monte Carlo walkers (`_walk`): one draw of
 # uniforms and one round of visit, arrival and trap bookkeeping per block.
@@ -144,6 +155,16 @@ def stationary_distribution(
     MAX_POWER_ITER iterations without that. For graphs with at most 2000
     vertices, a square dense LU solve of the balance equations with one
     replaced by sum(pi) = 1 verifies the result to 1e-10 in sup norm.
+
+    A block of k rows is cut into min(usable cores, k // PART_ROWS) column
+    parts [lo, hi) (`_closed_block`), and each step runs three phases per
+    part, on a pool of that many threads: the matvec into image[lo:hi] with
+    |image - pi| into gap[lo:hi]; pi[lo:hi] += image[lo:hi]; the division
+    by the total. The two sums between the phases, of gap and of pi, are
+    whole-array sums on the calling thread. Every entry keeps its float
+    order, so pi, the residuals and the iteration count are the same bits
+    for any part count. With one part the phases run inline and no thread
+    starts; the pool's threads are joined on return, also on an error.
     """
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol}")
@@ -153,38 +174,74 @@ def stationary_distribution(
     if np.any(g.d_out[comp] == 0):
         raise NonUniqueError("attractive component contains a sink vertex")
     k = len(comp)
-    p_sub = _closed_block(g, comp)
-    p_t = p_sub.T  # one CSC view: `p_t @ pi` is `pi @ p_sub`, same matvec
+    parts = max(1, min(usable_cores(), k // PART_ROWS))
+    blocks = _closed_block(g, comp, parts)
+    if parts == 1:
+        blocks = [blocks]
     pi = np.full(k, 1.0 / k)
     gap = np.empty(k)
-    residual = math.inf
-    iterations = 0
-    for iterations in range(1, MAX_POWER_ITER + 1):
-        image = p_t @ pi
-        residual = float(np.abs(np.subtract(image, pi, out=gap), out=gap).sum())
-        if residual < tol:
-            break
+    image = np.empty(k)
+    # Per part: the arguments of its matvec and its spans of image, pi and
+    # gap, views made once. Part i's transpose is a CSC matrix of shape
+    # (hi - lo, k) on the arrays of P[:, lo:hi].
+    cuts = np.cumsum([0] + [b.shape[1] for b in blocks])
+    views = [
+        ((b.shape[1], k, b.indptr, b.indices, b.data), image[lo:hi], pi[lo:hi], gap[lo:hi])
+        for b, lo, hi in zip(blocks, cuts[:-1], cuts[1:])
+    ]
+
+    # The three phases of a step, run per part. The reductions between them
+    # stay whole-array sums on this thread: their pairwise-sum bits do not
+    # depend on the part count.
+    def advance(view):
+        # image[lo:hi] = pi @ P[:, lo:hi]: scipy's CSC matvec, the kernel of
+        # `P.T @ pi`, on the part's transpose. It adds each source's term in
+        # increasing source order into zeroed entries, the float order of
+        # `pi @ P`. It is called directly to write into `image`: `P.T @ pi`
+        # would allocate each step's result on a pool thread, whose malloc
+        # arena keeps the freed pages after the loop (17 MB more peak RSS
+        # in the large-n bench).
+        kernel, image_i, pi_i, gap_i = view
+        image_i.fill(0.0)
+        csc_matvec(*kernel, pi, image_i)
+        np.abs(np.subtract(image_i, pi_i, out=gap_i), out=gap_i)
+
+    def accept(view):
         # The lazy step pi <- (pi + image) / 2, normalised, in place. Halving
         # normal floats is exact, so it cancels in the normalisation bit for
-        # bit and is left out. The image is released before the next matvec
-        # allocates its successor, so only one is ever alive.
-        np.add(pi, image, out=pi)
-        del image
-        pi /= pi.sum()
-    else:
-        raise NumericalError("power iteration did not converge", residual=residual)
+        # bit and is left out.
+        _, image_i, pi_i, _ = view
+        np.add(pi_i, image_i, out=pi_i)
+
+    def scale(view):
+        pi_i = view[2]
+        np.divide(pi_i, total, out=pi_i)
+
+    residual = math.inf
+    iterations = 0
+    with thread_map(parts) as each:
+        for iterations in range(1, MAX_POWER_ITER + 1):
+            list(each(advance, views))
+            residual = float(gap.sum())
+            if residual < tol:
+                break
+            list(each(accept, views))
+            total = pi.sum()
+            list(each(scale, views))
+        else:
+            raise NumericalError("power iteration did not converge", residual=residual)
     v = int(np.argmin(pi))  # gap holds |pi P - pi| for this pi
     pi_min_rel_residual = float(gap[v] / pi[v])
 
     linf = None
     if g.n <= CROSS_CHECK_MAX_N:
-        direct = _direct_stationary(p_sub)
+        direct = _direct_stationary(sp.hstack(blocks, format="csr"))
         linf = float(np.max(np.abs(direct - pi)))
         if linf > ACCEPT_RESIDUAL:
             raise NumericalError(
                 "power iteration and direct solve disagree", residual=linf
             )
-    del p_sub, p_t, gap, image  # before the n-length result is allocated
+    del blocks, views, gap, image  # before the n-length result is allocated
     full = np.zeros(g.n)
     full[comp] = pi
     return StationaryResult(

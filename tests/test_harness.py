@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import time
 import warnings
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from dcmwalk import ConfigError, ExperimentConfig, derive_seed, run_exponent_sweep, run_params
-from dcmwalk import walks
+from dcmwalk import _threads, harness, walks
 from dcmwalk.cli import main
 from dcmwalk.degrees import BiDegreeDistribution, realize_sequence
 from dcmwalk.graph import sample_dcm
@@ -196,6 +197,31 @@ def test_sweep_threads_match_serial(tmp_path):
     run_exponent_sweep(config, str(parallel), threads=3)
     assert serial.read_bytes() == parallel.read_bytes()
 
+
+
+def test_sweep_workers_share_the_cores(tmp_path, monkeypatch):
+    # Each of a sweep's `threads` worker processes sizes its power loop's
+    # thread pool by its share of the CPUs, so the pools do not outnumber
+    # them.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(_threads, "_SIBLINGS", 1)
+    assert _threads.usable_cores() == 4
+    for siblings, share in ((2, 2), (3, 1), (8, 1)):
+        _threads.share_cores(siblings)
+        assert _threads.usable_cores() == share
+    started = []
+
+    class Pool(harness.ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            started.append(kwargs)
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    config = ExperimentConfig(dist_json=toy_json(), n_ladder=(64,), seeds_per_n=2)
+    run_exponent_sweep(config, str(tmp_path / "s.csv"), threads=2)
+    assert started == [
+        {"max_workers": 2, "initializer": _threads.share_cores, "initargs": (2,)}
+    ]
 
 # sha256 of the toy-law sweep CSV below. The sweep CSV is a reproducibility
 # contract: a change to the realize, sample, SCC or power-iteration path

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,7 @@ from dcmwalk import (
     stationary_distribution,
     walk_times_exact,
 )
-from dcmwalk import walks
+from dcmwalk import _threads, walks
 from dcmwalk.graph import _closed_block
 from dcmwalk.walks import (
     _direct_stationary,
@@ -756,6 +757,124 @@ def test_stationary_working_set_holds_one_image(toy_dist):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= max(loop, result) + slack
+
+
+def force_parts(monkeypatch, cores: int) -> list[int]:
+    """Make the power loop cut every block into min(cores, k) column parts;
+    returns the list the part count of each block build is appended to."""
+    built = []
+
+    def spy(g, comp, parts=1):
+        built.append(parts)
+        return _closed_block(g, comp, parts)
+
+    monkeypatch.setattr(walks, "PART_ROWS", 1)
+    monkeypatch.setattr(walks, "usable_cores", lambda: cores)
+    monkeypatch.setattr(walks, "_closed_block", spy)
+    return built
+
+
+def straddling_multigraph() -> Multigraph:
+    # A 10-cycle plus, from vertex 4, a self-loop, a double edge to 3 and an
+    # edge to 6: row 4 reads columns 3, 4, 5, 6, which the cuts of 2, 3 and
+    # 7 parts (at 5; 3 and 6; 1, 2, 4, 5, 7 and 8) all split.
+    edges = [(i, (i + 1) % 10, 1) for i in range(10)]
+    return Multigraph.from_edges(edges + [(4, 4, 1), (4, 3, 2), (4, 6, 1)])
+
+
+PART_COUNT_GRAPHS = {
+    "toy-2^14": lambda dist: sample_dcm(realize_sequence(dist, 2**14), rng_seed=14),
+    "walk-law": lambda dist: sample_dcm(
+        realize_sequence(BiDegreeDistribution(WALK_PMF), 250), rng_seed=250
+    ),
+    "straddling": lambda dist: straddling_multigraph(),
+    # k = 2 and k = 1, below every forced core count but 1.
+    "two-vertex": lambda dist: Multigraph.from_edges([(0, 1, 2), (1, 0, 1), (1, 1, 1)]),
+    "self-loop": lambda dist: Multigraph.from_edges([(0, 0, 1)]),
+}
+
+
+@pytest.mark.parametrize("case", list(PART_COUNT_GRAPHS))
+def test_stationary_bits_do_not_depend_on_part_count(toy_dist, monkeypatch, case):
+    g = PART_COUNT_GRAPHS[case](toy_dist)
+    ref = stationary_distribution(g)  # below 2 * PART_ROWS rows: one part
+    k = len(ref.support)
+    built = force_parts(monkeypatch, 1)
+    for cores in (1, 2, 3, 7):
+        monkeypatch.setattr(walks, "usable_cores", lambda: cores)
+        res = stationary_distribution(g)
+        assert res.pi.tobytes() == ref.pi.tobytes(), cores
+        assert res.residual.hex() == ref.residual.hex()
+        assert res.pi_min_rel_residual.hex() == ref.pi_min_rel_residual.hex()
+        assert res.iterations == ref.iterations
+        assert res.cross_check_linf == ref.cross_check_linf
+    assert built == [min(cores, k) for cores in (1, 2, 3, 7)]
+
+
+@pytest.mark.parametrize("parts", [2, 3, 7])
+def test_closed_block_parts_stack_to_the_block(toy_dist, parts):
+    graphs = [straddling_multigraph(), directed_cycle(9)] + [
+        sample_dcm(realize_sequence(toy_dist, n), rng_seed=n) for n in (300, 3000)
+    ]
+    for g in graphs:
+        comp = attractive_scc(g)
+        block = _closed_block(g, comp, 1)
+        split = _closed_block(g, comp, parts)
+        k = len(comp)
+        assert [p.shape for p in split] == [
+            (k, k * (i + 1) // parts - k * i // parts) for i in range(parts)
+        ]
+        joined = sp.hstack(split, format="csr")
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(joined, name), getattr(block, name)), name
+
+
+def test_power_loop_threads_are_joined(toy_dist, monkeypatch):
+    pools = []
+
+    class Pool(_threads.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(_threads, "ThreadPoolExecutor", Pool)
+    g = sample_dcm(realize_sequence(toy_dist, 2**12), rng_seed=12)
+    before = threading.active_count()
+    stationary_distribution(g)  # one part: no pool
+    assert pools == [] and threading.active_count() == before
+    built = force_parts(monkeypatch, 2)
+    stationary_distribution(g)
+    assert len(pools) == 1 and threading.active_count() == before
+    monkeypatch.setattr(walks, "MAX_POWER_ITER", 2)
+    with pytest.raises(NumericalError, match="did not converge"):
+        stationary_distribution(g)
+    assert len(pools) == 2 and threading.active_count() == before
+    assert built == [2, 2]
+
+
+def test_parted_working_set_holds_one_image(toy_dist, monkeypatch):
+    # As test_stationary_working_set_holds_one_image, with two column
+    # parts: the loop holds the parts, comp and three k-vectors.
+    n, slack = 2**16, 64 * 1024
+    g = sample_dcm(realize_sequence(toy_dist, n), rng_seed=n)
+    comp = attractive_scc(g)
+    split = _closed_block(g, comp, 2)
+    part_bytes = sum(p.data.nbytes + p.indices.nbytes + p.indptr.nbytes for p in split)
+    del split
+    g.adjacency  # built again after _closed_block released it, before tracing
+    k_vec = 8 * len(comp)
+    assert k_vec > 2 * slack and len(comp) < n
+    loop = part_bytes + comp.nbytes + 3 * k_vec
+    result = comp.nbytes + k_vec + 8 * n
+    built = force_parts(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        stationary_distribution(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == [2]
     assert peak <= max(loop, result) + slack
 
 
