@@ -2,7 +2,8 @@
 
 Subcommands: params, sample, stationary, hitting, cover, bp-sim,
 exponent-sweep. Exit codes: 0 success, 2 validation failure, 3 numerical
-failure, 4 capacity exceeded.
+failure, 4 capacity exceeded (an exact enumeration over its budget, or an
+allocation the host cannot serve).
 """
 
 from __future__ import annotations
@@ -275,8 +276,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 4
 
 

@@ -13,9 +13,10 @@ Sampled graphs are immutable and shareable.
 Structure is cached, values are built per request. `Multigraph.adjacency`,
 the multiplicity CSR, is a graph's one cache; the SCC, closed-class and
 reachability searches read only its pattern. Transition values are built
-from it on each request: `_closed_block` builds them only for the rows of a
-closed block, after releasing the cache, and can cut the block by
-destination column into parts for a parallel power loop.
+from it on each request: `_closed_block`, the one builder of a closed
+block, selects the block's rows once, releases the cache, and builds values
+only for those rows, cut by destination column into as many parts as the
+parallel power loop runs (one part is the whole block).
 """
 
 from __future__ import annotations
@@ -34,12 +35,9 @@ EDGE_LIST_HEADER = "# n="
 # Rows per block when `closed_classes` tests each vertex's out-edges: its
 # temporaries (9 bytes per edge) then span one block, not all m edges.
 CLOSED_TEST_ROWS = 1 << 14
-# Entries per chunk when `_closed_block` relabels its columns in place: the
-# gathered temporary then spans one chunk, not the whole block.
-RELABEL_CHUNK = 1 << 16
-# Rows per chunk when `_column_parts` reads a closed block's rows from the
-# adjacency: the copy of one chunk, relabelled and cut into column parts,
-# is its only temporary.
+# Rows per chunk when `_closed_block` relabels a closed block's columns and
+# cuts its rows into column parts: the gathered columns and the copy of one
+# chunk's rows are then its only temporaries, not the whole block's.
 BLOCK_ROWS = 1 << 14
 # Rows per chunk when `_transition_values` turns multiplicities into
 # transition values: its temporaries then span one chunk of rows.
@@ -307,72 +305,60 @@ def closed_classes(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
     return labels, closed
 
 
-def _closed_block(
-    g: Multigraph, comp: np.ndarray, parts: int = 1
-) -> sp.csr_matrix | list[sp.csr_matrix]:
+def _closed_block(g: Multigraph, comp: np.ndarray, parts: int = 1) -> list[sp.csr_matrix]:
     """The transition matrix restricted to a closed, sorted vertex set
-    `comp`, which may be every vertex: P[comp][:, comp]; with `parts` > 1,
-    the list of its column parts instead (`_column_parts`). The rows of
-    `comp` are selected from `g.adjacency` as one copy, which keeps its
-    indptr, and the graph's cached `adjacency` is released next. The rows'
-    columns are then relabelled in place, RELABEL_CHUNK entries at a time,
-    and only then are their transition values built (`_transition_values`).
-    Each row keeps its column order and its values' bits, so the matvec
-    keeps its float order. An edge leaving `comp` raises NumericalError."""
-    if parts > 1:
-        return _column_parts(g, comp, parts)
+    `comp`, which may be every vertex, as the list of its `parts` column
+    parts P[comp][:, comp][:, lo:hi], lo = k * i // parts, their columns
+    counted from lo; one part is the whole block. An edge leaving `comp`
+    raises NumericalError.
+
+    The rows of `comp` are selected from `g.adjacency` as one copy, and the
+    graph's cached `adjacency` is released next. The copy's columns are
+    relabelled in place to 0..k-1, BLOCK_ROWS rows at a time, counting each
+    part's entries. With more than one part, each row's run in every part
+    is then copied, a chunk of rows at a time, into arrays of the part's
+    final size, and the copy is dropped: the copy and the parts' patterns
+    are alive together, but no value is yet, so this stays below the power
+    loop's working set. Only then are the transition values built
+    (`_transition_values`), one part at a time, each part's multiplicities
+    dropped once its values exist. So the parts cost one block plus one row
+    pointer per further part; the resident peak can exceed that by freed
+    heap the allocator keeps resident (with glibc's default mmap threshold,
+    a few MB at n = 2^22 on the toy law). Each row keeps its column order
+    and its values' bits in every part, so a matvec on the parts keeps the
+    float order of one on the block."""
     rows = g.adjacency[comp]
-    vars(g).pop("adjacency", None)
-    local = np.full(g.n, -1, dtype=rows.indices.dtype)
-    local[comp] = np.arange(len(comp))
-    cols = rows.indices
-    for lo in range(0, len(cols), RELABEL_CHUNK):
-        chunk = cols[lo : lo + RELABEL_CHUNK]
-        chunk[:] = local[chunk]
-        if chunk.min() < 0:
-            raise NumericalError("attractive component has an outgoing edge")
-    del local
-    values = _transition_values(rows.data, rows.indptr, g.d_out[comp])
-    return sp.csr_matrix((values, cols, rows.indptr), shape=(len(comp),) * 2)
-
-
-def _column_parts(g: Multigraph, comp: np.ndarray, parts: int) -> list[sp.csr_matrix]:
-    """The column parts P[:, lo:hi] of `_closed_block`'s block, lo = k * i
-    // parts, their columns counted from lo. The graph's cached `adjacency`
-    is released first; this call keeps the one reference it reads. The rows
-    of `comp` are read from it twice, BLOCK_ROWS at a time, with their
-    columns relabelled to 0..k-1 (`_local_rows`): once to count each part's
-    entries, once to copy each row's run in every part into arrays of the
-    part's final size. Only after the adjacency is dropped are the
-    transition values built, one part at a time, each part's
-    multiplicities dropped once its values exist. So the parts cost one
-    block plus one row pointer per further part, and no temporary spans
-    more than a chunk of rows; a one-copy selection like `_closed_block`'s
-    would hold a second copy of the pattern while the parts are cut from
-    it. Each row keeps its column order and its values' bits in every part,
-    so a matvec on the parts keeps the float order of one on the block."""
-    adj = g.adjacency
     vars(g).pop("adjacency", None)
     k = len(comp)
     cuts = [k * i // parts for i in range(parts + 1)]
-    local = np.full(g.n, -1, dtype=adj.indices.dtype)
+    local = np.full(g.n, -1, dtype=rows.indices.dtype)
     local[comp] = np.arange(k)
-    below = np.zeros(parts + 1, dtype=np.int64)  # entries left of each cut
-    for _, rows in _local_rows(adj, comp, local):
-        below += [np.count_nonzero(rows.indices < cut) for cut in cuts]
-    split = [
-        (np.empty(nnz, adj.data.dtype), np.empty(nnz, adj.indices.dtype),
-         np.zeros(k + 1, adj.indptr.dtype))
-        for nnz in np.diff(below)
-    ]
-    for top, rows in _local_rows(adj, comp, local):
-        for (mult, cols, ptr), lo, hi in zip(split, cuts[:-1], cuts[1:]):
-            part = rows[:, lo:hi]
-            at = ptr[top]
-            mult[at : at + part.nnz] = part.data
-            cols[at : at + part.nnz] = part.indices
-            ptr[top + 1 : top + len(part.indptr)] = part.indptr[1:] + at
-    del adj, local, rows
+    below = [0] * (parts - 1)  # entries left of each inner cut
+    for top in range(0, k, BLOCK_ROWS):
+        cols = rows.indices[rows.indptr[top] : rows.indptr[min(top + BLOCK_ROWS, k)]]
+        cols[:] = local[cols]
+        if len(cols) and cols.min() < 0:
+            raise NumericalError("attractive component has an outgoing edge")
+        below = [b + np.count_nonzero(cols < cut) for b, cut in zip(below, cuts[1:-1])]
+    del local
+    if parts == 1:
+        split = [(rows.data, rows.indices, rows.indptr)]
+    else:
+        split = [
+            (np.empty(nnz, rows.data.dtype), np.empty(nnz, rows.indices.dtype),
+             np.zeros(k + 1, rows.indptr.dtype))
+            for nnz in np.diff([0, *below, rows.nnz])
+        ]
+        for top in range(0, k, BLOCK_ROWS):
+            chunk = rows[top : top + BLOCK_ROWS]
+            for (mult, cols, ptr), lo, hi in zip(split, cuts[:-1], cuts[1:]):
+                part = chunk[:, lo:hi]
+                at = ptr[top]
+                mult[at : at + part.nnz] = part.data
+                cols[at : at + part.nnz] = part.indices
+                ptr[top + 1 : top + len(part.indptr)] = part.indptr[1:] + at
+        del chunk, part, mult, cols, ptr
+    del rows
     d_out = g.d_out[comp]
     blocks = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -381,18 +367,6 @@ def _column_parts(g: Multigraph, comp: np.ndarray, parts: int) -> list[sp.csr_ma
         del mult  # before the next part's values are allocated
         blocks.append(sp.csr_matrix((values, cols, ptr), shape=(k, hi - lo)))
     return blocks
-
-
-def _local_rows(adj: sp.csr_matrix, comp: np.ndarray, local: np.ndarray):
-    """The rows `comp` of `adj`, BLOCK_ROWS at a time: (index of the first
-    row in `comp`, a CSR copy of the rows with their columns relabelled by
-    `local`). A column outside the set (local -1) raises NumericalError."""
-    for top in range(0, len(comp), BLOCK_ROWS):
-        rows = adj[comp[top : top + BLOCK_ROWS]]
-        rows.indices[:] = local[rows.indices]
-        if rows.nnz and rows.indices.min() < 0:
-            raise NumericalError("attractive component has an outgoing edge")
-        yield top, rows
 
 
 def attractive_scc(g: Multigraph) -> np.ndarray | None:

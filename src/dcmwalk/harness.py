@@ -19,7 +19,7 @@ import numpy as np
 from ._threads import share_cores
 from .branching import compute_bp_parameters
 from .degrees import BiDegreeDistribution, realize_sequence, validate_sequence
-from .errors import ConfigError, NonUniqueError
+from .errors import ConfigError, NonUniqueError, ValidationError
 from .graph import sample_dcm
 from .gwsim import least_squares_slope
 from .ratefn import ExponentReport, FiniteLogLaw, minimize_phi
@@ -100,7 +100,10 @@ def analyze_distribution(
 ) -> tuple[ExponentReport, dict]:
     """Full analytic pipeline for one distribution: branching parameters,
     log-mark law, exponent report, and the serializable record. The law
-    must be mean-balanced, as for :func:`realize_sequence`."""
+    must be mean-balanced, as for :func:`realize_sequence`, and the rate
+    table needs at least one point."""
+    if rate_grid < 1:
+        raise ValidationError(f"rate_grid must be >= 1, got {rate_grid}")
     dist.require_mean_balanced()
     params = compute_bp_parameters(dist)
     law = None
@@ -177,21 +180,32 @@ def run_exponent_sweep(
 
     Rows are written sorted by (n, seed); re-running with the same config
     and master seed reproduces the file byte for byte. Existing rows are
-    kept, so an interrupted sweep resumes where it stopped.
+    kept, so an interrupted sweep resumes where it stopped. A file written
+    under another config raises ConfigError: a kept row outside the
+    (n ladder, seed) grid, or a kept row with the smallest n whose
+    recomputed line differs from the stored one (another distribution,
+    master seed, `power_tol` or measure).
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
+    grid = {
+        (n, s): (config.dist_json, n, s, config.master_seed, config.power_tol, config.measures)
+        for n in config.n_ladder
+        for s in range(config.seeds_per_n)
+    }
     done: dict[tuple[int, int], dict] = {}
     if os.path.exists(out_csv):
         for row in _read_sweep(out_csv):
             if row["status"] != "slope":
                 done[(int(row["n"]), int(row["seed"]))] = row
-    tasks = [
-        (config.dist_json, n, s, config.master_seed, config.power_tol, config.measures)
-        for n in config.n_ladder
-        for s in range(config.seeds_per_n)
-        if (n, s) not in done
-    ]
+    stray = set(done) - set(grid)
+    if stray:
+        raise ConfigError(f"{out_csv}: rows {sorted(stray)} lie outside this sweep's grid")
+    if done:
+        first = min(done)
+        if _csv_line(_sweep_cell(grid[first])) != _csv_line(done[first]):
+            raise ConfigError(f"{out_csv}: row (n, seed) = {first} does not match this config")
+    tasks = [args for key, args in grid.items() if key not in done]
     if threads > 1 and tasks:
         # Each worker runs its power loops on its share of the cores, so a
         # cell's column-part threads do not outnumber them.
@@ -208,8 +222,13 @@ def run_exponent_sweep(
     with open(out_csv, "w", encoding="ascii") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
         for row in rows + ([slope_row] if slope_row else []):
-            fh.write(",".join(_fmt(row[c]) for c in SWEEP_COLUMNS) + "\n")
+            fh.write(_csv_line(row))
     return rows
+
+
+def _csv_line(row: dict) -> str:
+    """One sweep CSV line; a row read back from the file gives its own line."""
+    return ",".join(_fmt(row[c]) for c in SWEEP_COLUMNS) + "\n"
 
 
 def _slope_row(rows: list[dict]) -> dict | None:

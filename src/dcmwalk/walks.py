@@ -157,14 +157,15 @@ def stationary_distribution(
     replaced by sum(pi) = 1 verifies the result to 1e-10 in sup norm.
 
     A block of k rows is cut into min(usable cores, k // PART_ROWS) column
-    parts [lo, hi) (`_closed_block`), and each step runs three phases per
-    part, on a pool of that many threads: the matvec into image[lo:hi] with
-    |image - pi| into gap[lo:hi]; pi[lo:hi] += image[lo:hi]; the division
-    by the total. The two sums between the phases, of gap and of pi, are
-    whole-array sums on the calling thread. Every entry keeps its float
-    order, so pi, the residuals and the iteration count are the same bits
-    for any part count. With one part the phases run inline and no thread
-    starts; the pool's threads are joined on return, also on an error.
+    parts [lo, hi) by `_closed_block`, which returns the list of parts for
+    every count, and each step runs three phases per part, on a pool of
+    that many threads: the matvec into image[lo:hi] with |image - pi| into
+    gap[lo:hi]; pi[lo:hi] += image[lo:hi]; the division by the total. The
+    two sums between the phases, of gap and of pi, are whole-array sums on
+    the calling thread. Every entry keeps its float order, so pi, the
+    residuals and the iteration count are the same bits for any part count.
+    With one part the phases run inline and no thread starts; the pool's
+    threads are joined on return, also on an error.
     """
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol}")
@@ -176,8 +177,6 @@ def stationary_distribution(
     k = len(comp)
     parts = max(1, min(usable_cores(), k // PART_ROWS))
     blocks = _closed_block(g, comp, parts)
-    if parts == 1:
-        blocks = [blocks]
     pi = np.full(k, 1.0 / k)
     gap = np.empty(k)
     image = np.empty(k)

@@ -94,7 +94,7 @@ def test_csr_with_out_degree_zero_vertices_is_warning_free():
         # The whole vertex set is closed; its block is the full matrix.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            adj = _closed_block(g, np.arange(g.n))
+            [adj] = _closed_block(g, np.arange(g.n))
         assert np.any(g.d_out == 0)
         tail = np.repeat(np.arange(g.n), g.d_out)
         ref = sp.csr_matrix((1.0 / g.d_out[tail], (tail, g.successors())), shape=adj.shape)
@@ -110,7 +110,7 @@ def test_csr_indices_are_int32_and_match_intp_build(toy_dist, monkeypatch):
         patch.setattr(Multigraph, "successors", None)
         built = []
         for g in graphs:
-            mats = [_closed_block(g, np.arange(g.n))]
+            mats = _closed_block(g, np.arange(g.n))
             if np.all(g.d_out > 0):
                 mats.append(transition_matrix(g))
             built.append(mats)
@@ -330,7 +330,7 @@ def test_shared_csr_canonical_and_matches_coo_reference():
         succ = g.successors()
         # The whole vertex set is closed: its block is the full matrix, and
         # building it releases the graph's one cache.
-        block = _closed_block(g, np.arange(g.n))
+        [block] = _closed_block(g, np.arange(g.n))
         assert "adjacency" not in vars(g)
         mats = [block]
         if np.all(g.d_out > 0):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dcmwalk import ConfigError, ExperimentConfig, derive_seed, run_exponent_sweep, run_params
-from dcmwalk import _threads, harness, walks
+from dcmwalk import _threads, cli, harness, walks
 from dcmwalk.cli import main
 from dcmwalk.degrees import BiDegreeDistribution, realize_sequence
 from dcmwalk.graph import sample_dcm
@@ -187,6 +187,32 @@ def test_sweep_reproducible_and_resumable(tmp_path):
     assert partial.read_bytes() == fresh.read_bytes()
 
 
+def test_sweep_resume_refuses_rows_of_another_config(tmp_path):
+    # Kept rows must be rows this config would write: one outside the
+    # (ladder, seed) grid, or a smallest-n row that another master seed,
+    # law or power_tol wrote, is refused, and the file is left alone.
+    base = dict(dist_json=toy_json(), n_ladder=(128, 256), seeds_per_n=2, master_seed=9)
+    out = tmp_path / "sweep.csv"
+    run_exponent_sweep(ExperimentConfig(**base), str(out))
+    written = out.read_bytes()
+    other_law = BiDegreeDistribution({(2, 2): 0.5, (3, 3): 0.5}).to_json()
+    changes = [
+        {"master_seed": 10},
+        {"dist_json": other_law},
+        {"power_tol": 1e-13},
+        {"n_ladder": (128,)},
+        {"n_ladder": (256, 512)},
+        {"seeds_per_n": 1},
+    ]
+    for change in changes:
+        with pytest.raises(ConfigError):
+            run_exponent_sweep(ExperimentConfig(**{**base, **change}), str(out))
+        assert out.read_bytes() == written, change
+    # A longer ladder or more seeds under the same config still resume.
+    run_exponent_sweep(ExperimentConfig(**{**base, "seeds_per_n": 3}), str(out))
+    assert out.read_text().count("\n256,2,") == 1
+
+
 def test_sweep_threads_match_serial(tmp_path):
     config = ExperimentConfig(
         dist_json=toy_json(), n_ladder=(128,), seeds_per_n=4, master_seed=2
@@ -352,6 +378,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert f"{token}:2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("message", ["", "Unable to allocate 728. TiB for an array"])
+def test_cli_out_of_memory_exits_4(tmp_path, capsys, monkeypatch, message):
+    # An allocation the host cannot serve (numpy raises a MemoryError
+    # subclass, e.g. for `# n=10^14`) is a capacity failure: exit 4 with
+    # one error line. The command is patched, so nothing large is allocated.
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_params", refuse)
+    code, err = run_cli(["params", "--dist", write_toy(tmp_path)], capsys)
+    assert code == 4
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def run_cli(argv, capsys) -> tuple[int, str]:
     """Exit code and stderr of one in-process CLI run; argparse errors
     arrive as SystemExit, any other escaping exception fails the test."""
@@ -442,6 +483,8 @@ def test_cli_fuzz_malformed_input_exits_cleanly(tmp_path, capsys):
         ["bp-sim", "--law", str(tmp_path / "law.json"), "--t", "3"],
         ["params", "--dist", str(tmp_path / "latin1.json")],
         ["params", "--dist", str(tmp_path / "unbalanced.json")],
+        ["params", "--dist", dist, "--rate-grid", "0"],
+        ["params", "--dist", dist, "--rate-grid", "-5"],
         ["exponent-sweep", "--config", str(tmp_path / "config.json"), "--out", out],
         ["exponent-sweep", "--config", str(tmp_path / "seed.json"), "--out", out],
     ]

@@ -28,7 +28,7 @@ from dcmwalk import (
     stationary_distribution,
     walk_times_exact,
 )
-from dcmwalk import _threads, walks
+from dcmwalk import _threads, graph, walks
 from dcmwalk.graph import _closed_block
 from dcmwalk.walks import (
     _direct_stationary,
@@ -619,7 +619,7 @@ def test_closed_block_matches_fancy_index_reference(toy_dist):
     for g in graphs:
         comp = attractive_scc(g)
         assert comp is not None and len(comp) < g.n
-        block = _closed_block(g, comp)
+        [block] = _closed_block(g, comp)
         ref = reference_transition(g)[comp][:, comp]
         assert block.shape == ref.shape
         for name in ("indptr", "indices", "data"):
@@ -743,7 +743,7 @@ def test_stationary_working_set_holds_one_image(toy_dist):
     n, slack = 2**16, 64 * 1024
     g = sample_dcm(realize_sequence(toy_dist, n), rng_seed=n)
     comp = attractive_scc(g)
-    block = _closed_block(g, comp)
+    [block] = _closed_block(g, comp)
     block_bytes = block.data.nbytes + block.indices.nbytes + block.indptr.nbytes
     del block
     g.adjacency  # built again after _closed_block released it, before tracing
@@ -795,8 +795,21 @@ PART_COUNT_GRAPHS = {
 }
 
 
-@pytest.mark.parametrize("case", list(PART_COUNT_GRAPHS))
-def test_stationary_bits_do_not_depend_on_part_count(toy_dist, monkeypatch, case):
+# (graph, rows per chunk of the block build or None for graph.BLOCK_ROWS):
+# chunks of 1 and 7 rows put chunk boundaries inside the parts too.
+PART_COUNT_CASES = [(case, None) for case in PART_COUNT_GRAPHS] + [
+    (case, rows) for case in ("straddling", "walk-law") for rows in (1, 7)
+]
+
+
+@pytest.mark.parametrize(
+    "case, block_rows",
+    PART_COUNT_CASES,
+    ids=[case if rows is None else f"{case}-rows{rows}" for case, rows in PART_COUNT_CASES],
+)
+def test_stationary_bits_do_not_depend_on_part_count(toy_dist, monkeypatch, case, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(graph, "BLOCK_ROWS", block_rows)
     g = PART_COUNT_GRAPHS[case](toy_dist)
     ref = stationary_distribution(g)  # below 2 * PART_ROWS rows: one part
     k = len(ref.support)
@@ -812,14 +825,25 @@ def test_stationary_bits_do_not_depend_on_part_count(toy_dist, monkeypatch, case
     assert built == [min(cores, k) for cores in (1, 2, 3, 7)]
 
 
-@pytest.mark.parametrize("parts", [2, 3, 7])
-def test_closed_block_parts_stack_to_the_block(toy_dist, parts):
+STACK_CASES = [(parts, None) for parts in (2, 3, 7)] + [
+    (parts, rows) for rows in (1, 7) for parts in (2, 3, 7)
+]
+
+
+@pytest.mark.parametrize(
+    "parts, block_rows",
+    STACK_CASES,
+    ids=[str(parts) if rows is None else f"{parts}-rows{rows}" for parts, rows in STACK_CASES],
+)
+def test_closed_block_parts_stack_to_the_block(toy_dist, monkeypatch, parts, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(graph, "BLOCK_ROWS", block_rows)
     graphs = [straddling_multigraph(), directed_cycle(9)] + [
         sample_dcm(realize_sequence(toy_dist, n), rng_seed=n) for n in (300, 3000)
     ]
     for g in graphs:
         comp = attractive_scc(g)
-        block = _closed_block(g, comp, 1)
+        [block] = _closed_block(g, comp, 1)
         split = _closed_block(g, comp, parts)
         k = len(comp)
         assert [p.shape for p in split] == [
