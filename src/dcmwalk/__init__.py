@@ -37,7 +37,7 @@ from .graph import (
     sample_dcm,
     sample_rout,
     sccs,
-    t_omega,
+    thin_depth,
 )
 from .gwsim import (
     GammaTrace,

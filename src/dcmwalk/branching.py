@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .degrees import PROB_TOL, BiDegreeDistribution
+from .degrees import PROB_TOL, BiDegreeDistribution, _json_int
 from .errors import DegenerateError, NumericalError, ValidationError
 
 FIXED_POINT_TOL = 1e-14
@@ -97,10 +97,10 @@ class MarkedOffspringLaw:
         pmf: dict[tuple[int, int], float] = {}
         for entry in data["pmf"]:
             try:
-                pair = (int(entry["xi"]), int(entry["zeta"]))
+                pair = (_json_int(entry["xi"], "xi"), _json_int(entry["zeta"], "zeta"))
                 p = float(entry["p"])
             except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"bad pmf entry {entry!r}") from exc
+                raise ValidationError(f"bad pmf entry {entry!r}: {exc}") from exc
             pmf[pair] = pmf.get(pair, 0.0) + p
         return cls(pmf)
 

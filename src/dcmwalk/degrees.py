@@ -101,12 +101,20 @@ class BiDegreeDistribution:
         pmf: dict[tuple[int, int], float] = {}
         for entry in data["pmf"]:
             try:
-                pair = (int(entry["in"]), int(entry["out"]))
+                pair = (_json_int(entry["in"], "in"), _json_int(entry["out"], "out"))
                 p = float(entry["p"])
             except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"bad pmf entry {entry!r}") from exc
+                raise ValidationError(f"bad pmf entry {entry!r}: {exc}") from exc
             pmf[pair] = pmf.get(pair, 0.0) + p
         return cls(pmf, max_degree=max_degree)
+
+
+def _json_int(value, name: str) -> int:
+    """A parsed JSON integer; a bool, a float or a string raises TypeError,
+    so it is refused, not rounded."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 class BiDegreeSequence:

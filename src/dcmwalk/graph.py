@@ -6,8 +6,8 @@ heads (in-half-edges) are numbered 0..m-1, grouped by vertex, and a sampled
 graph is a permutation matching tail i to head match[i]. The pairing is int32
 when m < 2^31 (int64 otherwise); vertex-indexed arrays stay intp. A graph
 stores only its degree arrays and the pairing: the owner of each half-edge
-and each vertex's first half-edge (`tail_ptr`, `head_ptr`) are derived from
-the degrees on access, so a caller that uses one in a loop reads it once.
+and each vertex's first tail (`tail_ptr`) are derived from the degrees on
+access, so a caller that uses one in a loop reads it once.
 Sampled graphs are immutable and shareable.
 
 Structure is cached, values are built per request. `Multigraph.adjacency`,
@@ -21,6 +21,7 @@ parallel power loop runs (one part is the whole block).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,12 +78,6 @@ class Multigraph:
         """First tail of each vertex, then m: the cumulative out-degrees,
         derived in O(n) on each access."""
         return np.concatenate(([0], np.cumsum(self.d_out)))
-
-    @property
-    def head_ptr(self) -> np.ndarray:
-        """First head of each vertex, then m: the cumulative in-degrees,
-        derived in O(n) on each access."""
-        return np.concatenate(([0], np.cumsum(self.d_in)))
 
     @property
     def tail_vertex(self) -> np.ndarray:
@@ -385,53 +380,37 @@ def attractive_scc(g: Multigraph) -> np.ndarray | None:
     return np.flatnonzero(labels == sinks[0])
 
 
-def t_omega(
-    g: Multigraph, f: int, omega: int, t_cap: int
-) -> int | None:
-    """First level t at which the in-neighbourhood of head f holds at least
-    omega heads, or None if the growth dies out or t_cap is reached.
+def thin_depth(g: Multigraph, omega: int, t_cap: int) -> np.ndarray:
+    """First level r in 0..t_cap at which the in-path width X_r(v) of each
+    vertex v reaches omega, or -1 if it does not by t_cap, as an int64
+    array over the vertices.
 
-    Levels are breadth-first over heads: the heads one level behind head h
-    are the heads of the vertex whose tail is paired with h.
+    X_0 = 1 and X_{r+1} = A^T X_r, where A is `g.adjacency`, so parallel
+    edges count with their multiplicity and X_r(v) is the number of
+    length-r in-paths ending at v. Each level is one matvec on the CSC view
+    `g.adjacency.T` (no copy of the adjacency), and X is clipped at omega
+    after it. An entry at omega makes every sum it enters at least omega,
+    so the clipped X is min(X_r, omega) at every level: every first level
+    is exact, no count overflows, and the working set is O(n).
+
+    X counts in-paths, not distinct heads. The two agree while the in-ball
+    is a tree, but a cycle inside the ball is counted again on every pass,
+    so on small graphs a vertex can reach omega at a level where its
+    distinct heads do not. The level of head f's in-neighbourhood is read
+    at the vertex whose tail is paired with f:
+    `w = g.tail_vertex[g.inverse_match[f]]`.
     """
-    if not 0 <= f < g.m:
-        raise ValidationError(f"head id {f} outside 0..{g.m - 1}")
-    if omega < 1:
-        raise ValidationError("omega must be >= 1")
-    if omega == 1:
-        return 0
-    inv = g.inverse_match
-    tail_vertex = g.tail_vertex
-    head_ptr = g.head_ptr
-    seen = np.zeros(g.m, dtype=bool)
-    frontier = np.array([f], dtype=np.int64)
-    seen[f] = True
-    for t in range(1, t_cap + 1):
-        tails = inv[frontier]
-        vertices = tail_vertex[tails]
-        nxt = _heads_of(g.d_in, head_ptr, vertices)
-        nxt = nxt[~seen[nxt]]
-        nxt = np.unique(nxt)
-        if len(nxt) == 0:
-            return None
-        seen[nxt] = True
-        if len(nxt) >= omega:
-            return t
-        frontier = nxt
-    return None
-
-
-def _heads_of(
-    d_in: np.ndarray, head_ptr: np.ndarray, vertices: np.ndarray
-) -> np.ndarray:
-    """Concatenated head ids of the given vertices (with repeats collapsed
-    later), from the in-degrees and their `head_ptr`."""
-    counts = d_in[vertices]
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    starts = head_ptr[vertices]
-    offsets = np.arange(total) - np.repeat(
-        np.concatenate(([0], np.cumsum(counts)))[:-1], counts
-    )
-    return np.repeat(starts, counts) + offsets
+    for name, value in (("omega", omega), ("t_cap", t_cap)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if omega < 1 or t_cap < 0:
+        raise ValidationError(f"need omega >= 1 and t_cap >= 0, got {omega}, {t_cap}")
+    if omega > np.iinfo(np.int64).max // max(int(g.d_in.max(initial=0)), 1):
+        raise ValidationError(f"omega={omega} times the largest in-degree overflows int64")
+    depth = np.full(g.n, 0 if omega == 1 else -1, dtype=np.int64)
+    width = np.ones(g.n, dtype=np.int64)
+    reverse = g.adjacency.T
+    for r in range(1, t_cap + 1):
+        width = np.minimum(reverse @ width, omega)
+        depth[(depth < 0) & (width >= omega)] = r
+    return depth

@@ -18,7 +18,9 @@ import numpy as np
 
 from ._threads import share_cores
 from .branching import compute_bp_parameters
-from .degrees import BiDegreeDistribution, realize_sequence, validate_sequence
+from .degrees import (
+    BiDegreeDistribution, _json_int, realize_sequence, validate_sequence
+)
 from .errors import ConfigError, NonUniqueError, ValidationError
 from .graph import sample_dcm
 from .gwsim import least_squares_slope
@@ -74,11 +76,15 @@ class ExperimentConfig:
         data = json.loads(text)
         try:
             dist_blob = data["distribution"]
+            ladder, measures = data["n_ladder"], data.get("measures", [])
+            for name, value in (("n_ladder", ladder), ("measures", measures)):
+                if not isinstance(value, list):
+                    raise TypeError(f"{name} must be a list, got {value!r}")
             fields = dict(
-                n_ladder=tuple(int(v) for v in data["n_ladder"]),
-                seeds_per_n=int(data["seeds_per_n"]),
-                measures=tuple(str(v) for v in data.get("measures", ())),
-                master_seed=int(data.get("master_seed", 0)),
+                n_ladder=tuple(_json_int(v, "n_ladder entry") for v in ladder),
+                seeds_per_n=_json_int(data["seeds_per_n"], "seeds_per_n"),
+                measures=tuple(str(v) for v in measures),
+                master_seed=_json_int(data.get("master_seed", 0), "master_seed"),
                 power_tol=float(data.get("power_tol", 1e-12)),
             )
         except (KeyError, TypeError, ValueError) as exc:

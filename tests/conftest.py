@@ -15,6 +15,19 @@ TOY_PHI_A0 = 1.65129
 TOY_EXPONENT = 1.56708
 
 
+# The two-factor law: in-degree 0 or 4 (P(4) = 0.675) independent of
+# out-degree 2 or 16 (P(16) = 0.05), both means 2.7. Its light-trajectory
+# factor puts a0 far from 1 and moves the exponent by 0.26. Analytic values
+# to 1e-6.
+TWO_FACTOR_PMF = {(0, 2): 0.30875, (0, 16): 0.01625, (4, 2): 0.64125, (4, 16): 0.03375}
+TWO_FACTOR_NU_HAT = 0.1
+TWO_FACTOR_H_HAT = 1.309278
+TWO_FACTOR_A0 = 1.859926
+TWO_FACTOR_PHI_A0 = 1.578130
+TWO_FACTOR_EXPONENT = 1.829639
+TWO_FACTOR_S_MINUS = 2 / 3
+
+
 @pytest.fixture
 def toy_dist() -> BiDegreeDistribution:
     return BiDegreeDistribution(dict(TOY_PMF))

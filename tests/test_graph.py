@@ -17,7 +17,7 @@ from dcmwalk import (
     sample_dcm,
     sample_rout,
     sccs,
-    t_omega,
+    thin_depth,
 )
 from dcmwalk import graph as graph_module
 from dcmwalk.cli import main
@@ -74,14 +74,13 @@ def test_half_edge_owners_are_derived(toy_dist):
     assert np.array_equal(g.head_vertex, np.repeat(np.arange(g.n), g.d_in))
     assert g.tail_vertex.dtype == g.head_vertex.dtype == np.intp
     assert g.successors().dtype == np.intp
-    # So are the first half-edges of each vertex, here also for r-out and
+    # So is the first tail of each vertex, here also for r-out and
     # for a loaded graph with isolated vertices.
     loaded = Multigraph.from_edges([(0, 2, 3), (2, 0, 1)], n=5)
     for h in (g, sample_rout(40, 3, rng_seed=2), loaded):
-        assert "tail_ptr" not in vars(h) and "head_ptr" not in vars(h)
-        for ptr, d in ((h.tail_ptr, h.d_out), (h.head_ptr, h.d_in)):
-            assert ptr.dtype == np.intp
-            assert np.array_equal(ptr, np.concatenate(([0], np.cumsum(d))))
+        assert "tail_ptr" not in vars(h)
+        assert h.tail_ptr.dtype == np.intp
+        assert np.array_equal(h.tail_ptr, np.concatenate(([0], np.cumsum(h.d_out))))
 
 
 def test_csr_with_out_degree_zero_vertices_is_warning_free():
@@ -221,27 +220,61 @@ def test_attractive_scc_on_sampled_graphs(toy_dist):
 
 
 def test_t_omega_dead_in_growth():
-    # On a cycle every in-neighbourhood is a single head at each level.
+    # On a cycle every vertex has exactly one in-path of each length.
     cyc = directed_cycle(5)
-    for f in range(cyc.m):
-        assert t_omega(cyc, f, omega=2, t_cap=50) is None
-        assert t_omega(cyc, f, omega=1, t_cap=50) == 0
+    assert np.array_equal(thin_depth(cyc, omega=2, t_cap=50), np.full(5, -1))
+    assert np.array_equal(thin_depth(cyc, omega=1, t_cap=50), np.zeros(5))
 
 
-@pytest.mark.parametrize("head", [-1, 5], ids=["-1", "m"])
-def test_t_omega_rejects_head_outside_range(head):
+@pytest.mark.parametrize(
+    "omega, t_cap",
+    [(0, 10), (-1, 10), (2, -1), (True, 10), (2.0, 10), (2, False), (2, 10.0), (2**63, 10)],
+    ids=["omega0", "omega-1", "t_cap-1", "omega-bool", "omega-float", "t_cap-bool",
+         "t_cap-float", "omega-overflow"],
+)
+def test_thin_depth_rejects_bad_omega_and_t_cap(omega, t_cap):
     with pytest.raises(ValidationError):
-        t_omega(directed_cycle(5), head, omega=2, t_cap=10)
+        thin_depth(directed_cycle(5), omega=omega, t_cap=t_cap)
+
+
+def test_thin_depth_matches_dense_path_counts():
+    # A 10-cycle with a self-loop, a double edge and a chord, a graph with
+    # in-degree-0 and isolated vertices, and a DAG with two paths of
+    # different lengths, against the first r at which the unclipped dense count
+    # (A^T)^r 1 reaches omega.
+    graphs = [
+        Multigraph.from_edges(
+            [(i, (i + 1) % 10, 1) for i in range(10)] + [(4, 4, 1), (4, 3, 2), (4, 6, 1)]
+        ),
+        Multigraph.from_edges([(0, 1, 3), (1, 2, 1), (2, 1, 1), (3, 2, 2), (2, 2, 1)], n=5),
+        Multigraph.from_edges([(0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 3, 1)]),
+    ]
+    reached_late = 0
+    for g in graphs:
+        reverse = g.adjacency.T.toarray().astype(np.int64)
+        counts = [np.ones(g.n, dtype=np.int64)]
+        for _ in range(8):
+            counts.append(reverse @ counts[-1])
+        for omega in range(1, 7):
+            for t_cap in range(9):
+                ref = np.full(g.n, -1)
+                for r in range(t_cap, -1, -1):
+                    ref[counts[r] >= omega] = r
+                assert np.array_equal(thin_depth(g, omega, t_cap), ref), (omega, t_cap)
+                reached_late += int(np.sum(ref >= 3))
+    assert reached_late > 0
 
 
 def test_t_omega_fraction_matches_survival(toy_dist):
     # The heads with omega-growing in-neighbourhoods are asymptotically the
-    # survivors of the in-process: fraction ~ s_minus = 0.4812.
+    # survivors of the in-process: fraction ~ s_minus = 0.4812. Head f is
+    # read at the vertex whose tail is paired with it.
     seq = realize_sequence(toy_dist, 100_000)
     g = sample_dcm(seq, rng_seed=3)
     rng = np.random.default_rng(0)
     heads = rng.choice(g.m, size=3000, replace=False)
-    finite = sum(t_omega(g, int(f), omega=32, t_cap=200) is not None for f in heads)
+    depth = thin_depth(g, omega=32, t_cap=200)
+    finite = np.count_nonzero(depth[g.tail_vertex[g.inverse_match[heads]]] >= 0)
     assert finite / len(heads) == pytest.approx(0.4812, abs=0.03)
 
 
@@ -261,7 +294,7 @@ def test_edge_list_keeps_trailing_isolated_vertices(tmp_path):
     assert path.read_text() == "# n=5\n0 1 1\n1 0 1\n"
     h = Multigraph.from_edge_list(path)
     assert h.n == 5
-    for name in ("d_in", "d_out", "tail_ptr", "head_ptr", "match"):
+    for name in ("d_in", "d_out", "tail_ptr", "match"):
         assert np.array_equal(getattr(g, name), getattr(h, name)), name
 
 
@@ -281,7 +314,7 @@ def test_edge_list_roundtrip_random_multigraphs(tmp_path):
         g.to_edge_list(path)
         h = Multigraph.from_edge_list(path)
         assert (h.n, h.m) == (g.n, g.m)
-        for name in ("d_in", "d_out", "tail_ptr", "head_ptr", "tail_vertex", "head_vertex", "match"):
+        for name in ("d_in", "d_out", "tail_ptr", "tail_vertex", "head_vertex", "match"):
             assert np.array_equal(getattr(g, name), getattr(h, name)), name
 
 

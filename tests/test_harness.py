@@ -72,6 +72,17 @@ def test_config_rejects_bad_power_tol(tmp_path, capsys, tol):
     assert out.read_bytes() == done
 
 
+@pytest.mark.parametrize(
+    "field, value", [("n_ladder", "64"), ("measures", "t_hit")], ids=["n_ladder", "measures"]
+)
+def test_config_rejects_string_for_list(field, value):
+    # A string is refused, not iterated character by character.
+    blob = {"distribution": json.loads(toy_json()), "n_ladder": [64], "seeds_per_n": 1,
+            field: value}
+    with pytest.raises(ConfigError, match=f"{field} must be a list"):
+        ExperimentConfig.from_json(json.dumps(blob))
+
+
 def test_seed_derivation_stable():
     a = derive_seed(7, 1024, 3).generate_state(4)
     b = derive_seed(7, 1024, 3).generate_state(4)
@@ -476,7 +487,21 @@ def test_cli_fuzz_malformed_input_exits_cleanly(tmp_path, capsys):
             f'{{"distribution": {toy_json()}, "n_ladder": [64], "seeds_per_n": 1, '
             f'"master_seed": -1}}'
         ).encode(),
+        # Non-integers are refused, not rounded: rounded, this law is the
+        # mean-balanced {(0,2): 0.5, (4,2): 0.5}.
+        "float_degrees.json": (
+            b'{"pmf":[{"in":0.9,"out":2,"p":0.5},{"in":4,"out":2.6,"p":0.5}]}'
+        ),
+        "float_marks.json": (
+            b'{"pmf":[{"xi":3.7,"zeta":2,"p":0.5},{"xi":0,"zeta":3.5,"p":0.5}]}'
+        ),
     }
+    for name, fields in (
+        ("float_ladder.json", '"n_ladder": [64.9, 128], "seeds_per_n": 1'),
+        ("float_seeds.json", '"n_ladder": [64], "seeds_per_n": 1.5'),
+        ("float_master.json", '"n_ladder": [64], "seeds_per_n": 1, "master_seed": 2.7'),
+    ):
+        blobs[name] = f'{{"distribution": {toy_json()}, {fields}}}'.encode()
     for name, blob in blobs.items():
         (tmp_path / name).write_bytes(blob)
     runs += [
@@ -487,6 +512,12 @@ def test_cli_fuzz_malformed_input_exits_cleanly(tmp_path, capsys):
         ["params", "--dist", dist, "--rate-grid", "-5"],
         ["exponent-sweep", "--config", str(tmp_path / "config.json"), "--out", out],
         ["exponent-sweep", "--config", str(tmp_path / "seed.json"), "--out", out],
+        ["params", "--dist", str(tmp_path / "float_degrees.json")],
+        ["bp-sim", "--law", str(tmp_path / "float_marks.json"), "--t", "3"],
+    ]
+    runs += [
+        ["exponent-sweep", "--config", str(tmp_path / name), "--out", out]
+        for name in ("float_ladder.json", "float_seeds.json", "float_master.json")
     ]
     for i in range(36):
         path = tmp_path / f"bad{i}.edges"

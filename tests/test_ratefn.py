@@ -23,7 +23,19 @@ from dcmwalk import (
 from dcmwalk import ratefn
 from dcmwalk.ratefn import _golden_section, rate_table
 
-from conftest import TOY_A0, TOY_EXPONENT, TOY_PHI_A0, zqcy_dist
+from conftest import (
+    TOY_A0,
+    TOY_EXPONENT,
+    TOY_PHI_A0,
+    TWO_FACTOR_A0,
+    TWO_FACTOR_EXPONENT,
+    TWO_FACTOR_H_HAT,
+    TWO_FACTOR_NU_HAT,
+    TWO_FACTOR_PHI_A0,
+    TWO_FACTOR_PMF,
+    TWO_FACTOR_S_MINUS,
+    zqcy_dist,
+)
 
 LOG2, LOG3, LOG32 = math.log(2), math.log(3), math.log(1.5)
 
@@ -146,6 +158,25 @@ def test_minimize_phi_toy(toy_dist, toy_law):
     assert not report.point_domain and not report.degenerate
     assert report.exponent >= 1.0
     assert report.phi_a0 <= abs(math.log(params.nu_hat)) + 1e-12
+
+
+def test_two_factor_law_analytic_record():
+    # The one law in the tests whose a0 is far from 1 (the toy's is 1.067):
+    # the light-trajectory factor adds more than 0.25 to the thin-only
+    # exponent 1 + H_hat / |log nu_hat|.
+    _, record = analyze_distribution(BiDegreeDistribution(dict(TWO_FACTOR_PMF)))
+    expected = {
+        "nu_hat": TWO_FACTOR_NU_HAT,
+        "H_hat": TWO_FACTOR_H_HAT,
+        "a0": TWO_FACTOR_A0,
+        "phi_a0": TWO_FACTOR_PHI_A0,
+        "exponent": TWO_FACTOR_EXPONENT,
+        "s_minus": TWO_FACTOR_S_MINUS,
+    }
+    for key, value in expected.items():
+        assert record[key] == pytest.approx(value, abs=1e-6), key
+    thin_only = 1.0 + record["H_hat"] / abs(math.log(record["nu_hat"]))
+    assert record["exponent"] - thin_only > 0.25
 
 
 def test_minimize_phi_zqcy_family():
