@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .degrees import PROB_TOL, BiDegreeDistribution, _json_int
+from ._checks import PROB_TOL, check_int, check_pmf, read_pmf
+from .degrees import BiDegreeDistribution
 from .errors import DegenerateError, NumericalError, ValidationError
 
 FIXED_POINT_TOL = 1e-14
@@ -31,23 +32,13 @@ class MarkedOffspringLaw:
     pmf: dict[tuple[int, int], float]
 
     def __post_init__(self):
-        cleaned = {}
+        items = []
         for pair, p in self.pmf.items():
-            k, zeta = int(pair[0]), int(pair[1])
-            if k < 0:
-                raise ValidationError(f"negative offspring count in {pair}")
-            if zeta < 1:
-                raise ValidationError(f"mark {zeta} below 1 in {pair}")
-            if p < -PROB_TOL or p > 1 + PROB_TOL:
-                raise ValidationError(f"probability {p} for {pair} outside [0, 1]")
-            if p > 0.0:
-                cleaned[(k, zeta)] = float(p)
-        if not cleaned:
-            raise ValidationError("empty offspring law")
-        total = math.fsum(cleaned.values())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"offspring law sums to {total}, not 1")
-        object.__setattr__(self, "pmf", cleaned)
+            k, zeta = check_int(pair[0], "offspring count"), check_int(pair[1], "mark")
+            if k < 0 or zeta < 1:
+                raise ValidationError(f"need offspring count >= 0 and mark >= 1, got {pair}")
+            items.append(((k, zeta), p))
+        object.__setattr__(self, "pmf", check_pmf(items, "offspring law"))
 
     @property
     def support(self) -> list[tuple[int, int]]:
@@ -91,18 +82,7 @@ class MarkedOffspringLaw:
 
     @classmethod
     def from_json(cls, text: str) -> "MarkedOffspringLaw":
-        data = json.loads(text)
-        if not isinstance(data, dict) or not isinstance(data.get("pmf"), list):
-            raise ValidationError('offspring-law JSON must be {"pmf": [...]}')
-        pmf: dict[tuple[int, int], float] = {}
-        for entry in data["pmf"]:
-            try:
-                pair = (_json_int(entry["xi"], "xi"), _json_int(entry["zeta"], "zeta"))
-                p = float(entry["p"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"bad pmf entry {entry!r}: {exc}") from exc
-            pmf[pair] = pmf.get(pair, 0.0) + p
-        return cls(pmf)
+        return cls(read_pmf(text, ("xi", "zeta"), "offspring law"))
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=1, help="worker processes")
     parser.add_argument("--tol", type=float, default=1e-12, help="iteration tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
+    # The graph source of stationary, hitting and cover: a file, or a law to sample.
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--graph")
+    source.add_argument("--dist")
+    source.add_argument("--n", type=int)
+    source.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
 
     p = sub.add_parser("params", allow_abbrev=False, help="analytic parameters of a distribution")
     p.add_argument("--dist", required=True)
@@ -206,34 +212,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("stationary", allow_abbrev=False, help="stationary distribution diagnostics")
-    p.add_argument("--graph")
-    p.add_argument("--dist")
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
+    p = sub.add_parser("stationary", allow_abbrev=False, parents=[source],
+                       help="stationary distribution diagnostics")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_stationary)
 
-    p = sub.add_parser("hitting", allow_abbrev=False, help="Monte Carlo hitting time, CSV per replicate")
-    p.add_argument("--graph")
-    p.add_argument("--dist")
-    p.add_argument("--n", type=int)
+    p = sub.add_parser("hitting", allow_abbrev=False, parents=[source],
+                       help="Monte Carlo hitting time, CSV per replicate")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--step-cap", type=int, default=10**9, dest="step_cap")
-    p.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_hitting)
 
-    p = sub.add_parser("cover", allow_abbrev=False, help="Monte Carlo cover time, CSV per replicate")
-    p.add_argument("--graph")
-    p.add_argument("--dist")
-    p.add_argument("--n", type=int)
+    p = sub.add_parser("cover", allow_abbrev=False, parents=[source],
+                       help="Monte Carlo cover time, CSV per replicate")
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--step-cap", type=int, default=10**9, dest="step_cap")
     p.add_argument("--starts", type=int, default=10)
-    p.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_cover)
 

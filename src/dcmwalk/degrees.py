@@ -16,44 +16,31 @@ from functools import cached_property
 
 import numpy as np
 
+from ._checks import PROB_TOL, check_int, check_int_array, check_pmf, read_pmf
 from .errors import BalanceError, RealizationError, ValidationError
 
-PROB_TOL = 1e-12
-DEFAULT_MAX_DEGREE = 64
+MAX_DEGREE = 64  # largest in- or out-degree of a distribution's support
 
 
 @dataclass(frozen=True)
 class BiDegreeDistribution:
     """Probability mass function over (in-degree, out-degree) pairs.
 
-    Probabilities must be in [0, 1] and sum to 1 within 1e-12. Mean balance
-    (E[D_in] == E[D_out]) is required for model use but only flagged here;
-    see :attr:`mean_balanced`.
+    Degrees are integers in 0..MAX_DEGREE; probabilities must be in [0, 1]
+    and sum to 1 within 1e-12. Mean balance (E[D_in] == E[D_out]) is
+    required for model use but only flagged here; see :attr:`mean_balanced`.
     """
 
     pmf: dict[tuple[int, int], float]
-    max_degree: int = DEFAULT_MAX_DEGREE
 
     def __post_init__(self):
-        cleaned = {}
+        items = []
         for pair, p in self.pmf.items():
-            k, ell = int(pair[0]), int(pair[1])
-            if k < 0 or ell < 0:
-                raise ValidationError(f"negative degree in support pair {pair}")
-            if k > self.max_degree or ell > self.max_degree:
-                raise ValidationError(
-                    f"degree pair {pair} exceeds cap {self.max_degree}"
-                )
-            if p < -PROB_TOL or p > 1 + PROB_TOL:
-                raise ValidationError(f"probability {p} for {pair} outside [0, 1]")
-            if p > 0.0:
-                cleaned[(k, ell)] = float(p)
-        if not cleaned:
-            raise ValidationError("empty distribution support")
-        total = math.fsum(cleaned.values())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "pmf", cleaned)
+            k, ell = check_int(pair[0], "in-degree"), check_int(pair[1], "out-degree")
+            if not (0 <= k <= MAX_DEGREE and 0 <= ell <= MAX_DEGREE):
+                raise ValidationError(f"degree pair {pair} outside 0..{MAX_DEGREE}")
+            items.append(((k, ell), p))
+        object.__setattr__(self, "pmf", check_pmf(items, "distribution"))
 
     @property
     def support(self) -> list[tuple[int, int]]:
@@ -94,27 +81,8 @@ class BiDegreeDistribution:
         return json.dumps({"pmf": entries})
 
     @classmethod
-    def from_json(cls, text: str, max_degree: int = DEFAULT_MAX_DEGREE) -> "BiDegreeDistribution":
-        data = json.loads(text)
-        if not isinstance(data, dict) or not isinstance(data.get("pmf"), list):
-            raise ValidationError('distribution JSON must be {"pmf": [...]}')
-        pmf: dict[tuple[int, int], float] = {}
-        for entry in data["pmf"]:
-            try:
-                pair = (_json_int(entry["in"], "in"), _json_int(entry["out"], "out"))
-                p = float(entry["p"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"bad pmf entry {entry!r}: {exc}") from exc
-            pmf[pair] = pmf.get(pair, 0.0) + p
-        return cls(pmf, max_degree=max_degree)
-
-
-def _json_int(value, name: str) -> int:
-    """A parsed JSON integer; a bool, a float or a string raises TypeError,
-    so it is refused, not rounded."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
+    def from_json(cls, text: str) -> "BiDegreeDistribution":
+        return cls(read_pmf(text, ("in", "out"), "distribution"))
 
 
 class BiDegreeSequence:
@@ -128,7 +96,7 @@ class BiDegreeSequence:
     """
 
     def __init__(self, degrees):
-        pairs = np.array(degrees, dtype=np.int64)
+        pairs = check_int_array(degrees, "degrees")
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise ValidationError("degree sequence must be (d_in, d_out) pairs")
         self._set_arrays(*pairs.reshape(-1, 2).T)
@@ -143,8 +111,8 @@ class BiDegreeSequence:
     def _set_arrays(self, in_degrees, out_degrees, copy: bool = True) -> None:
         """Store the degrees as read-only int64 arrays. copy=False adopts
         int64 arrays the caller owns and never writes again, as they are."""
-        kin = np.array(in_degrees, dtype=np.int64, copy=copy or None)
-        kout = np.array(out_degrees, dtype=np.int64, copy=copy or None)
+        kin = np.array(check_int_array(in_degrees, "in-degrees"), np.int64, copy=copy or None)
+        kout = np.array(check_int_array(out_degrees, "out-degrees"), np.int64, copy=copy or None)
         if kin.ndim != 1 or kin.shape != kout.shape:
             raise ValidationError("in- and out-degree arrays differ in shape")
         if len(kin) == 0:
@@ -231,7 +199,7 @@ class ValidationReport:
 
 
 def validate_sequence(
-    seq: BiDegreeSequence, max_degree_cap: int = DEFAULT_MAX_DEGREE
+    seq: BiDegreeSequence, max_degree_cap: int = MAX_DEGREE
 ) -> ValidationReport:
     """Check a sequence against the model hypotheses.
 
@@ -291,7 +259,7 @@ def realize_sequence(dist: BiDegreeDistribution, n: int) -> BiDegreeSequence:
 
 def _support_counts(dist: BiDegreeDistribution, n: int) -> dict[tuple[int, int], int]:
     """Vertex count per support pair for :func:`realize_sequence`."""
-    if n < 1:
+    if check_int(n, "n") < 1:
         raise RealizationError(f"need n >= 1, got {n}")
     dist.require_mean_balanced()
     pairs = dist.support

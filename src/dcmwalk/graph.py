@@ -21,7 +21,6 @@ parallel power loop runs (one part is the whole block).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from ._checks import check_int
 from .degrees import BiDegreeSequence
 from .errors import NumericalError, ValidationError
 
@@ -150,7 +150,7 @@ class Multigraph:
         sorted edge order), which preserves the multigraph exactly. `n`
         defaults to the largest vertex id + 1 and may not be smaller.
         """
-        edges = [(int(s), int(d), int(mult)) for s, d, mult in edges]
+        edges = [tuple(check_int(v, "edge entry") for v in (s, d, m)) for s, d, m in edges]
         if not edges:
             raise ValidationError("empty edge list")
         for src, dst, mult in edges:
@@ -235,7 +235,7 @@ def sample_rout(n: int, r: int, rng_seed: int | np.random.SeedSequence = 0) -> M
     """Sample the r-out digraph: each vertex draws r uniform out-neighbours
     with replacement (self-loops allowed); in-degrees are Binomial(nr, 1/n).
     """
-    if r < 2 or n < 1:
+    if check_int(r, "r") < 2 or check_int(n, "n") < 1:
         raise ValidationError(f"need r >= 2 and n >= 1, got r={r}, n={n}")
     rng = np.random.default_rng(rng_seed)
     targets = rng.integers(0, n, size=n * r)
@@ -400,10 +400,7 @@ def thin_depth(g: Multigraph, omega: int, t_cap: int) -> np.ndarray:
     at the vertex whose tail is paired with f:
     `w = g.tail_vertex[g.inverse_match[f]]`.
     """
-    for name, value in (("omega", omega), ("t_cap", t_cap)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if omega < 1 or t_cap < 0:
+    if check_int(omega, "omega") < 1 or check_int(t_cap, "t_cap") < 0:
         raise ValidationError(f"need omega >= 1 and t_cap >= 0, got {omega}, {t_cap}")
     if omega > np.iinfo(np.int64).max // max(int(g.d_in.max(initial=0)), 1):
         raise ValidationError(f"omega={omega} times the largest in-degree overflows int64")

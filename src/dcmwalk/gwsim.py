@@ -14,12 +14,12 @@ exact-enumeration tests pin this down.
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_int
 from ._threads import thread_map, usable_cores
 from .branching import (
     MarkedOffspringLaw,
@@ -38,6 +38,7 @@ from .errors import (
 from .ratefn import FiniteLogLaw, rate_function
 
 DEFAULT_WIDTH_CAP = 10**6
+Z_95 = 1.96  # normal quantile of the two-sided 95% intervals
 # Most tree shapes duality_check enumerates before it gives up.
 DUALITY_MAX_SHAPES = 10**6
 # Thinning strength of the splitting potential Psi(x) = exp(-GUIDE * x) that
@@ -150,7 +151,7 @@ def simulate_marked_gw(
     `width_cap` is not materialized and the tree is flagged truncated.
     Identical seeds reproduce identical trees.
     """
-    if t_max < 0 or width_cap < 1:
+    if check_int(t_max, "t_max") < 0 or check_int(width_cap, "width_cap") < 1:
         raise ValidationError("need t_max >= 0 and width_cap >= 1")
     rng = np.random.default_rng(rng_seed)
     sampler = _LawSampler(eta)
@@ -247,7 +248,7 @@ def duality_check(xi: OffspringLaw, depth: int) -> DualityReport:
     nu = math.fsum(k * p for k, p in xi.items())
     if nu <= 1.0:
         raise DegenerateError(f"duality check needs a supercritical law, mean {nu}")
-    if depth < 1 or depth > 3:
+    if not 1 <= check_int(depth, "depth") <= 3:
         raise ValidationError("depth must be in 1..3 for exact enumeration")
     s = survival_probability(offspring_pgf(xi))
     q = 1.0 - s
@@ -315,14 +316,14 @@ class TailEstimate:
     flags: tuple[str, ...] = field(default=())
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion; safe at 0 successes."""
     if n <= 0:
         return (0.0, 1.0)
-    phat = successes / n
-    denom = 1.0 + z * z / n
-    center = (phat + z * z / (2 * n)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4 * n * n)) / denom
+    phat, z2 = successes / n, Z_95 * Z_95
+    denom = 1.0 + z2 / n
+    center = (phat + z2 / (2 * n)) / denom
+    half = Z_95 * math.sqrt(phat * (1.0 - phat) / n + z2 / (4 * n * n)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 
@@ -380,7 +381,7 @@ def subcritical_tail_experiment(
     bit-identical to a cold call either way. The kept state is about 14
     bytes per replica; a call with any other argument replaces it.
 
-    The interval (ci_lo, ci_hi) is p_hat +- 1.96 standard errors across the
+    The interval (ci_lo, ci_hi) is p_hat +- Z_95 standard errors across the
     runs; with runs=1 there is no spread estimate and both ends are NaN.
     With no successes, ci_lo = 0 and ci_hi is the Wilson upper bound.
     """
@@ -389,8 +390,7 @@ def subcritical_tail_experiment(
     if not eta.marks_at_least_two:
         raise ValidationError("tail experiment needs marks >= 2")
     for name, value in (("t", t), ("omega", omega), ("reps", reps), ("runs", runs)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        check_int(value, name)
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs!r}")
     if not math.isfinite(a) or a < 1.0 or t < 1 or omega < 2 or reps < runs:
@@ -452,8 +452,8 @@ def subcritical_tail_experiment(
             ci_lo = ci_hi = math.nan
         else:
             se = float(np.std(run_estimates, ddof=1)) / math.sqrt(runs)
-            ci_lo = max(0.0, p_hat - 1.96 * se)
-            ci_hi = p_hat + 1.96 * se
+            ci_lo = max(0.0, p_hat - Z_95 * se)
+            ci_hi = p_hat + Z_95 * se
     return TailEstimate(
         event=event,
         t=t,

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_int
 from ._threads import share_cores
 from .branching import compute_bp_parameters
-from .degrees import (
-    BiDegreeDistribution, _json_int, realize_sequence, validate_sequence
-)
+from .degrees import BiDegreeDistribution, realize_sequence, validate_sequence
 from .errors import ConfigError, NonUniqueError, ValidationError
 from .graph import sample_dcm
 from .gwsim import least_squares_slope
@@ -51,6 +50,13 @@ class ExperimentConfig:
     power_tol: float = 1e-12
 
     def __post_init__(self):
+        try:
+            for n in self.n_ladder:
+                check_int(n, "n_ladder entry")
+            check_int(self.seeds_per_n, "seeds_per_n")
+            check_int(self.master_seed, "master_seed")
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from None
         if not self.n_ladder:
             raise ConfigError("empty n ladder")
         if list(self.n_ladder) != sorted(set(self.n_ladder)):
@@ -81,10 +87,10 @@ class ExperimentConfig:
                 if not isinstance(value, list):
                     raise TypeError(f"{name} must be a list, got {value!r}")
             fields = dict(
-                n_ladder=tuple(_json_int(v, "n_ladder entry") for v in ladder),
-                seeds_per_n=_json_int(data["seeds_per_n"], "seeds_per_n"),
+                n_ladder=tuple(ladder),
+                seeds_per_n=data["seeds_per_n"],
                 measures=tuple(str(v) for v in measures),
-                master_seed=_json_int(data.get("master_seed", 0), "master_seed"),
+                master_seed=data.get("master_seed", 0),
                 power_tol=float(data.get("power_tol", 1e-12)),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -108,7 +114,7 @@ def analyze_distribution(
     log-mark law, exponent report, and the serializable record. The law
     must be mean-balanced, as for :func:`realize_sequence`, and the rate
     table needs at least one point."""
-    if rate_grid < 1:
+    if check_int(rate_grid, "rate_grid") < 1:
         raise ValidationError(f"rate_grid must be >= 1, got {rate_grid}")
     dist.require_mean_balanced()
     params = compute_bp_parameters(dist)

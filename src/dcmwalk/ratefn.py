@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._checks import PROB_TOL, check_pmf
 from .branching import BpParameters, MarkedOffspringLaw
 from .errors import DegenerateError, ValidationError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-PROB_TOL = 1e-12
 MIN_LOG_MARK = math.log(2.0)
 # Relative band above the best grid value of phi that minimize_phi scans in
 # full. Bisection noise in I is about 1e-15 relative; only values inside the
@@ -38,22 +38,11 @@ class FiniteLogLaw:
     atoms: dict[float, float]
 
     def __post_init__(self):
-        cleaned = {}
-        for z, p in self.atoms.items():
-            if z < MIN_LOG_MARK - PROB_TOL:
-                raise ValidationError(
-                    f"log-mark atom {z} below log 2; marks must be >= 2 here"
-                )
-            if p < -PROB_TOL or p > 1 + PROB_TOL:
-                raise ValidationError(f"probability {p} outside [0, 1]")
-            if p > 0.0:
-                cleaned[float(z)] = cleaned.get(float(z), 0.0) + float(p)
-        if not cleaned:
-            raise ValidationError("empty log-mark law")
-        total = math.fsum(cleaned.values())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"log-mark law sums to {total}, not 1")
-        object.__setattr__(self, "atoms", cleaned)
+        for z in self.atoms:
+            if not z >= MIN_LOG_MARK - PROB_TOL:  # NaN fails every comparison
+                raise ValidationError(f"log-mark atom {z} below log 2; marks must be >= 2 here")
+        items = ((float(z), p) for z, p in self.atoms.items())
+        object.__setattr__(self, "atoms", check_pmf(items, "log-mark law"))
 
     @classmethod
     def from_marked_law(cls, tilde: MarkedOffspringLaw) -> "FiniteLogLaw":

@@ -20,7 +20,6 @@ bookkeeping (arrivals, traps, first visits) once per block.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,6 +29,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csc_matvec
 from scipy.sparse.csgraph import breadth_first_order
 
+from ._checks import check_int, check_int_array
 from ._threads import thread_map, usable_cores
 from .errors import (
     CensoredError,
@@ -306,14 +306,7 @@ def _check_vertices(n: int, vertices, what: str) -> np.ndarray:
     is an integer in 0..n-1. A bool or a float id is refused, not rounded.
     The range check runs before the int64 conversion, so an integer too
     large for int64 is reported as out of range too."""
-    v = np.asarray(vertices)
-    # np.asarray reads (True, 0) as ints, so ids that do not come as an
-    # integer array are checked one by one.
-    if not (isinstance(vertices, np.ndarray) and v.dtype.kind in "iu"):
-        ids = np.asarray(vertices, dtype=object).reshape(-1).tolist()
-        if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in ids):
-            raise ValidationError(f"{what} ids must be integers, got {vertices!r}")
-    v = v.reshape(-1)
+    v = check_int_array(vertices, f"{what} ids").reshape(-1)
     bad = (v < 0) | (v >= n)
     if bad.any():
         raise ValidationError(f"{what} {v[bad][0]} outside 0..{n - 1}")
@@ -466,9 +459,7 @@ def _check_walkable(g: Multigraph, vertices: tuple = (), **counts: int) -> None:
     least one, every given vertex in 0..n-1, and an out-edge at every vertex
     they may reach. A bool or a float count is refused, not rounded."""
     for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
+        if check_int(value, name) < 1:
             raise ValidationError(f"{name} must be >= 1, got {value}")
     _check_vertices(g.n, vertices, "vertex")
     if np.any(g.d_out == 0):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from dcmwalk import BiDegreeDistribution, MarkedOffspringLaw, out_size_biased
@@ -40,6 +42,14 @@ def toy_biased(toy_dist) -> MarkedOffspringLaw:
 
 def zqcy_dist(m: int) -> BiDegreeDistribution:
     """In-degree 1 or m (skewed), out-degree always 2; mean-balanced."""
-    return BiDegreeDistribution(
-        {(1, 2): (m - 2) / (m - 1), (m, 2): 1 / (m - 1)}, max_degree=max(64, m)
-    )
+    return BiDegreeDistribution({(1, 2): (m - 2) / (m - 1), (m, 2): 1 / (m - 1)})
+
+
+def poisson_rout_dist() -> BiDegreeDistribution:
+    """Poisson(2) in-degree cut at 40 and renormalized, out-degree always 2:
+    the law of the 2-out digraph's in-degrees, as a DCM law."""
+    pmf = {}
+    for k in range(41):
+        pmf[(k, 2)] = math.exp(-2.0) * 2.0**k / math.factorial(k)
+    total = sum(pmf.values())
+    return BiDegreeDistribution({p: w / total for p, w in pmf.items()})

@@ -45,6 +45,7 @@ from conftest import (
     TOY_NU_HAT,
     TOY_PHI_A0,
     TOY_PMF,
+    poisson_rout_dist,
     zqcy_dist,
 )
 
@@ -327,12 +328,7 @@ def test_criterion_10_subcritical_tail_rates():
 
 
 def test_criterion_11_rout_cross_check():
-    pmf = {}
-    for k in range(41):
-        pmf[(k, 2)] = math.exp(-2.0) * 2.0**k / math.factorial(k)
-    total = sum(pmf.values())
-    dist = BiDegreeDistribution({p: w / total for p, w in pmf.items()})
-    rep, _ = analyze_distribution(dist)
+    rep, _ = analyze_distribution(poisson_rout_dist())
     gap = abs(rep.exponent - rout_exponent(2))
     ok = gap <= 2e-3
     report(11, "general pipeline matches the r-out closed form at r=2", ok,

@@ -1,7 +1,29 @@
 import ast
+import math
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import dcmwalk
+from dcmwalk import (
+    BiDegreeDistribution,
+    BiDegreeSequence,
+    ExperimentConfig,
+    MarkedOffspringLaw,
+    Multigraph,
+    ValidationError,
+    duality_check,
+    out_size_biased,
+    realize_sequence,
+    run_params,
+    sample_rout,
+    simulate_marked_gw,
+)
+
+from conftest import TOY_PMF
+
+PACKAGE = Path(dcmwalk.__file__).parent
 
 # Defaults on public functions and methods of the package. A new option has
 # to raise this bound, so it shows in the diff.
@@ -29,3 +51,86 @@ def test_public_optional_parameters_are_bounded():
         tree = ast.parse(path.read_text())
         total += sum(count_defaults(fn) for fn in public_functions(tree))
     assert 0 < total <= MAX_PUBLIC_DEFAULTS
+
+
+def input_checks(path: Path) -> list[str]:
+    """Lines of `path` that define PROB_TOL or name numbers.Integral."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            if node.id == "PROB_TOL":
+                found.append(f"{path.name}:{node.lineno}: defines PROB_TOL")
+        if (isinstance(node, ast.Attribute) and node.attr == "Integral") or (
+            isinstance(node, ast.Name) and node.id == "Integral"
+        ):
+            found.append(f"{path.name}:{node.lineno}: checks numbers.Integral")
+    return found
+
+
+def test_one_input_path():
+    # `_checks` holds the one PROB_TOL and the one integer check; every
+    # other module imports them.
+    own = [line.split(": ", 1)[1] for line in input_checks(PACKAGE / "_checks.py")]
+    assert own.count("defines PROB_TOL") == 1 and "checks numbers.Integral" in own
+    others = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "_checks.py"]
+    assert [line for p in others for line in input_checks(p)] == []
+
+
+def toy_law():
+    return BiDegreeDistribution(dict(TOY_PMF))
+
+
+def config(**fields):
+    base = dict(dist_json=toy_law().to_json(), n_ladder=(64,), seeds_per_n=1)
+    return ExperimentConfig(**{**base, **fields})
+
+
+def dist_json(p: str) -> str:
+    return f'{{"pmf": [{{"in": 2, "out": 2, "p": 1.0}}, {{"in": 3, "out": 3, "p": {p}}}]}}'
+
+
+# Refused with ValidationError, neither rounded nor dropped nor left to crash
+# further in: a non-integer key, count or id, and a probability that is not
+# a real number in [0, 1].
+REFUSED = {
+    "dist_float_degrees": lambda: BiDegreeDistribution({(2.7, 2.2): 1.0}),
+    "law_float_keys": lambda: MarkedOffspringLaw({(1.9, 2.5): 1.0}),
+    "seq_float_pairs": lambda: BiDegreeSequence(((2.5, 2), (2, 2.5))),
+    "seq_float_arrays": lambda: BiDegreeSequence.from_arrays(
+        np.array([2.5, 2.0]), np.array([2.0, 2.5])
+    ),
+    "seq_bool_pairs": lambda: BiDegreeSequence(((True, 1), (1, True))),
+    "seq_bool_arrays": lambda: BiDegreeSequence.from_arrays(
+        np.array([True, True]), np.array([True, True])
+    ),
+    "edges_float_multiplicity": lambda: Multigraph.from_edges([(0, 1, 1.5), (1, 0, 1)]),
+    "realize_float_n": lambda: realize_sequence(BiDegreeDistribution({(2, 2): 1.0}), 10.7),
+    "realize_bool_n": lambda: realize_sequence(BiDegreeDistribution({(2, 2): 1.0}), True),
+    "config_float_ladder": lambda: config(n_ladder=(64.5, 128)),
+    "config_float_seeds": lambda: config(seeds_per_n=1.5),
+    "config_bool_master_seed": lambda: config(master_seed=True),
+    "dist_nan_p": lambda: BiDegreeDistribution({(2, 2): 1.0, (3, 3): math.nan}),
+    "dist_json_nan_p": lambda: BiDegreeDistribution.from_json(dist_json("NaN")),
+    "dist_json_string_p": lambda: BiDegreeDistribution.from_json(
+        '{"pmf": [{"in": 2, "out": 2, "p": "1"}]}'
+    ),
+    "dist_json_bool_p": lambda: BiDegreeDistribution.from_json(
+        '{"pmf": [{"in": 2, "out": 2, "p": true}]}'
+    ),
+    "law_json_string_p": lambda: MarkedOffspringLaw.from_json(
+        '{"pmf": [{"xi": 2, "zeta": 2, "p": "1"}]}'
+    ),
+    "law_json_bool_p": lambda: MarkedOffspringLaw.from_json(
+        '{"pmf": [{"xi": 2, "zeta": 2, "p": true}]}'
+    ),
+    "duality_float_depth": lambda: duality_check({0: 0.25, 2: 0.75}, 1.5),
+    "rout_float_n": lambda: sample_rout(10.5, 2),
+    "gw_float_t_max": lambda: simulate_marked_gw(out_size_biased(toy_law()), 2.5),
+    "params_float_rate_grid": lambda: run_params(toy_law(), rate_grid=2.5),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_inputs_are_refused_not_rounded(name):
+    with pytest.raises(ValidationError):
+        REFUSED[name]()

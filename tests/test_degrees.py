@@ -14,9 +14,18 @@ from dcmwalk import (
     realize_sequence,
     validate_sequence,
 )
-from dcmwalk.degrees import DEFAULT_MAX_DEGREE, _support_counts
+from dcmwalk.degrees import MAX_DEGREE, _support_counts
 
-from conftest import TOY_PMF
+from conftest import TOY_PMF, TWO_FACTOR_PMF, poisson_rout_dist, zqcy_dist
+
+FIXTURE_LAWS = {
+    "toy": lambda: BiDegreeDistribution(dict(TOY_PMF)),
+    "two_factor": lambda: BiDegreeDistribution(dict(TWO_FACTOR_PMF)),
+    "zqcy5": lambda: zqcy_dist(5),
+    "zqcy10": lambda: zqcy_dist(10),
+    "zqcy20": lambda: zqcy_dist(20),
+    "poisson_rout": poisson_rout_dist,
+}
 
 
 def empirical_distribution(seq: BiDegreeSequence) -> BiDegreeDistribution:
@@ -25,11 +34,7 @@ def empirical_distribution(seq: BiDegreeSequence) -> BiDegreeDistribution:
     for pair in seq.degrees:
         counts[pair] = counts.get(pair, 0) + 1
     n = seq.n
-    max_deg = max(max(k for k, _ in counts), max(ell for _, ell in counts))
-    return BiDegreeDistribution(
-        {pair: c / n for pair, c in counts.items()},
-        max_degree=max(DEFAULT_MAX_DEGREE, max_deg),
-    )
+    return BiDegreeDistribution({pair: c / n for pair, c in counts.items()})
 
 
 def total_variation(a: BiDegreeDistribution, b: BiDegreeDistribution) -> float:
@@ -164,6 +169,28 @@ def test_distribution_json_roundtrip(toy_dist):
     assert again.pmf == toy_dist.pmf
     parsed = json.loads(text)
     assert all(set(e) == {"in", "out", "p"} for e in parsed["pmf"])
+
+
+@pytest.mark.parametrize("name", FIXTURE_LAWS)
+def test_distribution_json_round_trip_is_lossless(name):
+    dist = FIXTURE_LAWS[name]()
+    text = dist.to_json()
+    again = BiDegreeDistribution.from_json(text)
+    assert again == dist
+    assert list(again.pmf) == dist.support
+    assert again.to_json() == text
+
+
+def test_degree_cap_is_one_constant():
+    # A law at the cap is built and reloaded; one past it is refused both
+    # ways, so every law that can be built can be reloaded.
+    at_cap = BiDegreeDistribution({(MAX_DEGREE, 2): 0.5, (0, MAX_DEGREE): 0.5})
+    assert BiDegreeDistribution.from_json(at_cap.to_json()) == at_cap
+    over = MAX_DEGREE + 1
+    with pytest.raises(ValidationError):
+        BiDegreeDistribution({(over, 2): 1.0})
+    with pytest.raises(ValidationError):
+        BiDegreeDistribution.from_json(f'{{"pmf": [{{"in": {over}, "out": 2, "p": 1.0}}]}}')
 
 
 def test_sequence_file_roundtrip(tmp_path, toy_dist):

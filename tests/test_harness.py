@@ -495,6 +495,12 @@ def test_cli_fuzz_malformed_input_exits_cleanly(tmp_path, capsys):
         "float_marks.json": (
             b'{"pmf":[{"xi":3.7,"zeta":2,"p":0.5},{"xi":0,"zeta":3.5,"p":0.5}]}'
         ),
+        # A probability must be a JSON number in [0, 1]: read as 1.0, the
+        # string and the bool would each make a valid law, and so would
+        # dropping the NaN entry.
+        "string_p.json": b'{"pmf":[{"in":2,"out":2,"p":"1"}]}',
+        "bool_p.json": b'{"pmf":[{"in":2,"out":2,"p":true}]}',
+        "nan_p.json": b'{"pmf":[{"in":2,"out":2,"p":1.0},{"in":3,"out":3,"p":NaN}]}',
     }
     for name, fields in (
         ("float_ladder.json", '"n_ladder": [64.9, 128], "seeds_per_n": 1'),
@@ -514,6 +520,10 @@ def test_cli_fuzz_malformed_input_exits_cleanly(tmp_path, capsys):
         ["exponent-sweep", "--config", str(tmp_path / "seed.json"), "--out", out],
         ["params", "--dist", str(tmp_path / "float_degrees.json")],
         ["bp-sim", "--law", str(tmp_path / "float_marks.json"), "--t", "3"],
+    ]
+    runs += [
+        ["params", "--dist", str(tmp_path / name)]
+        for name in ("string_p.json", "bool_p.json", "nan_p.json")
     ]
     runs += [
         ["exponent-sweep", "--config", str(tmp_path / name), "--out", out]
