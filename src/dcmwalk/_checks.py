@@ -1,19 +1,23 @@
-"""The one input policy of every law, count and id: an integer is a Python
-or numpy integer, so a float or a bool is refused, never rounded, from Python
-and from JSON alike; a probability is a real number in [0, 1] within
-`PROB_TOL` (not NaN, a bool or a string), and a law sums to 1 within it."""
+"""The one input policy, from Python, JSON and text files alike: an integer
+is a Python or numpy integer and a real a Python or numpy real, so a bool or
+a string is neither and a float is refused as an integer, never rounded; a
+law key is a tuple of two integers; a probability is a real in [0, 1] within
+`PROB_TOL` (not NaN), and a law sums to 1 within it; a text-file field is an
+optional '-' followed by ASCII digits."""
 
 from __future__ import annotations
 
 import json
 import math
 import numbers
+import re
 
 import numpy as np
 
 from .errors import ValidationError
 
 PROB_TOL = 1e-12
+INT_FIELD = re.compile(r"-?[0-9]+")  # one integer field of a text file
 
 
 def check_int(value, name: str) -> int:
@@ -21,6 +25,22 @@ def check_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_real(value, name: str):
+    """`value`, unconverted, after checking that it is a real number. NaN and
+    the infinities pass; the caller's range test refuses them."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def check_int_pair(pair, names: tuple[str, str]) -> tuple[int, int]:
+    """A law key `pair` as two Python ints, after checking that it is a
+    tuple of exactly two integers; `names` names its entries in errors."""
+    if not isinstance(pair, tuple) or len(pair) != 2:
+        raise ValidationError(f"key must be a pair ({names[0]}, {names[1]}), got {pair!r}")
+    return check_int(pair[0], names[0]), check_int(pair[1], names[1])
 
 
 def check_int_array(values, name: str) -> np.ndarray:
@@ -41,9 +61,9 @@ def check_pmf(items, what: str) -> dict:
     keys without positive mass dropped. `what` names the law in errors."""
     masses: dict = {}
     for key, p in items:
-        if (isinstance(p, bool) or not isinstance(p, numbers.Real)
-                or not -PROB_TOL <= p <= 1 + PROB_TOL):
-            raise ValidationError(f"probability of {key} must be real in [0, 1], got {p!r}")
+        p = check_real(p, f"probability of {key}")
+        if not -PROB_TOL <= p <= 1 + PROB_TOL:
+            raise ValidationError(f"probability of {key} must be in [0, 1], got {p!r}")
         masses[key] = masses.get(key, 0.0) + float(p)
     masses = {key: p for key, p in masses.items() if p > 0.0}
     if not masses:
@@ -67,3 +87,27 @@ def read_pmf(text: str, keys: tuple[str, str], what: str) -> dict:
         except (KeyError, TypeError, ValidationError) as exc:
             raise ValidationError(f"bad pmf entry {entry!r}: {exc}") from exc
     return check_pmf(items, what)
+
+
+def read_int_rows(path, layout: str, header: str | None) -> tuple[int | None, list[tuple]]:
+    """The rows of the ASCII file `path`, each the integer fields that `layout`
+    names (as 'src dst mult'), and the n of a first line `<header><n>` (None
+    without one). Blank lines are skipped; any other line is a
+    ValidationError naming `path:line`."""
+    value, rows, width = None, [], len(layout.split())
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if header is not None and lineno == 1 and line.startswith("#"):
+                digits = line[len(header):]
+                if not line.startswith(header) or not digits.isdigit():
+                    raise ValidationError(f"{path}:1: expected '{header}<n>'")
+                value = int(digits)
+                continue
+            fields = line.split()
+            if len(fields) != width or not all(map(INT_FIELD.fullmatch, fields)):
+                raise ValidationError(f"{path}:{lineno}: expected integers '{layout}'")
+            rows.append(tuple(map(int, fields)))
+    return value, rows

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._checks import PROB_TOL, check_int, check_pmf, read_pmf
+from ._checks import PROB_TOL, check_int_pair, check_pmf, read_pmf
 from .degrees import BiDegreeDistribution
 from .errors import DegenerateError, NumericalError, ValidationError
 
@@ -34,7 +34,7 @@ class MarkedOffspringLaw:
     def __post_init__(self):
         items = []
         for pair, p in self.pmf.items():
-            k, zeta = check_int(pair[0], "offspring count"), check_int(pair[1], "mark")
+            k, zeta = check_int_pair(pair, ("offspring count", "mark"))
             if k < 0 or zeta < 1:
                 raise ValidationError(f"need offspring count >= 0 and mark >= 1, got {pair}")
             items.append(((k, zeta), p))

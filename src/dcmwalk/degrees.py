@@ -16,7 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._checks import PROB_TOL, check_int, check_int_array, check_pmf, read_pmf
+from ._checks import (
+    PROB_TOL, check_int, check_int_array, check_int_pair, check_pmf, read_int_rows, read_pmf
+)
 from .errors import BalanceError, RealizationError, ValidationError
 
 MAX_DEGREE = 64  # largest in- or out-degree of a distribution's support
@@ -36,7 +38,7 @@ class BiDegreeDistribution:
     def __post_init__(self):
         items = []
         for pair, p in self.pmf.items():
-            k, ell = check_int(pair[0], "in-degree"), check_int(pair[1], "out-degree")
+            k, ell = check_int_pair(pair, ("in-degree", "out-degree"))
             if not (0 <= k <= MAX_DEGREE and 0 <= ell <= MAX_DEGREE):
                 raise ValidationError(f"degree pair {pair} outside 0..{MAX_DEGREE}")
             items.append(((k, ell), p))
@@ -165,17 +167,7 @@ class BiDegreeSequence:
 
     @classmethod
     def from_file(cls, path) -> "BiDegreeSequence":
-        degrees = []
-        with open(path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ValidationError(f"{path}:{lineno}: expected 'd_in d_out'")
-                degrees.append((int(parts[0]), int(parts[1])))
-        return cls(tuple(degrees))
+        return cls(tuple(read_int_rows(path, "d_in d_out", header=None)[1]))
 
 
 @dataclass(frozen=True)

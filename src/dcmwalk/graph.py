@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from ._checks import check_int
+from ._checks import check_int, read_int_rows
 from .degrees import BiDegreeSequence
 from .errors import NumericalError, ValidationError
 
@@ -169,26 +169,7 @@ class Multigraph:
     def from_edge_list(cls, path) -> "Multigraph":
         """Rebuild a multigraph from `src dst multiplicity` lines after an
         optional `# n=<n>` first line (default: largest vertex id + 1)."""
-        edges: list[tuple[int, int, int]] = []
-        n = None
-        with open(path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if lineno == 1 and line.startswith("#"):
-                    value = line[len(EDGE_LIST_HEADER):]
-                    if not line.startswith(EDGE_LIST_HEADER) or not value.isdigit():
-                        raise ValidationError(f"{path}:1: expected '{EDGE_LIST_HEADER}<n>'")
-                    n = int(value)
-                    continue
-                try:
-                    src, dst, mult = (int(v) for v in line.split())
-                except ValueError as exc:
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected integers 'src dst mult'"
-                    ) from exc
-                edges.append((src, dst, mult))
+        n, edges = read_int_rows(path, "src dst mult", header=EDGE_LIST_HEADER)
         if not edges:
             raise ValidationError(f"{path}: empty edge list")
         return cls.from_edges(edges, n=n)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import check_int, check_real
 from ._threads import thread_map, usable_cores
 from .branching import (
     MarkedOffspringLaw,
@@ -391,6 +391,7 @@ def subcritical_tail_experiment(
         raise ValidationError("tail experiment needs marks >= 2")
     for name, value in (("t", t), ("omega", omega), ("reps", reps), ("runs", runs)):
         check_int(value, name)
+    check_real(a, "a")
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs!r}")
     if not math.isfinite(a) or a < 1.0 or t < 1 or omega < 2 or reps < runs:

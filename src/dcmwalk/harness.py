@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import check_int, check_real
 from ._threads import share_cores
 from .branching import compute_bp_parameters
-from .degrees import BiDegreeDistribution, realize_sequence, validate_sequence
+from .degrees import BiDegreeDistribution, realize_sequence
 from .errors import ConfigError, NonUniqueError, ValidationError
 from .graph import sample_dcm
 from .gwsim import least_squares_slope
-from .ratefn import ExponentReport, FiniteLogLaw, minimize_phi
+from .ratefn import ExponentReport, FiniteLogLaw, minimize_phi, rate_table
 from .walks import hitting_matrix, stationary_distribution
 
 SWEEP_COLUMNS = (
@@ -55,6 +55,7 @@ class ExperimentConfig:
                 check_int(n, "n_ladder entry")
             check_int(self.seeds_per_n, "seeds_per_n")
             check_int(self.master_seed, "master_seed")
+            check_real(self.power_tol, "power_tol")
         except ValidationError as exc:
             raise ConfigError(str(exc)) from None
         if not self.n_ladder:
@@ -91,15 +92,12 @@ class ExperimentConfig:
                 seeds_per_n=data["seeds_per_n"],
                 measures=tuple(str(v) for v in measures),
                 master_seed=data.get("master_seed", 0),
-                power_tol=float(data.get("power_tol", 1e-12)),
+                power_tol=data.get("power_tol", 1e-12),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
         dist_json = json.dumps(dist_blob) if isinstance(dist_blob, dict) else str(dist_blob)
         return cls(dist_json=dist_json, **fields)
-
-    def distribution(self) -> BiDegreeDistribution:
-        return BiDegreeDistribution.from_json(self.dist_json)
 
 
 def derive_seed(master_seed: int, n: int, seed_idx: int) -> np.random.SeedSequence:
@@ -121,7 +119,8 @@ def analyze_distribution(
     law = None
     if params.tilde is not None:
         law = FiniteLogLaw.from_marked_law(params.tilde)
-    report = minimize_phi(params, law, table_points=rate_grid)
+    report = minimize_phi(params, law)
+    samples = () if report.degenerate else rate_table(law, rate_grid)
     record = {
         "lambda": params.lam,
         "nu": params.nu,
@@ -134,7 +133,7 @@ def analyze_distribution(
         "phi_a0": None if math.isinf(report.phi_a0) else report.phi_a0,
         "exponent": report.exponent,
         "degenerate": report.degenerate,
-        "rate_table": [{"z": z, "I": i} for z, i in report.rate_samples],
+        "rate_table": [{"z": z, "I": i} for z, i in samples],
     }
     return report, record
 
@@ -153,23 +152,18 @@ def _fmt(value: float) -> str:
     return str(value)
 
 
+def _row(**fields) -> dict:
+    """A sweep row: NaN in every column that `fields` does not set."""
+    return {**dict.fromkeys(SWEEP_COLUMNS, math.nan), **fields}
+
+
 def _sweep_cell(args) -> dict:
     dist_json, n, seed_idx, master_seed, power_tol, measures = args
     dist = BiDegreeDistribution.from_json(dist_json)
     seed = derive_seed(master_seed, n, seed_idx)
-    row = {
-        "n": n,
-        "seed": seed_idx,
-        "pi_min": math.nan,
-        "pi_max": math.nan,
-        "support_frac": math.nan,
-        "exp_obs": math.nan,
-        "t_hit_hat": math.nan,
-        "status": "ok",
-    }
+    row = _row(n=n, seed=seed_idx, status="ok")
     try:
         seq = realize_sequence(dist, n)
-        validate_sequence(seq, max_degree_cap=max(dist.max_in, dist.max_out))
         graph = sample_dcm(seq, rng_seed=seed)
         res = stationary_distribution(graph, tol=power_tol)
         row["pi_min"] = res.pi_min
@@ -256,16 +250,7 @@ def _slope_row(rows: list[dict]) -> dict | None:
     )
     if math.isnan(slope):
         return None
-    return {
-        "n": 0,
-        "seed": -1,
-        "pi_min": math.nan,
-        "pi_max": math.nan,
-        "support_frac": stderr,
-        "exp_obs": slope,
-        "t_hit_hat": math.nan,
-        "status": "slope",
-    }
+    return _row(n=0, seed=-1, support_frac=stderr, exp_obs=slope, status="slope")
 
 
 def _read_sweep(path: str) -> list[dict]:

@@ -76,28 +76,29 @@ class ExponentReport:
     a0: float
     phi_a0: float
     exponent: float
-    rate_samples: tuple[tuple[float, float], ...]
     a0_on_boundary: bool
     point_domain: bool
     degenerate: bool
 
 
-def cumulant_gf(law: FiniteLogLaw, lam: float) -> float:
-    """log E[exp(lam * Z)], max-shifted for overflow safety."""
+def _shifted_weights(law: FiniteLogLaw, lam: float) -> tuple[float, list]:
+    """shift = max(lam * z) over the atoms, and each atom z with its weight
+    p * exp(lam * z - shift): the terms of E[exp(lam * Z)], overflow-safe."""
     items = law.atoms.items()
     shift = max(lam * z for z, _ in items)
-    return shift + math.log(
-        math.fsum(p * math.exp(lam * z - shift) for z, p in items)
-    )
+    return shift, [(z, p * math.exp(lam * z - shift)) for z, p in items]
+
+
+def cumulant_gf(law: FiniteLogLaw, lam: float) -> float:
+    """log E[exp(lam * Z)], max-shifted for overflow safety."""
+    shift, weights = _shifted_weights(law, lam)
+    return shift + math.log(math.fsum(w for _, w in weights))
 
 
 def _tilted_mean(law: FiniteLogLaw, lam: float) -> float:
     """E_lam[Z] = K'(lam), the mean under the exponentially tilted law."""
-    items = law.atoms.items()
-    shift = max(lam * z for z, _ in items)
-    weights = [(z, p * math.exp(lam * z - shift)) for z, p in items]
-    total = math.fsum(w for _, w in weights)
-    return math.fsum(z * w for z, w in weights) / total
+    _, weights = _shifted_weights(law, lam)
+    return math.fsum(z * w for z, w in weights) / math.fsum(w for _, w in weights)
 
 
 def rate_function(law: FiniteLogLaw, z: float) -> float:
@@ -224,7 +225,6 @@ def minimize_phi(
     params: BpParameters,
     law: FiniteLogLaw | None,
     grid_step: float = 1e-4,
-    table_points: int = 64,
 ) -> ExponentReport:
     """Locate a0 = argmin phi over [1, z_max / H_hat] and build the report.
 
@@ -245,7 +245,6 @@ def minimize_phi(
             a0=1.0,
             phi_a0=math.inf,
             exponent=1.0,
-            rate_samples=(),
             a0_on_boundary=True,
             point_domain=law is None or (law is not None and law.degenerate),
             degenerate=True,
@@ -253,7 +252,6 @@ def minimize_phi(
     h_hat = params.H_hat
     if not h_hat > 0.0:
         raise DegenerateError("minimize_phi needs H_hat > 0")
-    samples = rate_table(law, table_points)
     a_hi = law.z_max / h_hat
     if a_hi <= 1.0 + 1e-12:
         # Single feasible point: deterministic log-mark law, I = inf off the mean.
@@ -262,7 +260,6 @@ def minimize_phi(
             a0=1.0,
             phi_a0=phi_1,
             exponent=_exponent(h_hat, phi_1),
-            rate_samples=samples,
             a0_on_boundary=True,
             point_domain=True,
             degenerate=False,
@@ -288,7 +285,6 @@ def minimize_phi(
         a0=a0,
         phi_a0=phi_a0,
         exponent=_exponent(h_hat, phi_a0),
-        rate_samples=samples,
         a0_on_boundary=(a0 - 1.0 <= A0_TOL) or (a_hi - a0 <= A0_TOL),
         point_domain=False,
         degenerate=False,

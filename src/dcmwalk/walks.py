@@ -29,7 +29,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csc_matvec
 from scipy.sparse.csgraph import breadth_first_order
 
-from ._checks import check_int, check_int_array
+from ._checks import check_int, check_int_array, check_real
 from ._threads import thread_map, usable_cores
 from .errors import (
     CensoredError,
@@ -167,7 +167,7 @@ def stationary_distribution(
     With one part the phases run inline and no thread starts; the pool's
     threads are joined on return, also on an error.
     """
-    if not 0.0 < tol < math.inf:
+    if not 0.0 < check_real(tol, "tol") < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol}")
     comp = attractive_scc(g)
     if comp is None:
@@ -293,7 +293,7 @@ def head_stationary(g: Multigraph, result: StationaryResult) -> np.ndarray:
 
 def empirical_tail(result: StationaryResult, alpha: float) -> float:
     """psi((0, n^-alpha]) = fraction of vertices with 0 < pi <= n^-(1+alpha)."""
-    if not alpha >= 0:  # NaN fails every comparison
+    if not check_real(alpha, "alpha") >= 0:  # NaN fails every comparison
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
     n = result.n
     threshold = n ** -(1.0 + alpha)

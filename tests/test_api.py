@@ -14,11 +14,14 @@ from dcmwalk import (
     Multigraph,
     ValidationError,
     duality_check,
+    empirical_tail,
     out_size_biased,
     realize_sequence,
     run_params,
     sample_rout,
     simulate_marked_gw,
+    stationary_distribution,
+    subcritical_tail_experiment,
 )
 
 from conftest import TOY_PMF
@@ -54,24 +57,27 @@ def test_public_optional_parameters_are_bounded():
 
 
 def input_checks(path: Path) -> list[str]:
-    """Lines of `path` that define PROB_TOL or name numbers.Integral."""
+    """Lines of `path` that define PROB_TOL or name numbers.Integral or
+    numbers.Real."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             if node.id == "PROB_TOL":
                 found.append(f"{path.name}:{node.lineno}: defines PROB_TOL")
-        if (isinstance(node, ast.Attribute) and node.attr == "Integral") or (
-            isinstance(node, ast.Name) and node.id == "Integral"
-        ):
-            found.append(f"{path.name}:{node.lineno}: checks numbers.Integral")
+        for kind in ("Integral", "Real"):
+            if (isinstance(node, ast.Attribute) and node.attr == kind) or (
+                isinstance(node, ast.Name) and node.id == kind
+            ):
+                found.append(f"{path.name}:{node.lineno}: checks numbers.{kind}")
     return found
 
 
 def test_one_input_path():
-    # `_checks` holds the one PROB_TOL and the one integer check; every
-    # other module imports them.
+    # `_checks` holds the one PROB_TOL, the one integer check and the one
+    # real check; every other module imports them.
     own = [line.split(": ", 1)[1] for line in input_checks(PACKAGE / "_checks.py")]
     assert own.count("defines PROB_TOL") == 1 and "checks numbers.Integral" in own
+    assert "checks numbers.Real" in own
     others = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "_checks.py"]
     assert [line for p in others for line in input_checks(p)] == []
 
@@ -89,9 +95,27 @@ def dist_json(p: str) -> str:
     return f'{{"pmf": [{{"in": 2, "out": 2, "p": 1.0}}, {{"in": 3, "out": 3, "p": {p}}}]}}'
 
 
+def config_json(power_tol: str) -> str:
+    fields = f'"n_ladder": [64], "seeds_per_n": 1, "power_tol": {power_tol}'
+    return f'{{"distribution": {toy_law().to_json()}, {fields}}}'
+
+
+def cycle() -> Multigraph:
+    return Multigraph.from_edges([(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+
+
+def written(name: str, text: str) -> Path:
+    """A file `name` in the working directory (the test's tmp_path) holding `text`."""
+    path = Path(name)
+    path.write_text(text)
+    return path
+
+
 # Refused with ValidationError, neither rounded nor dropped nor left to crash
-# further in: a non-integer key, count or id, and a probability that is not
-# a real number in [0, 1].
+# further in: a non-integer key, count or id; a law key that is not a pair;
+# a probability that is not a real number in [0, 1]; a tolerance or a
+# threshold that is not a real number; a text-file field that is not an
+# optional '-' followed by ASCII digits.
 REFUSED = {
     "dist_float_degrees": lambda: BiDegreeDistribution({(2.7, 2.2): 1.0}),
     "law_float_keys": lambda: MarkedOffspringLaw({(1.9, 2.5): 1.0}),
@@ -127,10 +151,33 @@ REFUSED = {
     "rout_float_n": lambda: sample_rout(10.5, 2),
     "gw_float_t_max": lambda: simulate_marked_gw(out_size_biased(toy_law()), 2.5),
     "params_float_rate_grid": lambda: run_params(toy_law(), rate_grid=2.5),
+    "stationary_bool_tol": lambda: stationary_distribution(cycle(), tol=True),
+    "stationary_string_tol": lambda: stationary_distribution(cycle(), tol="1"),
+    "config_bool_power_tol": lambda: config(power_tol=True),
+    "config_string_power_tol": lambda: config(power_tol="1e-3"),
+    "config_json_bool_power_tol": lambda: ExperimentConfig.from_json(config_json("true")),
+    "config_json_string_power_tol": lambda: ExperimentConfig.from_json(config_json('"1e-3"')),
+    "dist_triple_key": lambda: BiDegreeDistribution({(2, 2, 9): 1.0}),
+    "dist_int_key": lambda: BiDegreeDistribution({5: 1.0}),
+    "dist_short_key": lambda: BiDegreeDistribution({(2,): 1.0}),
+    "law_triple_key": lambda: MarkedOffspringLaw({(2, 2, 9): 1.0}),
+    "law_int_key": lambda: MarkedOffspringLaw({5: 1.0}),
+    "law_short_key": lambda: MarkedOffspringLaw({(2,): 1.0}),
+    "tail_bool_alpha": lambda: empirical_tail(stationary_distribution(cycle()), True),
+    "tail_string_alpha": lambda: empirical_tail(stationary_distribution(cycle()), "1"),
+    "tail_experiment_bool_a": lambda: subcritical_tail_experiment(
+        out_size_biased(toy_law()), t=2, a=True, omega=4, reps=16, runs=2
+    ),
+    "tail_experiment_string_a": lambda: subcritical_tail_experiment(
+        out_size_biased(toy_law()), t=2, a="1", omega=4, reps=16, runs=2
+    ),
+    "seq_file_float_field": lambda: BiDegreeSequence.from_file(written("s.txt", "2 2\n2.5 2\n")),
+    "edge_file_underscore": lambda: Multigraph.from_edge_list(written("g.edges", "0 1 1_0\n")),
 }
 
 
 @pytest.mark.parametrize("name", REFUSED)
-def test_inputs_are_refused_not_rounded(name):
+def test_inputs_are_refused_not_rounded(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ValidationError):
         REFUSED[name]()

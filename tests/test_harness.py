@@ -278,7 +278,7 @@ def test_sweep_csv_golden_digest(tmp_path):
 
 # sha256 of the toy-law bp-sim CSVs below, one per event. Splitting is a
 # reproducibility contract too: a change to the draw, resampling or weight
-# bookkeeping of `gwsim._splitting_run` must leave these bytes alone.
+# bookkeeping of `gwsim._SplittingPopulation` must leave these bytes alone.
 GOLDEN_BP_SIM_SHA256 = {
     "lb": "7d905f933756165886748a6fb897ae5888fcf4626e6894456e95c8500c399ee4",
     "ub": "e7c4f4512539b60f68e2a80853c4b9460d10aea22cb77e9c192718a7a55f831e",
@@ -506,6 +506,10 @@ def test_cli_fuzz_malformed_input_exits_cleanly(tmp_path, capsys):
         ("float_ladder.json", '"n_ladder": [64.9, 128], "seeds_per_n": 1'),
         ("float_seeds.json", '"n_ladder": [64], "seeds_per_n": 1.5'),
         ("float_master.json", '"n_ladder": [64], "seeds_per_n": 1, "master_seed": 2.7'),
+        # Read as 1.0 and 0.001, these tolerances once ran the sweep to exit 0
+        # above n = 2000, where no direct solve cross-checks the power loop.
+        ("bool_tol.json", '"n_ladder": [4096], "seeds_per_n": 1, "power_tol": true'),
+        ("string_tol.json", '"n_ladder": [4096], "seeds_per_n": 1, "power_tol": "1e-3"'),
     ):
         blobs[name] = f'{{"distribution": {toy_json()}, {fields}}}'.encode()
     for name, blob in blobs.items():
@@ -527,8 +531,15 @@ def test_cli_fuzz_malformed_input_exits_cleanly(tmp_path, capsys):
     ]
     runs += [
         ["exponent-sweep", "--config", str(tmp_path / name), "--out", out]
-        for name in ("float_ladder.json", "float_seeds.json", "float_master.json")
+        for name in (
+            "float_ladder.json", "float_seeds.json", "float_master.json",
+            "bool_tol.json", "string_tol.json",
+        )
     ]
+    # int() reads 1_0 as 10; a field is an optional '-' and ASCII digits.
+    underscore = tmp_path / "underscore.edges"
+    underscore.write_text("0 1 1_0\n1 0 10\n")
+    runs.append(["stationary", "--graph", str(underscore)])
     for i in range(36):
         path = tmp_path / f"bad{i}.edges"
         path.write_bytes(corrupt_edge_file(rng))

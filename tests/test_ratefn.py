@@ -21,7 +21,7 @@ from dcmwalk import (
     single_survivor_law,
 )
 from dcmwalk import ratefn
-from dcmwalk.ratefn import _golden_section, rate_table
+from dcmwalk.ratefn import _golden_section
 
 from conftest import (
     TOY_A0,
@@ -274,8 +274,8 @@ def random_grid_law(rng) -> BiDegreeDistribution:
 
 
 def exhaustive_minimize_phi(params, law, grid_step: float) -> ExponentReport:
-    """Reference for the grid path of minimize_phi at its default tol and
-    table_points: phi at every grid point, the first of the smallest kept."""
+    """Reference for the grid path of minimize_phi at its default tol: phi at
+    every grid point, the first of the smallest kept."""
     h_hat = params.H_hat
     a_hi = law.z_max / h_hat
 
@@ -300,7 +300,6 @@ def exhaustive_minimize_phi(params, law, grid_step: float) -> ExponentReport:
         a0=a0,
         phi_a0=phi_a0,
         exponent=1.0 + h_hat / phi_a0,
-        rate_samples=rate_table(law, 64),
         a0_on_boundary=(a0 - 1.0 <= 1e-9) or (a_hi - a0 <= 1e-9),
         point_domain=False,
         degenerate=False,

@@ -205,6 +205,25 @@ def test_hitting_unreachable_states():
     assert h[2] == 0.0
 
 
+def test_hitting_blocks_predecessors_of_other_closed_classes():
+    # Closed classes {2} (the target) and {4}. Every vertex with a path to 4
+    # that avoids 2 (3, then 1, 0 and 6 through their successors) misses 2
+    # with positive probability, so its expected hitting time is infinite.
+    g = Multigraph.from_edges(
+        [(0, 1, 1), (1, 2, 1), (1, 3, 1), (2, 2, 1), (3, 4, 1), (4, 4, 1),
+         (5, 2, 1), (6, 5, 1), (6, 0, 1), (7, 5, 2)]
+    )
+    h = hitting_times_exact(g, 2)
+    assert h.tolist() == [math.inf, math.inf, 0.0, math.inf, math.inf, 1.0, math.inf, 2.0]
+    # Probability of ever hitting 2, with 2 made absorbing; the graph has no
+    # cycle but the two self-loops, so eight steps settle it exactly.
+    p = transition_matrix(g).toarray()
+    p[2] = np.eye(g.n)[2]
+    hit = np.linalg.matrix_power(p, 8)[:, 2]
+    assert hit == pytest.approx([0.5, 0.5, 1.0, 0.0, 0.0, 1.0, 0.75, 1.0], abs=1e-15)
+    assert np.array_equal(np.isinf(h), hit < 1.0)
+
+
 def test_return_time_identity(two_vertex):
     res = stationary_distribution(two_vertex)
     for x in (0, 1):
