@@ -1,9 +1,10 @@
-"""The one input policy, from Python, JSON and text files alike: an integer
-is a Python or numpy integer and a real a Python or numpy real, so a bool or
-a string is neither and a float is refused as an integer, never rounded; a
-law key is a tuple of two integers; a probability is a real in [0, 1] within
-`PROB_TOL` (not NaN), and a law sums to 1 within it; a text-file field is an
-optional '-' followed by ASCII digits."""
+"""The one input policy, from Python, JSON, text files and argv alike: an
+integer is a Python or numpy integer inside int64 and a real a Python or
+numpy real, so a bool or a string is neither and a float is refused as an
+integer, never rounded; a law key is a tuple of two integers; a probability
+is a real in [0, 1] within `PROB_TOL` (not NaN), and a law sums to 1 within
+it; an integer written as text (a file field, an argv word) is an optional
+'-' followed by ASCII digits."""
 
 from __future__ import annotations
 
@@ -17,13 +18,18 @@ import numpy as np
 from .errors import ValidationError
 
 PROB_TOL = 1e-12
-INT_FIELD = re.compile(r"-?[0-9]+")  # one integer field of a text file
+INT64 = np.iinfo(np.int64)
+# An int64 has at most 19 digits after its leading zeros, so a longer
+# string is refused before int() parses it.
+INT_TEXT = re.compile(r"-?0*[0-9]{1,19}")
 
 
 def check_int(value, name: str) -> int:
-    """`value` as a Python int, after checking that it is an integer."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    """`value` as a Python int, after checking that it is an integer inside
+    int64."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and INT64.min <= value <= INT64.max):
+        raise ValidationError(f"{name} must be an integer inside int64, got {value!r}")
     return int(value)
 
 
@@ -44,15 +50,22 @@ def check_int_pair(pair, names: tuple[str, str]) -> tuple[int, int]:
 
 
 def check_int_array(values, name: str) -> np.ndarray:
-    """`np.asarray(values)`, unconverted, after checking that every entry is
-    an integer. An integer numpy array passes as it is; anything else is
-    checked entry by entry, since numpy reads (True, 2) as integers."""
+    """`np.asarray(values)`, unconverted, after checking each entry by
+    `check_int`. A numpy array of an integer dtype other than uint64 passes
+    as it is; anything else is checked entry by entry, since numpy reads
+    (True, 2) as integers."""
     arr = np.asarray(values)
-    if not (isinstance(values, np.ndarray) and arr.dtype.kind in "iu"):
+    if not isinstance(values, np.ndarray) or arr.dtype.kind not in "iu" or arr.dtype == np.uint64:
         for x in np.asarray(values, dtype=object).reshape(-1).tolist():
-            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-                raise ValidationError(f"{name} must be integers, got {x!r}")
+            check_int(x, name)
     return arr
+
+
+def read_int(text: str, name: str) -> int:
+    """The integer that `text` spells, by `check_int`, after checking that
+    it is an optional '-' followed by ASCII digits; the one reader of
+    integer text."""
+    return check_int(int(text) if INT_TEXT.fullmatch(text) else text, name)
 
 
 def check_pmf(items, what: str) -> dict:
@@ -92,8 +105,8 @@ def read_pmf(text: str, keys: tuple[str, str], what: str) -> dict:
 def read_int_rows(path, layout: str, header: str | None) -> tuple[int | None, list[tuple]]:
     """The rows of the ASCII file `path`, each the integer fields that `layout`
     names (as 'src dst mult'), and the n of a first line `<header><n>` (None
-    without one). Blank lines are skipped; any other line is a
-    ValidationError naming `path:line`."""
+    without one), each read by `read_int`. Blank lines are skipped; any
+    other line is a ValidationError naming `path:line`."""
     value, rows, width = None, [], len(layout.split())
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -101,13 +114,10 @@ def read_int_rows(path, layout: str, header: str | None) -> tuple[int | None, li
             if not line:
                 continue
             if header is not None and lineno == 1 and line.startswith("#"):
-                digits = line[len(header):]
-                if not line.startswith(header) or not digits.isdigit():
-                    raise ValidationError(f"{path}:1: expected '{header}<n>'")
-                value = int(digits)
+                value = read_int(line.removeprefix(header), f"{path}:1: n of '{header}<n>'")
                 continue
             fields = line.split()
-            if len(fields) != width or not all(map(INT_FIELD.fullmatch, fields)):
+            if len(fields) != width:
                 raise ValidationError(f"{path}:{lineno}: expected integers '{layout}'")
-            rows.append(tuple(map(int, fields)))
+            rows.append(tuple(read_int(f, f"{path}:{lineno}: field") for f in fields))
     return value, rows

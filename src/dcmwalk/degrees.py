@@ -19,7 +19,7 @@ import numpy as np
 from ._checks import (
     PROB_TOL, check_int, check_int_array, check_int_pair, check_pmf, read_int_rows, read_pmf
 )
-from .errors import BalanceError, RealizationError, ValidationError
+from .errors import BalanceError, CapacityError, RealizationError, ValidationError
 
 MAX_DEGREE = 64  # largest in- or out-degree of a distribution's support
 
@@ -232,7 +232,8 @@ def realize_sequence(dist: BiDegreeDistribution, n: int) -> BiDegreeSequence:
     shortest move sequence via breadth-first search over the imbalance).
     The repair perturbs O(max_degree * |support|) vertices, so the empirical
     distribution of the result is within O(1/n) of `dist` in total variation.
-    Vertices come grouped by pair, in support order.
+    Vertices come grouped by pair, in support order. An n whose int64
+    degree arrays the address space cannot hold raises CapacityError.
     """
     pairs = dist.support
     counts = _support_counts(dist, n)
@@ -253,6 +254,8 @@ def _support_counts(dist: BiDegreeDistribution, n: int) -> dict[tuple[int, int],
     """Vertex count per support pair for :func:`realize_sequence`."""
     if check_int(n, "n") < 1:
         raise RealizationError(f"need n >= 1, got {n}")
+    if 8 * n > np.iinfo(np.intp).max:  # the bytes of one int64 degree array
+        raise CapacityError(f"n={n}: its int64 degree arrays exceed the address space")
     dist.require_mean_balanced()
     pairs = dist.support
     counts = {pair: round(n * dist.pmf[pair]) for pair in pairs}

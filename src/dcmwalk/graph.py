@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from ._checks import check_int, read_int_rows
+from ._checks import check_int, check_int_array, read_int_rows
 from .degrees import BiDegreeSequence
 from .errors import NumericalError, ValidationError
 
@@ -128,19 +128,19 @@ class Multigraph:
         return mat
 
     def edge_multiplicities(self) -> dict[tuple[int, int], int]:
-        """Multiplicity of each (src, dst) pair that has an edge, in sorted order."""
-        key = self.tail_vertex * self.n + self.successors()
-        keys, counts = np.unique(key, return_counts=True)
-        return {divmod(k, self.n): c for k, c in zip(keys.tolist(), counts.tolist())}
+        """Multiplicity of each (src, dst) pair that has an edge, in sorted
+        order: the merged rows of `adjacency`."""
+        adj = self.adjacency
+        src = np.repeat(np.arange(self.n), np.diff(adj.indptr)).tolist()
+        return dict(zip(zip(src, adj.indices.tolist()), adj.data.tolist()))
 
     def to_edge_list(self, path) -> None:
         """Write a `# n=<n>` header, then `src dst multiplicity` lines sorted
         by (src, dst)."""
-        mult = self.edge_multiplicities()
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"{EDGE_LIST_HEADER}{self.n}\n")
-            for (src, dst) in sorted(mult):
-                fh.write(f"{src} {dst} {mult[(src, dst)]}\n")
+            for (src, dst), mult in self.edge_multiplicities().items():
+                fh.write(f"{src} {dst} {mult}\n")
 
     @classmethod
     def from_edges(cls, edges, n: int | None = None) -> "Multigraph":
@@ -150,13 +150,13 @@ class Multigraph:
         sorted edge order), which preserves the multigraph exactly. `n`
         defaults to the largest vertex id + 1 and may not be smaller.
         """
-        edges = [tuple(check_int(v, "edge entry") for v in (s, d, m)) for s, d, m in edges]
-        if not edges:
-            raise ValidationError("empty edge list")
-        for src, dst, mult in edges:
-            if src < 0 or dst < 0 or mult < 1:
-                raise ValidationError(f"bad edge ({src}, {dst}, {mult})")
-        src, dst, mult = np.array(sorted(edges), dtype=np.int64).T
+        edges = np.array(check_int_array(list(edges), "edge entries"), dtype=np.int64)
+        if edges.ndim != 2 or edges.shape[1] != 3 or not len(edges):
+            raise ValidationError("need a non-empty list of (src, dst, mult) triples")
+        bad = (edges[:, 0] < 0) | (edges[:, 1] < 0) | (edges[:, 2] < 1)
+        if bad.any():
+            raise ValidationError(f"bad edge {tuple(edges[bad][0].tolist())}")
+        src, dst, mult = edges[np.lexsort(edges.T[::-1])].T
         top = int(max(src.max(), dst.max()))
         if n is None:
             n = top + 1

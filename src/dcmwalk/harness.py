@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_int, check_real
+from ._checks import check_int, check_int_array, check_real
 from ._threads import share_cores
 from .branching import compute_bp_parameters
 from .degrees import BiDegreeDistribution, realize_sequence
@@ -24,8 +24,9 @@ from .errors import ConfigError, NonUniqueError, ValidationError
 from .graph import sample_dcm
 from .gwsim import least_squares_slope
 from .ratefn import ExponentReport, FiniteLogLaw, minimize_phi, rate_table
-from .walks import hitting_matrix, stationary_distribution
+from .walks import POWER_TOL, hitting_matrix, stationary_distribution
 
+RATE_GRID = 64  # points of a parameter record's rate table
 SWEEP_COLUMNS = (
     "n",
     "seed",
@@ -47,12 +48,11 @@ class ExperimentConfig:
     seeds_per_n: int
     measures: tuple[str, ...] = ()
     master_seed: int = 0
-    power_tol: float = 1e-12
+    power_tol: float = POWER_TOL
 
     def __post_init__(self):
         try:
-            for n in self.n_ladder:
-                check_int(n, "n_ladder entry")
+            check_int_array(self.n_ladder, "n_ladder entry")
             check_int(self.seeds_per_n, "seeds_per_n")
             check_int(self.master_seed, "master_seed")
             check_real(self.power_tol, "power_tol")
@@ -91,8 +91,7 @@ class ExperimentConfig:
                 n_ladder=tuple(ladder),
                 seeds_per_n=data["seeds_per_n"],
                 measures=tuple(str(v) for v in measures),
-                master_seed=data.get("master_seed", 0),
-                power_tol=data.get("power_tol", 1e-12),
+                **{k: data[k] for k in ("master_seed", "power_tol") if k in data},
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
@@ -106,7 +105,7 @@ def derive_seed(master_seed: int, n: int, seed_idx: int) -> np.random.SeedSequen
 
 
 def analyze_distribution(
-    dist: BiDegreeDistribution, rate_grid: int = 64
+    dist: BiDegreeDistribution, rate_grid: int = RATE_GRID
 ) -> tuple[ExponentReport, dict]:
     """Full analytic pipeline for one distribution: branching parameters,
     log-mark law, exponent report, and the serializable record. The law
@@ -138,7 +137,7 @@ def analyze_distribution(
     return report, record
 
 
-def run_params(dist: BiDegreeDistribution, rate_grid: int = 64) -> dict:
+def run_params(dist: BiDegreeDistribution, rate_grid: int = RATE_GRID) -> dict:
     """Deterministic parameter record for the `params` subcommand."""
     _, record = analyze_distribution(dist, rate_grid=rate_grid)
     return record

@@ -156,7 +156,7 @@ def phi(params: BpParameters, law: FiniteLogLaw | None, a: float) -> float:
     return (abs(math.log(params.nu_hat)) + rate) / a
 
 
-def rate_table(law: FiniteLogLaw, npts: int = 64) -> tuple[tuple[float, float], ...]:
+def rate_table(law: FiniteLogLaw, npts: int) -> tuple[tuple[float, float], ...]:
     """Sample (z, I(z)) on an evenly spaced grid over the law's support."""
     z_min, z_max = law.z_min, law.z_max
     if npts < 2 or z_max == z_min:

@@ -58,6 +58,7 @@ CROSS_CHECK_MAX_N = 2000
 # k = 505k: a part's matvec still reads every source.
 PART_ROWS = 150_000
 HITTING_MATRIX_MAX_K = 2500
+COVER_STARTS = 10  # start vertices that `cover_time_mc` samples by default
 # Steps per block of the Monte Carlo walkers (`_walk`): one draw of
 # uniforms and one round of visit, arrival and trap bookkeeping per block.
 # It stays below _UNSEEN, so a block-relative step fits an int8 stamp.
@@ -169,11 +170,7 @@ def stationary_distribution(
     """
     if not 0.0 < check_real(tol, "tol") < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol}")
-    comp = attractive_scc(g)
-    if comp is None:
-        raise NonUniqueError()
-    if np.any(g.d_out[comp] == 0):
-        raise NonUniqueError("attractive component contains a sink vertex")
+    comp = _walk_class(g)
     k = len(comp)
     parts = max(1, min(usable_cores(), k // PART_ROWS))
     blocks = _closed_block(g, comp, parts)
@@ -255,6 +252,17 @@ def stationary_distribution(
     )
 
 
+def _walk_class(g: Multigraph) -> np.ndarray:
+    """The attractive SCC, after checking that `g` has one and that each of
+    its vertices has an out-edge; NonUniqueError otherwise."""
+    comp = attractive_scc(g)
+    if comp is None:
+        raise NonUniqueError()
+    if np.any(g.d_out[comp] == 0):
+        raise NonUniqueError("attractive component contains a sink vertex")
+    return comp
+
+
 def _direct_stationary(p_sub: sp.csr_matrix) -> np.ndarray:
     """Square LU solve of pi P = pi, sum(pi) = 1 on a dense copy.
 
@@ -303,9 +311,8 @@ def empirical_tail(result: StationaryResult, alpha: float) -> float:
 
 def _check_vertices(n: int, vertices, what: str) -> np.ndarray:
     """`vertices` (one or many) as a flat int64 array, after checking each
-    is an integer in 0..n-1. A bool or a float id is refused, not rounded.
-    The range check runs before the int64 conversion, so an integer too
-    large for int64 is reported as out of range too."""
+    is an integer in 0..n-1. A bool or a float id is refused, not rounded,
+    and so is one outside int64."""
     v = check_int_array(vertices, f"{what} ids").reshape(-1)
     bad = (v < 0) | (v >= n)
     if bad.any():
@@ -397,21 +404,20 @@ def hitting_matrix(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
     (n, len(targets)): H[x, j] = E[tau_x(targets[j])]. Inside the support
     the times come from G = (I - P + 1 u)^(-1) with u the uniform row
     (Kemeny & Snell): pi = u G, the column means of G, and
-    m(x, y) = (G[y, y] - G[x, y]) / pi(y). Transient starts add their entry
-    time and entry distribution into the support. Much faster than a linear
-    solve per target; `hitting_times_exact` cross-checks it in the tests.
+    m(x, y) = (G[y, y] - G[x, y]) / pi(y), with P's block from
+    `_closed_block`. Transient starts add their entry time and entry
+    distribution into the support, from the rows of `transition_matrix`,
+    built only then. Much faster than a linear solve per target;
+    `hitting_times_exact` cross-checks it in the tests.
     """
-    comp = attractive_scc(g)
-    if comp is None:
-        raise NonUniqueError()
+    comp = _walk_class(g)
     if len(comp) > HITTING_MATRIX_MAX_K:
         raise ValidationError(
             f"hitting_matrix budgeted for supports up to {HITTING_MATRIX_MAX_K}"
         )
-    p = transition_matrix(g)
     k = len(comp)
     # I - P + 1 u, built in place on the dense restriction of P.
-    a = p[comp][:, comp].toarray()
+    a = _closed_block(g, comp)[0].toarray()
     np.negative(a, out=a)
     a.flat[:: k + 1] += 1.0
     a += 1.0 / k
@@ -425,7 +431,7 @@ def hitting_matrix(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
     transient = np.setdiff1d(np.arange(g.n), comp)
     h = np.empty((g.n, k))
     h[comp] = z
-    t_rows = p[transient]
+    t_rows = transition_matrix(g)[transient]
     lu = spla.splu((sp.identity(len(transient), format="csc")
                     - t_rows[:, transient]).tocsc())
     entry_steps = lu.solve(np.ones(len(transient)))
@@ -597,7 +603,7 @@ def cover_time_mc(
     reps: int,
     step_cap: int,
     rng_seed: int = 0,
-    n_starts: int = 10,
+    n_starts: int = COVER_STARTS,
 ) -> HittingEstimate:
     """Estimated cover time of the attractive SCC: worst mean over a sampled
     start set, all steps counted from the start vertex.
@@ -609,9 +615,7 @@ def cover_time_mc(
     for a given seed do.
     """
     _check_walkable(g, reps=reps, step_cap=step_cap, n_starts=n_starts)
-    comp = attractive_scc(g)
-    if comp is None:
-        raise NonUniqueError()
+    comp = _walk_class(g)
     rng = np.random.default_rng(rng_seed)
     starts = rng.choice(g.n, size=min(n_starts, g.n), replace=False)
     per_start = max(2, reps // len(starts))

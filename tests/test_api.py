@@ -57,8 +57,9 @@ def test_public_optional_parameters_are_bounded():
 
 
 def input_checks(path: Path) -> list[str]:
-    """Lines of `path` that define PROB_TOL or name numbers.Integral or
-    numbers.Real."""
+    """Lines of `path` that define PROB_TOL, name numbers.Integral or
+    numbers.Real, or pass `type=int` (an integer reader besides
+    `_checks.read_int`) to argparse."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
@@ -69,12 +70,15 @@ def input_checks(path: Path) -> list[str]:
                 isinstance(node, ast.Name) and node.id == kind
             ):
                 found.append(f"{path.name}:{node.lineno}: checks numbers.{kind}")
+        if isinstance(node, ast.keyword) and node.arg == "type":
+            if isinstance(node.value, ast.Name) and node.value.id == "int":
+                found.append(f"{path.name}:{node.lineno}: parses argv with type=int")
     return found
 
 
 def test_one_input_path():
-    # `_checks` holds the one PROB_TOL, the one integer check and the one
-    # real check; every other module imports them.
+    # `_checks` holds the one PROB_TOL, the one integer check, the one reader
+    # of integer text and the one real check; every other module imports them.
     own = [line.split(": ", 1)[1] for line in input_checks(PACKAGE / "_checks.py")]
     assert own.count("defines PROB_TOL") == 1 and "checks numbers.Integral" in own
     assert "checks numbers.Real" in own
@@ -114,8 +118,8 @@ def written(name: str, text: str) -> Path:
 # Refused with ValidationError, neither rounded nor dropped nor left to crash
 # further in: a non-integer key, count or id; a law key that is not a pair;
 # a probability that is not a real number in [0, 1]; a tolerance or a
-# threshold that is not a real number; a text-file field that is not an
-# optional '-' followed by ASCII digits.
+# threshold that is not a real number; an integer outside int64; a text-file
+# field that is not an optional '-' followed by ASCII digits.
 REFUSED = {
     "dist_float_degrees": lambda: BiDegreeDistribution({(2.7, 2.2): 1.0}),
     "law_float_keys": lambda: MarkedOffspringLaw({(1.9, 2.5): 1.0}),
@@ -173,6 +177,13 @@ REFUSED = {
     ),
     "seq_file_float_field": lambda: BiDegreeSequence.from_file(written("s.txt", "2 2\n2.5 2\n")),
     "edge_file_underscore": lambda: Multigraph.from_edge_list(written("g.edges", "0 1 1_0\n")),
+    # Integers beyond int64, which numpy cannot hold.
+    "seq_file_huge_field": lambda: BiDegreeSequence.from_file(
+        written("s.txt", "2 99999999999999999999\n")
+    ),
+    "seq_huge_pair": lambda: BiDegreeSequence([(2, 10**20)]),
+    "edges_huge_vertex": lambda: Multigraph.from_edges([(0, 10**20, 1)]),
+    "realize_huge_n": lambda: realize_sequence(BiDegreeDistribution({(2, 2): 1.0}), 10**20),
 }
 
 

@@ -296,11 +296,13 @@ def test_return_times_need_attractive_scc():
 
 
 def test_walk_times_refuse_large_support_before_solving(monkeypatch):
-    # Every exact solve starts from transition_matrix; none may run.
-    def no_solve(g):
+    # Every exact solve starts from transition_matrix or _closed_block; none
+    # may run.
+    def no_solve(*args):
         raise AssertionError("solve started")
 
     monkeypatch.setattr(walks, "transition_matrix", no_solve)
+    monkeypatch.setattr(walks, "_closed_block", no_solve)
     with pytest.raises(ValidationError, match="budgeted"):
         walk_times_exact(directed_cycle(walks.HITTING_MATRIX_MAX_K + 100))
 
