@@ -4,7 +4,8 @@ numpy real, so a bool or a string is neither and a float is refused as an
 integer, never rounded; a law key is a tuple of two integers; a probability
 is a real in [0, 1] within `PROB_TOL` (not NaN), and a law sums to 1 within
 it; an integer written as text (a file field, an argv word) is an optional
-'-' followed by ASCII digits."""
+'-' followed by ASCII digits. A count that passes these checks but sizes an
+array beyond the address space is a CapacityError (`check_addressable`)."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import re
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 
 PROB_TOL = 1e-12
 INT64 = np.iinfo(np.int64)
@@ -61,6 +62,16 @@ def check_int_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def check_addressable(count: int, itemsize: int, name: str) -> None:
+    """Raise CapacityError when an array of `count` items of `itemsize`
+    bytes would exceed the address space, which numpy refuses with a
+    ValueError ("array is too big"), not a MemoryError."""
+    if count * itemsize > np.iinfo(np.intp).max:
+        raise CapacityError(
+            f"{name}={count}: an array of {itemsize}-byte items exceeds the address space"
+        )
+
+
 def read_int(text: str, name: str) -> int:
     """The integer that `text` spells, by `check_int`, after checking that
     it is an optional '-' followed by ASCII digits; the one reader of
@@ -102,7 +113,7 @@ def read_pmf(text: str, keys: tuple[str, str], what: str) -> dict:
     return check_pmf(items, what)
 
 
-def read_int_rows(path, layout: str, header: str | None) -> tuple[int | None, list[tuple]]:
+def read_int_rows(path, layout: str, header: str) -> tuple[int | None, list[tuple]]:
     """The rows of the ASCII file `path`, each the integer fields that `layout`
     names (as 'src dst mult'), and the n of a first line `<header><n>` (None
     without one), each read by `read_int`. Blank lines are skipped; any
@@ -113,7 +124,7 @@ def read_int_rows(path, layout: str, header: str | None) -> tuple[int | None, li
             line = line.strip()
             if not line:
                 continue
-            if header is not None and lineno == 1 and line.startswith("#"):
+            if lineno == 1 and line.startswith("#"):
                 value = read_int(line.removeprefix(header), f"{path}:1: n of '{header}<n>'")
                 continue
             fields = line.split()

@@ -12,14 +12,13 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from ._checks import (
-    PROB_TOL, check_int, check_int_array, check_int_pair, check_pmf, read_int_rows, read_pmf
+    PROB_TOL, check_addressable, check_int, check_int_array, check_int_pair, check_pmf, read_pmf
 )
-from .errors import BalanceError, CapacityError, RealizationError, ValidationError
+from .errors import BalanceError, RealizationError, ValidationError
 
 MAX_DEGREE = 64  # largest in- or out-degree of a distribution's support
 
@@ -88,31 +87,21 @@ class BiDegreeDistribution:
 
 
 class BiDegreeSequence:
-    """Per-vertex (in-degree, out-degree) pairs, held as two read-only int64
-    arrays; build one from pairs or with :meth:`from_arrays`.
+    """Per-vertex degrees, held as two read-only int64 arrays whose sums
+    agree: vertex v has in-degree in_degrees[v] and out-degree
+    out_degrees[v], and the m heads pair with the m tails.
 
-    Construction is permissive about head/tail balance so that
-    :func:`validate_sequence` can report the deficit; every model operation
-    requires a balanced sequence. The constructors copy their input, so a
-    caller's array never becomes read-only.
+    The constructor copies its input, so a caller's array never becomes
+    read-only, and raises BalanceError when sum(d_in) != sum(d_out).
     """
 
-    def __init__(self, degrees):
-        pairs = check_int_array(degrees, "degrees")
-        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
-            raise ValidationError("degree sequence must be (d_in, d_out) pairs")
-        self._set_arrays(*pairs.reshape(-1, 2).T)
-
-    @classmethod
-    def from_arrays(cls, in_degrees, out_degrees) -> "BiDegreeSequence":
-        """Sequence whose vertex v has degrees (in_degrees[v], out_degrees[v])."""
-        seq = cls.__new__(cls)
-        seq._set_arrays(in_degrees, out_degrees)
-        return seq
+    def __init__(self, in_degrees, out_degrees):
+        self._set_arrays(in_degrees, out_degrees)
 
     def _set_arrays(self, in_degrees, out_degrees, copy: bool = True) -> None:
-        """Store the degrees as read-only int64 arrays. copy=False adopts
-        int64 arrays the caller owns and never writes again, as they are."""
+        """Check and store the degrees as read-only int64 arrays, and their
+        common sum as m. copy=False adopts int64 arrays the caller owns and
+        never writes again, as they are."""
         kin = np.array(check_int_array(in_degrees, "in-degrees"), np.int64, copy=copy or None)
         kout = np.array(check_int_array(out_degrees, "out-degrees"), np.int64, copy=copy or None)
         if kin.ndim != 1 or kin.shape != kout.shape:
@@ -122,15 +111,11 @@ class BiDegreeSequence:
         if kin.min() < 0 or kout.min() < 0:
             v = np.flatnonzero((kin < 0) | (kout < 0))[0]
             raise ValidationError(f"negative degree in pair ({kin[v]}, {kout[v]})")
+        heads, tails = int(kin.sum()), int(kout.sum())
+        if heads != tails:
+            raise BalanceError(heads, tails)
         kin.flags.writeable = kout.flags.writeable = False
-        self.in_degrees, self.out_degrees = kin, kout
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiDegreeSequence):
-            return NotImplemented
-        return np.array_equal(self.in_degrees, other.in_degrees) and np.array_equal(
-            self.out_degrees, other.out_degrees
-        )
+        self.in_degrees, self.out_degrees, self.m = kin, kout, tails
 
     @property
     def degrees(self) -> tuple[tuple[int, int], ...]:
@@ -141,38 +126,10 @@ class BiDegreeSequence:
     def n(self) -> int:
         return len(self.in_degrees)
 
-    @cached_property
-    def head_total(self) -> int:
-        return int(self.in_degrees.sum())
-
-    @cached_property
-    def tail_total(self) -> int:
-        return int(self.out_degrees.sum())
-
-    @property
-    def balanced(self) -> bool:
-        return self.head_total == self.tail_total
-
-    @property
-    def m(self) -> int:
-        """Total edge count; defined only for balanced sequences."""
-        if not self.balanced:
-            raise BalanceError(self.head_total, self.tail_total)
-        return self.tail_total
-
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            for k, ell in self.degrees:
-                fh.write(f"{k} {ell}\n")
-
-    @classmethod
-    def from_file(cls, path) -> "BiDegreeSequence":
-        return cls(tuple(read_int_rows(path, "d_in d_out", header=None)[1]))
-
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of :func:`validate_sequence`; balance failures raise instead."""
+    """Outcome of :func:`validate_sequence`."""
 
     n: int
     m: int
@@ -193,13 +150,10 @@ class ValidationReport:
 def validate_sequence(
     seq: BiDegreeSequence, max_degree_cap: int = MAX_DEGREE
 ) -> ValidationReport:
-    """Check a sequence against the model hypotheses.
-
-    Head/tail imbalance is a hard error (:class:`BalanceError`); a minimum
-    out-degree below 2 or degrees above the cap are reported as flags.
+    """Check a sequence against the model hypotheses: a minimum out-degree
+    below 2 or degrees above the cap are reported as flags. Balance needs
+    no check, since no unbalanced sequence can be built.
     """
-    if not seq.balanced:
-        raise BalanceError(seq.head_total, seq.tail_total)
     delta_in, max_in = int(seq.in_degrees.min()), int(seq.in_degrees.max())
     delta_out, max_out = int(seq.out_degrees.min()), int(seq.out_degrees.max())
     report_flags = []
@@ -245,8 +199,6 @@ def realize_sequence(dist: BiDegreeDistribution, n: int) -> BiDegreeSequence:
         np.repeat(np.array([ell for _, ell in pairs], dtype=np.int64), reps),
         copy=False,
     )
-    if not seq.balanced:
-        raise RealizationError("repair failed to balance head and tail totals")
     return seq
 
 
@@ -254,8 +206,7 @@ def _support_counts(dist: BiDegreeDistribution, n: int) -> dict[tuple[int, int],
     """Vertex count per support pair for :func:`realize_sequence`."""
     if check_int(n, "n") < 1:
         raise RealizationError(f"need n >= 1, got {n}")
-    if 8 * n > np.iinfo(np.intp).max:  # the bytes of one int64 degree array
-        raise CapacityError(f"n={n}: its int64 degree arrays exceed the address space")
+    check_addressable(n, 8, "n")  # one int64 degree array
     dist.require_mean_balanced()
     pairs = dist.support
     counts = {pair: round(n * dist.pmf[pair]) for pair in pairs}

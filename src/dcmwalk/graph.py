@@ -47,31 +47,38 @@ VALUE_ROWS = 1 << 12
 
 @dataclass(frozen=True)
 class Multigraph:
-    """Half-edge representation of a directed multigraph.
+    """Half-edge representation of a directed multigraph: the degree arrays
+    and the pairing, nothing else; n and m are their lengths.
 
     Tail t belongs to tail_vertex[t] and is paired with head match[t], which
     belongs to head_vertex[match[t]]. Self-loops and parallel edges are
     allowed; edge multiplicities are recovered by aggregation.
     """
 
-    n: int
-    m: int
     d_in: np.ndarray
     d_out: np.ndarray
     match: np.ndarray
 
     def __post_init__(self):
-        if int(self.d_in.sum()) != self.m or int(self.d_out.sum()) != self.m:
-            raise ValidationError("head and tail totals differ")
-        # m in-range entries that cover all m slots form a permutation.
         match, m = self.match, self.m
+        if int(self.d_in.sum()) != m or int(self.d_out.sum()) != m:
+            raise ValidationError("head and tail totals differ from the pairing's length")
+        # m in-range entries that cover all m slots form a permutation.
         bad = "pairing is not a perfect matching of half-edges"
-        if len(match) != m or (m and not 0 <= match.min() <= match.max() < m):
+        if m and not 0 <= match.min() <= match.max() < m:
             raise ValidationError(bad)
         seen = np.zeros(m, dtype=bool)
         seen[match] = True
         if not seen.all():
             raise ValidationError(bad)
+
+    @property
+    def n(self) -> int:
+        return len(self.d_in)
+
+    @property
+    def m(self) -> int:
+        return len(self.match)
 
     @property
     def tail_ptr(self) -> np.ndarray:
@@ -181,21 +188,13 @@ def _index_dtype(count: int) -> type:
     return np.int32 if count < 2**31 else np.int64
 
 
-def _paired(d_in: np.ndarray, d_out: np.ndarray, match: np.ndarray) -> Multigraph:
-    """The multigraph with these int64 degree arrays whose tail t is paired
-    with head match[t], stored in match's dtype. Canonical half-edge layout:
-    head/tail i belongs to the vertex whose block of the cumulative degree
-    count contains i."""
-    return Multigraph(n=len(d_in), m=len(match), d_in=d_in, d_out=d_out, match=match)
-
-
 def _from_successors(succ: np.ndarray, d_out: np.ndarray) -> Multigraph:
     """The multigraph whose tails, in canonical order, go to the vertices
     `succ`; each vertex's heads are paired in that tail order."""
     m = len(succ)
     match = np.empty(m, dtype=_index_dtype(m))
     match[np.argsort(succ, kind="stable")] = np.arange(m)
-    return _paired(np.bincount(succ, minlength=len(d_out)), d_out, match)
+    return Multigraph(np.bincount(succ, minlength=len(d_out)), d_out, match)
 
 
 def sample_dcm(
@@ -206,10 +205,9 @@ def sample_dcm(
     in place; the same permutation as `rng.permutation(m)`).
     """
     rng = np.random.default_rng(rng_seed)
-    m = seq.tail_total
-    match = np.arange(m, dtype=_index_dtype(m))
+    match = np.arange(seq.m, dtype=_index_dtype(seq.m))
     rng.shuffle(match)
-    return _paired(seq.in_degrees, seq.out_degrees, match)
+    return Multigraph(seq.in_degrees, seq.out_degrees, match)
 
 
 def sample_rout(n: int, r: int, rng_seed: int | np.random.SeedSequence = 0) -> Multigraph:

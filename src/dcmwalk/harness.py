@@ -131,6 +131,9 @@ def analyze_distribution(
         "a0": report.a0,
         "phi_a0": None if math.isinf(report.phi_a0) else report.phi_a0,
         "exponent": report.exponent,
+        # 1 + C_thin is the exponent with the light-trajectory factor left
+        # out: phi(1) = |log nu_hat|, so it equals the exponent when a0 = 1.
+        "C_thin": None if report.degenerate else params.H_hat / abs(math.log(params.nu_hat)),
         "degenerate": report.degenerate,
         "rate_table": [{"z": z, "I": i} for z, i in samples],
     }

@@ -29,7 +29,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csc_matvec
 from scipy.sparse.csgraph import breadth_first_order
 
-from ._checks import check_int, check_int_array, check_real
+from ._checks import check_addressable, check_int, check_int_array, check_real
 from ._threads import thread_map, usable_cores
 from .errors import (
     CensoredError,
@@ -558,8 +558,9 @@ def hitting_time_mc(
 ) -> HittingEstimate:
     """Monte Carlo estimate of E[tau_x(y)] from `reps` independent walks.
 
-    A target that no path from x reaches raises UnreachableError before
-    any walk starts. Censored walks (step cap reached, or stopped on
+    A target that no path from x reaches raises UnreachableError, and a
+    `reps` whose arrays would exceed the address space CapacityError,
+    before any walk starts. Censored walks (step cap reached, or stopped on
     entering a vertex from which y cannot be reached) are excluded from
     the mean and reported; if every walk is censored a CensoredError is
     raised. The walkers step in blocks of WALK_BLOCK (`_walk`): the law of
@@ -567,6 +568,7 @@ def hitting_time_mc(
     for a given seed do.
     """
     _check_walkable(g, (x, y), reps=reps, step_cap=step_cap)
+    check_addressable(reps, 8, "reps")  # the int64 step count of each walk
     pattern = _pattern(g)
     reach = breadth_first_order(pattern, x, return_predecessors=False)
     if y not in reach:
@@ -609,10 +611,11 @@ def cover_time_mc(
     start set, all steps counted from the start vertex.
 
     All starts walk together in one walker array, `reps // n_starts` (at
-    least 2) walkers per start. The walkers step in blocks of WALK_BLOCK
-    (`_walk`), and their first visits are found once per block: the law of
-    the samples does not depend on the block length, but the samples drawn
-    for a given seed do.
+    least 2) walkers per start; a walker count whose arrays would exceed
+    the address space raises CapacityError before any walk starts. The
+    walkers step in blocks of WALK_BLOCK (`_walk`), and their first visits
+    are found once per block: the law of the samples does not depend on the
+    block length, but the samples drawn for a given seed do.
     """
     _check_walkable(g, reps=reps, step_cap=step_cap, n_starts=n_starts)
     comp = _walk_class(g)
@@ -627,6 +630,7 @@ def cover_time_mc(
     local = np.full(g.n, k, dtype=np.int64)
     local[comp] = np.arange(k)
     walkers = len(starts) * per_start
+    check_addressable(walkers, max(8, k + 1), "walkers")  # int64 steps, k + 1 stamps
     rows = np.arange(walkers) * (k + 1)
     stamp = np.full(walkers * (k + 1), _UNSEEN, dtype=np.int8)
     stamp[rows + k] = _SEEN

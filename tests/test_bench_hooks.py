@@ -1,6 +1,9 @@
+import ast
 import importlib
 import sys
 from pathlib import Path
+
+import dcmwalk
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -20,3 +23,33 @@ def test_layer_functions_resolve_in_dcmwalk(monkeypatch):
         or not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def dcmwalk_chains(tree: ast.AST) -> set[tuple[str, ...]]:
+    """The attribute names of every `dcmwalk.a.b...` chain read in `tree`,
+    each prefix of a longer chain included."""
+    chains = set()
+    for node in ast.walk(tree):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if names and isinstance(node, ast.Name) and node.id == "dcmwalk":
+            chains.add(tuple(reversed(names)))
+    return chains
+
+
+def test_worker_reads_resolve_in_dcmwalk():
+    # Every bench workload calls the library through `dcmwalk.<name>` or
+    # `dcmwalk.walks.<name>`: a deleted name fails here, not in a bench run.
+    chains = dcmwalk_chains(ast.parse((PERFBENCH / "worker.py").read_text()))
+    assert {("realize_sequence",), ("validate_sequence",), ("walks", "POWER_TOL")} <= chains
+    unresolved = []
+    for chain in sorted(chains):
+        obj = dcmwalk
+        for name in chain:
+            if not hasattr(obj, name):
+                unresolved.append(".".join(("dcmwalk", *chain)))
+                break
+            obj = getattr(obj, name)
+    assert unresolved == []

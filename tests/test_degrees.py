@@ -47,26 +47,26 @@ def total_variation(a: BiDegreeDistribution, b: BiDegreeDistribution) -> float:
 
 
 def test_validate_regular_pair():
-    report = validate_sequence(BiDegreeSequence(((2, 2), (2, 2))))
+    report = validate_sequence(BiDegreeSequence([2, 2], [2, 2]))
     assert report.n == 2 and report.m == 4 and report.lam == 2.0
     assert report.ok
 
 
 def test_validate_unbalanced_raises():
     with pytest.raises(BalanceError) as err:
-        validate_sequence(BiDegreeSequence(((1, 2), (2, 2))))
+        validate_sequence(BiDegreeSequence([1, 2], [2, 2]))
     assert err.value.deficit == -1
 
 
 def test_validate_toy_blocks():
-    degrees = [(0, 2)] * 1000 + [(0, 3)] * 1000 + [(5, 2)] * 1000 + [(5, 3)] * 1000
-    report = validate_sequence(BiDegreeSequence(tuple(degrees)))
+    seq = BiDegreeSequence(np.repeat([0, 0, 5, 5], 1000), np.repeat([2, 3, 2, 3], 1000))
+    report = validate_sequence(seq)
     assert report.lam == pytest.approx(2.5)
     assert report.delta_out == 2 and report.min_out_ok
 
 
 def test_validate_flags_low_out_degree():
-    report = validate_sequence(BiDegreeSequence(((1, 1), (1, 1))))
+    report = validate_sequence(BiDegreeSequence([1, 1], [1, 1]))
     assert "min_out_degree_below_2" in report.flags
 
 
@@ -91,7 +91,7 @@ def test_realize_toy_4000(toy_dist):
 
 def test_realize_toy_4001_tv_bound(toy_dist):
     seq = realize_sequence(toy_dist, 4001)
-    assert seq.n == 4001 and seq.balanced
+    assert seq.n == 4001 and seq.m == seq.in_degrees.sum() == seq.out_degrees.sum()
     tv = total_variation(empirical_distribution(seq), toy_dist)
     assert tv <= 4 / 4001
 
@@ -108,7 +108,7 @@ def test_realize_infeasible_parity():
     mirror = BiDegreeDistribution({(0, 2): 0.5, (2, 0): 0.5})
     with pytest.raises(RealizationError):
         realize_sequence(mirror, 5)
-    assert realize_sequence(mirror, 6).balanced
+    assert realize_sequence(mirror, 6).m == 6
 
 
 def test_realize_rejects_unbalanced_mean():
@@ -125,7 +125,7 @@ def test_empirical_inverts_realize(toy_dist):
 
 def test_empirical_counts():
     # The oracle of the total-variation bounds below.
-    emp = empirical_distribution(BiDegreeSequence(((0, 2), (2, 2), (2, 0))))
+    emp = empirical_distribution(BiDegreeSequence([0, 2, 2], [2, 2, 0]))
     assert emp.pmf == {
         (0, 2): pytest.approx(1 / 3),
         (2, 2): pytest.approx(1 / 3),
@@ -198,13 +198,6 @@ def test_degree_cap_is_one_constant():
         BiDegreeDistribution.from_json(f'{{"pmf": [{{"in": {over}, "out": 2, "p": 1.0}}]}}')
 
 
-def test_sequence_file_roundtrip(tmp_path, toy_dist):
-    seq = realize_sequence(toy_dist, 40)
-    path = tmp_path / "seq.txt"
-    seq.to_file(path)
-    assert BiDegreeSequence.from_file(path).degrees == seq.degrees
-
-
 def test_realize_arrays_match_pair_expansion(toy_dist):
     # Reference: the tuple expansion, [pair] * count in support order.
     rng = np.random.default_rng(11)
@@ -245,41 +238,34 @@ def test_realize_holds_one_copy_of_the_sequence(toy_dist):
 
 
 def test_from_arrays_leaves_caller_arrays_writable():
+    # The constructor copies: the caller's arrays stay writable and its
+    # later writes do not reach the sequence, whose own arrays are read-only.
     d_in, d_out = np.array([1, 2], dtype=np.int64), np.array([2, 1], dtype=np.int64)
-    seq = BiDegreeSequence.from_arrays(d_in, d_out)
+    seq = BiDegreeSequence(d_in, d_out)
     assert d_in.flags.writeable and d_out.flags.writeable
     d_in[0] = 5
     assert seq.in_degrees[0] == 1
+    assert (seq.n, seq.m, seq.degrees) == (2, 3, ((1, 2), (2, 1)))
+    assert all(type(v) is int for pair in seq.degrees for v in pair)
+    with pytest.raises(ValueError):
+        seq.in_degrees[0] = 9  # read-only
 
 
-def test_sequence_tuple_and_array_construction_agree(tmp_path):
-    pairs = ((0, 2), (3, 1), (2, 2), (1, 0))
-    from_tuples = BiDegreeSequence(pairs)
-    from_arrays = BiDegreeSequence.from_arrays(
-        np.array([0, 3, 2, 1]), np.array([2, 1, 2, 0])
-    )
-    assert from_tuples == from_arrays
-    for seq in (from_tuples, from_arrays):
-        assert seq.degrees == pairs
-        assert all(type(v) is int for pair in seq.degrees for v in pair)
-        assert np.array_equal(seq.in_degrees, [0, 3, 2, 1])
-        assert np.array_equal(seq.out_degrees, [2, 1, 2, 0])
-        assert (seq.n, seq.head_total, seq.tail_total) == (4, 6, 5)
-        with pytest.raises(ValueError):
-            seq.in_degrees[0] = 9  # read-only
-    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    from_tuples.to_file(a)
-    from_arrays.to_file(b)
-    assert a.read_bytes() == b.read_bytes()
-    assert BiDegreeSequence.from_file(b) == from_tuples
+def test_unbalanced_sequence_is_refused_when_built():
+    # m heads pair with m tails: a sequence with sum(d_in) != sum(d_out)
+    # is never built, so no later step needs to check its balance.
+    with pytest.raises(BalanceError) as err:
+        BiDegreeSequence([0, 3, 2, 1], [2, 1, 2, 0])
+    assert (err.value.head_total, err.value.tail_total, err.value.deficit) == (6, 5, 1)
+    assert "deficit 1" in str(err.value)
 
 
 def test_sequence_construction_rejects_bad_input():
     with pytest.raises(ValidationError):
-        BiDegreeSequence(())
+        BiDegreeSequence([], [])
     with pytest.raises(ValidationError):
-        BiDegreeSequence(((1, 2, 3),))
+        BiDegreeSequence([[1, 2]], [[2, 1]])
     with pytest.raises(ValidationError, match=r"\(2, -1\)"):
-        BiDegreeSequence(((1, 1), (2, -1)))
+        BiDegreeSequence([1, 2], [2, -1])
     with pytest.raises(ValidationError):
-        BiDegreeSequence.from_arrays([1, 2], [1])
+        BiDegreeSequence([1, 2], [1])

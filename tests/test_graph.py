@@ -21,7 +21,7 @@ from dcmwalk import (
 )
 from dcmwalk import graph as graph_module
 from dcmwalk.cli import main
-from dcmwalk.graph import _closed_block, _paired, closed_classes
+from dcmwalk.graph import _closed_block, closed_classes
 from dcmwalk.walks import transition_matrix
 
 
@@ -30,7 +30,7 @@ def directed_cycle(n: int) -> Multigraph:
 
 
 def test_sample_single_vertex_forced():
-    g = sample_dcm(BiDegreeSequence(((2, 2),)), rng_seed=5)
+    g = sample_dcm(BiDegreeSequence([2], [2]), rng_seed=5)
     assert g.edge_multiplicities() == {(0, 0): 2}
 
 
@@ -45,7 +45,7 @@ def test_sample_degree_conservation(toy_dist):
 def test_sample_uniform_matchings():
     # Three vertices with one head and one tail each: 6 equally likely
     # pairings; chi-squared on 60000 samples at the 1% level (5 dof: 15.09).
-    seq = BiDegreeSequence(((1, 1), (1, 1), (1, 1)))
+    seq = BiDegreeSequence([1, 1, 1], [1, 1, 1])
     counts = Counter()
     reps = 60_000
     for seed in range(reps):
@@ -84,7 +84,7 @@ def test_half_edge_owners_are_derived(toy_dist):
 
 
 def test_csr_with_out_degree_zero_vertices_is_warning_free():
-    seq = BiDegreeSequence.from_arrays(np.array([2, 1, 1, 0]), np.array([0, 3, 0, 1]))
+    seq = BiDegreeSequence(np.array([2, 1, 1, 0]), np.array([0, 3, 0, 1]))
     graphs = [
         Multigraph.from_edges([(0, 1, 2), (1, 0, 1)], n=4),
         sample_dcm(seq, rng_seed=2),
@@ -134,7 +134,7 @@ def test_csr_indices_are_int32_and_match_intp_build(toy_dist, monkeypatch):
 def test_pairing_must_be_perfect_matching(match):
     d = np.array([1, 2, 1])
     with pytest.raises(ValidationError):
-        _paired(d, d, np.array(match, dtype=np.int32))
+        Multigraph(d, d, np.array(match, dtype=np.int32))
 
 
 def test_rout_single_vertex():
@@ -175,7 +175,7 @@ def test_closed_classes_by_row_blocks_match_one_shot(toy_dist, monkeypatch, rows
     for n in (75, 150):
         d_out = rng.choice([0, 1, 2, 3], size=n, p=[0.1, 0.3, 0.3, 0.3])
         d_in = np.bincount(rng.integers(0, n, size=int(d_out.sum())), minlength=n)
-        graphs.append(sample_dcm(BiDegreeSequence.from_arrays(d_in, d_out), rng_seed=n))
+        graphs.append(sample_dcm(BiDegreeSequence(d_in, d_out), rng_seed=n))
     monkeypatch.setattr(graph_module, "CLOSED_TEST_ROWS", rows)
     most_closed = 0
     for g in graphs:
@@ -351,7 +351,7 @@ def multigraphs_with_parallel_edges():
         n = int(rng.integers(1, 9))
         d_out = rng.integers(1, 12, size=n)
         d_in = np.bincount(rng.integers(0, n, size=int(d_out.sum())), minlength=n)
-        seq = BiDegreeSequence.from_arrays(d_in, d_out)
+        seq = BiDegreeSequence(d_in, d_out)
         graphs.append(sample_dcm(seq, rng_seed=int(rng.integers(2**31))))
     return graphs
 
@@ -414,5 +414,5 @@ def test_scc_search_reads_the_pattern_only(toy_dist):
     finally:
         tracemalloc.stop()
     # The adjacency is the graph's one cache.
-    assert set(vars(g)) == {"n", "m", "d_in", "d_out", "match", "adjacency"}
+    assert set(vars(g)) == {"d_in", "d_out", "match", "adjacency"}
     assert peak < 16 * g.m

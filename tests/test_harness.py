@@ -40,6 +40,7 @@ def test_run_params_degenerate():
     assert record["nu_hat"] == 0.0
     assert record["exponent"] == 1.0
     assert record["phi_a0"] is None and record["H_hat"] is None
+    assert record["C_thin"] is None
 
 
 def test_config_validation():
@@ -609,6 +610,20 @@ def test_cli_walker_exit_codes(tmp_path, capsys):
         assert main(["hitting", "--graph", str(cycle), "--x", "0", "--y", "0", *bad_cap]) == 2
         assert main(["cover", "--graph", str(cycle), *bad_cap]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["cover"], ["hitting", "--x", "0", "--y", "1"]], ids=["cover", "hitting"]
+)
+def test_cli_walker_count_beyond_address_space_exits_4(tmp_path, capsys, command):
+    # 2^62 walkers fit int64, but their int64 step counts do not fit the
+    # address space: a capacity failure before any walk starts, not numpy's
+    # "array is too big" ValueError.
+    cycle = tmp_path / "cycle.edges"
+    cycle.write_text("0 1 1\n1 2 1\n2 0 1\n")
+    code, err = run_cli([*command, "--graph", str(cycle), "--reps", str(2**62)], capsys)
+    assert code == 4
+    assert "Traceback" not in err and err.count("error:") == 1
 
 
 def test_cli_hitting_unreachable_target_exits_2(tmp_path, capsys):

@@ -34,6 +34,7 @@ from conftest import (
     TWO_FACTOR_PHI_A0,
     TWO_FACTOR_PMF,
     TWO_FACTOR_S_MINUS,
+    poisson_rout_dist,
     zqcy_dist,
 )
 
@@ -175,8 +176,19 @@ def test_two_factor_law_analytic_record():
     }
     for key, value in expected.items():
         assert record[key] == pytest.approx(value, abs=1e-6), key
-    thin_only = 1.0 + record["H_hat"] / abs(math.log(record["nu_hat"]))
-    assert record["exponent"] - thin_only > 0.25
+    assert record["C_thin"] == pytest.approx(0.5686, abs=1e-4)
+    assert record["exponent"] - (1.0 + record["C_thin"]) > 0.25
+
+
+@pytest.mark.parametrize(
+    "dist", [zqcy_dist(5), zqcy_dist(10), zqcy_dist(20), poisson_rout_dist()],
+    ids=["zqcy5", "zqcy10", "zqcy20", "poisson_rout"],
+)
+def test_c_thin_is_c_on_point_mass_marks(dist):
+    # Every out-degree is 2, so the log-mark law is a point mass, a0 = 1
+    # and phi(a0) = |log nu_hat|: the exponent is 1 + C_thin.
+    record = run_params(dist)
+    assert abs(record["exponent"] - 1.0 - record["C_thin"]) <= 1e-12
 
 
 def test_minimize_phi_zqcy_family():
