@@ -62,6 +62,15 @@ def check_int_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def exact_total(values: np.ndarray) -> int:
+    """The sum of a non-negative integer array as a Python int, never
+    wrapped: numpy's sum when no total of its entries can pass int64 (the
+    largest entry times the length), else Python's."""
+    if len(values) and int(values.max()) * len(values) > INT64.max:
+        return sum(values.tolist())
+    return int(values.sum())
+
+
 def check_addressable(count: int, itemsize: int, name: str) -> None:
     """Raise CapacityError when an array of `count` items of `itemsize`
     bytes would exceed the address space, which numpy refuses with a

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._checks import (
-    PROB_TOL, check_addressable, check_int, check_int_array, check_int_pair, check_pmf, read_pmf
+    PROB_TOL, check_addressable, check_int, check_int_array, check_int_pair, check_pmf,
+    exact_total, read_pmf,
 )
 from .errors import BalanceError, RealizationError, ValidationError
 
@@ -92,7 +93,8 @@ class BiDegreeSequence:
     out_degrees[v], and the m heads pair with the m tails.
 
     The constructor copies its input, so a caller's array never becomes
-    read-only, and raises BalanceError when sum(d_in) != sum(d_out).
+    read-only, and raises BalanceError when sum(d_in) != sum(d_out), the
+    sums taken exactly (`exact_total`), so a total past int64 cannot wrap.
     """
 
     def __init__(self, in_degrees, out_degrees):
@@ -111,7 +113,7 @@ class BiDegreeSequence:
         if kin.min() < 0 or kout.min() < 0:
             v = np.flatnonzero((kin < 0) | (kout < 0))[0]
             raise ValidationError(f"negative degree in pair ({kin[v]}, {kout[v]})")
-        heads, tails = int(kin.sum()), int(kout.sum())
+        heads, tails = exact_total(kin), exact_total(kout)
         if heads != tails:
             raise BalanceError(heads, tails)
         kin.flags.writeable = kout.flags.writeable = False

@@ -1,14 +1,14 @@
 """Directed configuration model: sampling, SCC structure and in-neighbourhood
 growth.
 
-Half-edges are flat arrays with index arithmetic: tails (out-half-edges) and
-heads (in-half-edges) are numbered 0..m-1, grouped by vertex, and a sampled
-graph is a permutation matching tail i to head match[i]. The pairing is int32
-when m < 2^31 (int64 otherwise); vertex-indexed arrays stay intp. A graph
-stores only its degree arrays and the pairing: the owner of each half-edge
-and each vertex's first tail (`tail_ptr`) are derived from the degrees on
-access, so a caller that uses one in a loop reads it once.
-Sampled graphs are immutable and shareable.
+A graph is its out-edge list. Tails (out-half-edges) are numbered 0..m-1,
+grouped by vertex, and a graph stores its out-degrees and the destination
+vertex of each tail, `succ`: int32 while n < 2^31 (int64 otherwise), and
+read-only. The model matches heads with tails uniformly, but every walk
+quantity depends on the matching only through where each tail leads, so
+that is all a graph keeps. The in-degrees, the owner of each tail and each
+vertex's first tail (`tail_ptr`) are derived on access, so a caller that
+uses one in a loop reads it once. Graphs are immutable and shareable.
 
 Structure is cached, values are built per request. `Multigraph.adjacency`,
 the multiplicity CSR, is a graph's one cache; the SCC, closed-class and
@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from ._checks import check_int, check_int_array, read_int_rows
+from ._checks import check_addressable, check_int, check_int_array, exact_total, read_int_rows
 from .degrees import BiDegreeSequence
 from .errors import NumericalError, ValidationError
 
@@ -47,38 +47,47 @@ VALUE_ROWS = 1 << 12
 
 @dataclass(frozen=True)
 class Multigraph:
-    """Half-edge representation of a directed multigraph: the degree arrays
-    and the pairing, nothing else; n and m are their lengths.
+    """A directed multigraph as its out-edge list: the out-degrees and the
+    destination of each tail, nothing else; n and m are their lengths.
 
-    Tail t belongs to tail_vertex[t] and is paired with head match[t], which
-    belongs to head_vertex[match[t]]. Self-loops and parallel edges are
-    allowed; edge multiplicities are recovered by aggregation.
+    Tail t belongs to tail_vertex[t] and leads to succ[t]. Self-loops and
+    parallel edges are allowed; edge multiplicities are recovered by
+    aggregation. Both arrays are kept as read-only views (int64 out-degrees,
+    successors in the vertex id dtype), so a caller's arrays stay writeable.
+    A negative out-degree, a successor outside 0..n-1, or out-degrees that
+    do not count the successors raise ValidationError.
     """
 
-    d_in: np.ndarray
     d_out: np.ndarray
-    match: np.ndarray
+    succ: np.ndarray
 
     def __post_init__(self):
-        match, m = self.match, self.m
-        if int(self.d_in.sum()) != m or int(self.d_out.sum()) != m:
-            raise ValidationError("head and tail totals differ from the pairing's length")
-        # m in-range entries that cover all m slots form a permutation.
-        bad = "pairing is not a perfect matching of half-edges"
-        if m and not 0 <= match.min() <= match.max() < m:
-            raise ValidationError(bad)
-        seen = np.zeros(m, dtype=bool)
-        seen[match] = True
-        if not seen.all():
-            raise ValidationError(bad)
+        d_out = np.asarray(check_int_array(self.d_out, "out-degrees"), dtype=np.int64)
+        succ = check_int_array(self.succ, "successors")
+        if d_out.ndim != 1 or succ.ndim != 1 or d_out.min(initial=0) < 0:
+            raise ValidationError("need non-negative 1-d out-degrees and 1-d successors")
+        n, tails = len(d_out), exact_total(d_out)
+        if len(succ) and not 0 <= succ.min() <= succ.max() < n:
+            raise ValidationError(f"a successor lies outside 0..{n - 1}")
+        if tails != len(succ):
+            raise ValidationError(f"out-degrees count {tails} tails, not {len(succ)}")
+        for name, arr in (("d_out", d_out), ("succ", succ.astype(_index_dtype(n), copy=False))):
+            arr = arr.view()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
-        return len(self.d_in)
+        return len(self.d_out)
 
     @property
     def m(self) -> int:
-        return len(self.match)
+        return len(self.succ)
+
+    @property
+    def d_in(self) -> np.ndarray:
+        """In-degrees, counted from `succ` in O(m) on each access."""
+        return np.bincount(self.succ, minlength=self.n)
 
     @property
     def tail_ptr(self) -> np.ndarray:
@@ -91,20 +100,9 @@ class Multigraph:
         """Owner vertex of each tail, derived in O(m) on each access."""
         return np.repeat(np.arange(self.n), self.d_out)
 
-    @property
-    def head_vertex(self) -> np.ndarray:
-        """Owner vertex of each head, derived in O(m) on each access."""
-        return np.repeat(np.arange(self.n), self.d_in)
-
-    @property
-    def inverse_match(self) -> np.ndarray:
-        inv = np.empty(self.m, dtype=self.match.dtype)
-        inv[self.match] = np.arange(self.m, dtype=self.match.dtype)
-        return inv
-
     def successors(self) -> np.ndarray:
-        """Destination vertex of each tail, in tail order."""
-        return self.head_vertex[self.match]
+        """The destination of each tail: the stored read-only `succ`."""
+        return self.succ
 
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
@@ -115,20 +113,15 @@ class Multigraph:
         mult(u, v) in the narrowest unsigned dtype that holds d_out.max().
         The rows are the tail blocks, merged by sum_duplicates because
         scipy's strong-component search stalls on duplicate columns; the
-        merge works in place, so indptr starts as a fresh tail_ptr. The
-        column indices are gathered straight into int32 while n < 2^31, the
-        dtype scipy stores, rather than through the intp `successors()`.
+        merge sorts in place, so it runs on a copy of `succ` (int32 while
+        n < 2^31, the dtype scipy stores) and a fresh tail_ptr.
 
         The structural searches (`sccs`, `closed_classes`, the walkers'
         reachability) read only its pattern, scipy's through `_pattern`;
         `walks.transition_matrix` shares its index arrays. `_closed_block`
         releases this cache; the next access rebuilds it."""
-        vertices = np.arange(self.n, dtype=_index_dtype(self.n))
         mult = np.ones(self.m, dtype=np.min_scalar_type(int(self.d_out.max())))
-        mat = sp.csr_matrix(
-            (mult, np.repeat(vertices, self.d_in)[self.match], self.tail_ptr),
-            shape=(self.n, self.n),
-        )
+        mat = sp.csr_matrix((mult, self.succ.copy(), self.tail_ptr), shape=(self.n, self.n))
         mat.sum_duplicates()
         for arr in (mat.data, mat.indices, mat.indptr):
             arr.flags.writeable = False
@@ -153,9 +146,9 @@ class Multigraph:
     def from_edges(cls, edges, n: int | None = None) -> "Multigraph":
         """Build a multigraph from (src, dst, multiplicity) triples.
 
-        The pairing is reconstructed canonically (half-edges matched in
-        sorted edge order), which preserves the multigraph exactly. `n`
-        defaults to the largest vertex id + 1 and may not be smaller.
+        Each vertex's tails lead to its out-neighbours in increasing order,
+        once per unit of multiplicity. `n` defaults to the largest vertex
+        id + 1 and may not be smaller.
         """
         edges = np.array(check_int_array(list(edges), "edge entries"), dtype=np.int64)
         if edges.ndim != 2 or edges.shape[1] != 3 or not len(edges):
@@ -169,8 +162,7 @@ class Multigraph:
             n = top + 1
         elif n <= top:
             raise ValidationError(f"n={n} but the edges use vertex {top}")
-        d_out = np.bincount(np.repeat(src, mult), minlength=n)
-        return _from_successors(np.repeat(dst, mult), d_out)
+        return cls(np.bincount(np.repeat(src, mult), minlength=n), np.repeat(dst, mult))
 
     @classmethod
     def from_edge_list(cls, path) -> "Multigraph":
@@ -183,31 +175,24 @@ class Multigraph:
 
 
 def _index_dtype(count: int) -> type:
-    """Dtype of ids 0..count-1 (half-edges or vertices): int32 when every id
-    fits."""
+    """Dtype of vertex ids 0..count-1: int32 when every id fits."""
     return np.int32 if count < 2**31 else np.int64
-
-
-def _from_successors(succ: np.ndarray, d_out: np.ndarray) -> Multigraph:
-    """The multigraph whose tails, in canonical order, go to the vertices
-    `succ`; each vertex's heads are paired in that tail order."""
-    m = len(succ)
-    match = np.empty(m, dtype=_index_dtype(m))
-    match[np.argsort(succ, kind="stable")] = np.arange(m)
-    return Multigraph(np.bincount(succ, minlength=len(d_out)), d_out, match)
 
 
 def sample_dcm(
     seq: BiDegreeSequence, rng_seed: int | np.random.SeedSequence = 0
 ) -> Multigraph:
     """Sample the configuration model: a uniform perfect matching of heads
-    against the canonical tail order (Fisher-Yates shuffle of the head array,
-    in place; the same permutation as `rng.permutation(m)`).
+    with the tails in canonical order, kept as each tail's destination. The
+    array of head owners is shuffled in place (Fisher-Yates), so tail t
+    leads to heads[rng.permutation(m)][t]. An m whose successor array the
+    address space cannot hold raises CapacityError.
     """
-    rng = np.random.default_rng(rng_seed)
-    match = np.arange(seq.m, dtype=_index_dtype(seq.m))
-    rng.shuffle(match)
-    return Multigraph(seq.in_degrees, seq.out_degrees, match)
+    dtype = _index_dtype(seq.n)
+    check_addressable(seq.m, np.dtype(dtype).itemsize, "m")
+    succ = np.repeat(np.arange(seq.n, dtype=dtype), seq.in_degrees)
+    np.random.default_rng(rng_seed).shuffle(succ)
+    return Multigraph(seq.out_degrees, succ)
 
 
 def sample_rout(n: int, r: int, rng_seed: int | np.random.SeedSequence = 0) -> Multigraph:
@@ -217,8 +202,7 @@ def sample_rout(n: int, r: int, rng_seed: int | np.random.SeedSequence = 0) -> M
     if check_int(r, "r") < 2 or check_int(n, "n") < 1:
         raise ValidationError(f"need r >= 2 and n >= 1, got r={r}, n={n}")
     rng = np.random.default_rng(rng_seed)
-    targets = rng.integers(0, n, size=n * r)
-    return _from_successors(targets, np.full(n, r, dtype=np.int64))
+    return Multigraph(np.full(n, r, dtype=np.int64), rng.integers(0, n, size=n * r))
 
 
 def _transition_values(
@@ -375,9 +359,9 @@ def thin_depth(g: Multigraph, omega: int, t_cap: int) -> np.ndarray:
     X counts in-paths, not distinct heads. The two agree while the in-ball
     is a tree, but a cycle inside the ball is counted again on every pass,
     so on small graphs a vertex can reach omega at a level where its
-    distinct heads do not. The level of head f's in-neighbourhood is read
-    at the vertex whose tail is paired with f:
-    `w = g.tail_vertex[g.inverse_match[f]]`.
+    distinct heads do not. A uniform head is matched with a uniform tail t,
+    so a uniform head's in-neighbourhood is read at the owner of a uniform
+    tail, `g.tail_vertex[t]`.
     """
     if check_int(omega, "omega") < 1 or check_int(t_cap, "t_cap") < 0:
         raise ValidationError(f"need omega >= 1 and t_cap >= 0, got {omega}, {t_cap}")

@@ -284,15 +284,14 @@ def _direct_stationary(p_sub: sp.csr_matrix) -> np.ndarray:
 
 
 def head_stationary(g: Multigraph, result: StationaryResult) -> np.ndarray:
-    """Stationary vector of the walk on heads: pi_e(f) = pi(z) / d_out(z),
-    where z is the vertex whose tail is paired with head f.
+    """Stationary mass of each edge, in tail order: pi_e(t) = pi(z) / d_out(z)
+    for a tail t of vertex z, the mass of the head t is matched with.
 
-    Verifies that the head masses of each vertex sum back to pi within 1e-12.
+    Checks that the masses arriving at each vertex sum to pi within 1e-12.
     """
-    inv = g.inverse_match
-    z = g.tail_vertex[inv]
+    z = g.tail_vertex
     pi_e = result.pi[z] / g.d_out[z]
-    sums = np.bincount(g.head_vertex, weights=pi_e, minlength=g.n)
+    sums = np.bincount(g.successors(), weights=pi_e, minlength=g.n)
     gap = float(np.max(np.abs(sums - result.pi)))
     if gap > 1e-12:
         raise NumericalError("head stationary masses do not aggregate", residual=gap)
@@ -474,7 +473,6 @@ def _check_walkable(g: Multigraph, vertices: tuple = (), **counts: int) -> None:
 
 def _walk(
     g: Multigraph,
-    succ: np.ndarray,
     starts: np.ndarray,
     step_cap: int,
     rng: np.random.Generator,
@@ -495,11 +493,10 @@ def _walk(
     (block, len(live)), and returns the mask of those that stop. Stopped
     walkers still draw to the end of their block. The last block is cut at
     step_cap, so the cap is exact. Returns the walkers live at the cap.
-    `succ` is `g.successors()`, derived once by the caller.
     """
     # Tails stay intp: np.take converts narrower indices on every call.
     # The degrees are values, so the narrowest dtype serves.
-    tail_ptr = g.tail_ptr
+    tail_ptr, succ = g.tail_ptr, g.successors()
     next_first = tail_ptr[succ]
     next_deg = g.d_out[succ].astype(np.min_scalar_type(int(g.d_out.max())))
     first = tail_ptr[starts]
@@ -596,7 +593,7 @@ def hitting_time_mc(
 
     if x != y:
         rng = np.random.default_rng(rng_seed)
-        active[_walk(g, succ, np.full(reps, x), step_cap, rng, settle)] = True
+        active[_walk(g, np.full(reps, x), step_cap, rng, settle)] = True
     return _summarize(times, active, step_cap)
 
 
@@ -639,8 +636,7 @@ def cover_time_mc(
     left = k - (local[pos] < k)
     times = np.zeros(walkers, dtype=np.int64)
     walking = np.flatnonzero(left > 0)
-    succ = g.successors()
-    cell_of = local[succ]  # per tail: column of its head vertex
+    cell_of = local[g.successors()]  # per tail: column of its head vertex
 
     def settle(step: int, live: np.ndarray, tails: np.ndarray) -> np.ndarray:
         w = walking[live]
@@ -663,7 +659,7 @@ def cover_time_mc(
         return done
 
     active = np.zeros(walkers, dtype=bool)
-    active[walking[_walk(g, succ, pos[walking], step_cap, rng, settle)]] = True
+    active[walking[_walk(g, pos[walking], step_cap, rng, settle)]] = True
     estimates = [
         _summarize(t, a, step_cap, start=int(s))
         for s, t, a in zip(

@@ -218,7 +218,7 @@ def test_criterion_7_stationary_correctness():
         comp = attractive_scc(g)
         support_ok &= np.array_equal(np.sort(comp), res.support)
         pi_e = head_stationary(g, res)
-        sums = np.bincount(g.head_vertex, weights=pi_e, minlength=g.n)
+        sums = np.bincount(g.successors(), weights=pi_e, minlength=g.n)
         worst_head = max(worst_head, float(np.max(np.abs(sums - res.pi))))
         positive = pi_e[pi_e > 0]
         pi0_e, pi0 = float(positive.min()), res.pi_min

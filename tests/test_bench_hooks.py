@@ -53,3 +53,18 @@ def test_worker_reads_resolve_in_dcmwalk():
                 break
             obj = getattr(obj, name)
     assert unresolved == []
+
+
+def test_large_cell_gate_passes_at_small_n(monkeypatch):
+    # The large-n workload's gate reads the graph as `successors()`, `d_out`
+    # and `n`, which the chains above do not resolve: run it on one cell.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for name in ("spans", "worker"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    worker = importlib.import_module("worker")
+    g, stat = worker.large_cell({"dist": worker.toy(), "seed": 1}, 2**12)
+    assert stat is not None
+    res = worker.Outcome()
+    worker.check_large_cell(g, stat, res)
+    assert (res.attempted, res.failed) == (1, 0), res.errors

@@ -9,10 +9,12 @@ from dcmwalk import (
     BalanceError,
     BiDegreeDistribution,
     BiDegreeSequence,
+    CapacityError,
     RealizationError,
     ValidationError,
     out_size_biased,
     realize_sequence,
+    sample_dcm,
     validate_sequence,
 )
 from dcmwalk.degrees import MAX_DEGREE, _support_counts
@@ -258,6 +260,25 @@ def test_unbalanced_sequence_is_refused_when_built():
         BiDegreeSequence([0, 3, 2, 1], [2, 1, 2, 0])
     assert (err.value.head_total, err.value.tail_total, err.value.deficit) == (6, 5, 1)
     assert "deficit 1" in str(err.value)
+
+
+def test_degree_totals_do_not_wrap():
+    # Four in-degrees of 2^62 sum to 0 in int64, as do four zeros: the
+    # totals are compared exactly, so the sequence is unbalanced.
+    with pytest.raises(BalanceError) as err:
+        BiDegreeSequence([2**62] * 4, [0] * 4)
+    assert (err.value.head_total, err.value.tail_total) == (2**64, 0)
+
+
+def test_sampling_a_total_beyond_the_address_space_is_a_capacity_error():
+    # A balanced total past int64, and one that fits int64 but not as int32
+    # successors in the address space: each sequence is built, and sampling
+    # it raises CapacityError before any array is allocated.
+    for degrees in ([2**62] * 4, [2**61] * 2):
+        seq = BiDegreeSequence(degrees, degrees)
+        assert seq.m == sum(degrees)
+        with pytest.raises(CapacityError):
+            sample_dcm(seq)
 
 
 def test_sequence_construction_rejects_bad_input():

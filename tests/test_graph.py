@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from dcmwalk import (
+    BiDegreeDistribution,
     BiDegreeSequence,
     Multigraph,
     ValidationError,
@@ -22,7 +23,7 @@ from dcmwalk import (
 from dcmwalk import graph as graph_module
 from dcmwalk.cli import main
 from dcmwalk.graph import _closed_block, closed_classes
-from dcmwalk.walks import transition_matrix
+from dcmwalk.walks import cover_time_mc, hitting_time_mc, transition_matrix
 
 
 def directed_cycle(n: int) -> Multigraph:
@@ -44,36 +45,38 @@ def test_sample_degree_conservation(toy_dist):
 
 def test_sample_uniform_matchings():
     # Three vertices with one head and one tail each: 6 equally likely
-    # pairings; chi-squared on 60000 samples at the 1% level (5 dof: 15.09).
+    # pairings, each its own successor array; chi-squared on 60000 samples
+    # at the 1% level (5 dof: 15.09).
     seq = BiDegreeSequence([1, 1, 1], [1, 1, 1])
     counts = Counter()
     reps = 60_000
     for seed in range(reps):
         g = sample_dcm(seq, rng_seed=seed)
-        counts[tuple(g.match.tolist())] += 1
+        counts[tuple(g.successors().tolist())] += 1
     assert len(counts) == 6
     expected = reps / 6
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < 15.09
 
 
-def test_sample_pairing_is_int32_permutation(toy_dist):
-    # The in-place shuffle of an int32 arange draws rng.permutation(m).
+def test_sample_successors_are_permuted_heads(toy_dist):
+    # The in-place shuffle of the int32 head owners draws rng.permutation(m).
     for n, seed in [(4, 0), (400, 11), (5000, 12)]:
         seq = realize_sequence(toy_dist, n)
         g = sample_dcm(seq, rng_seed=seed)
-        assert g.match.dtype == np.int32 and g.inverse_match.dtype == np.int32
-        assert np.array_equal(g.match, np.random.default_rng(seed).permutation(g.m))
-    assert sample_rout(50, 2, rng_seed=1).match.dtype == np.int32
+        heads = np.repeat(np.arange(n), seq.in_degrees)
+        assert g.successors().dtype == np.int32
+        assert np.array_equal(g.successors(), heads[np.random.default_rng(seed).permutation(g.m)])
+    assert sample_rout(50, 2, rng_seed=1).successors().dtype == np.int32
 
 
 def test_half_edge_owners_are_derived(toy_dist):
     g = sample_dcm(realize_sequence(toy_dist, 300), rng_seed=4)
-    assert "tail_vertex" not in vars(g) and "head_vertex" not in vars(g)
+    assert set(vars(g)) == {"d_out", "succ"}
     assert np.array_equal(g.tail_vertex, np.repeat(np.arange(g.n), g.d_out))
-    assert np.array_equal(g.head_vertex, np.repeat(np.arange(g.n), g.d_in))
-    assert g.tail_vertex.dtype == g.head_vertex.dtype == np.intp
-    assert g.successors().dtype == np.intp
+    assert np.array_equal(g.d_in, np.bincount(g.successors(), minlength=g.n))
+    assert g.tail_vertex.dtype == g.d_in.dtype == np.intp
+    assert g.successors() is g.succ and g.succ.dtype == np.int32
     # So is the first tail of each vertex, here also for r-out and
     # for a loaded graph with isolated vertices.
     loaded = Multigraph.from_edges([(0, 2, 3), (2, 0, 1)], n=5)
@@ -104,7 +107,7 @@ def test_csr_with_out_degree_zero_vertices_is_warning_free():
 def test_csr_indices_are_int32_and_match_intp_build(toy_dist, monkeypatch):
     graphs = [sample_dcm(realize_sequence(toy_dist, n), rng_seed=n) for n in (50, 3000)]
     graphs += [sample_rout(n, r, rng_seed=r) for n, r in ((40, 2), (2000, 3))]
-    # The builds gather int32 columns themselves, never the intp successors.
+    # The builds read the stored int32 columns, never through `successors()`.
     with monkeypatch.context() as patch:
         patch.setattr(Multigraph, "successors", None)
         built = []
@@ -116,7 +119,7 @@ def test_csr_indices_are_int32_and_match_intp_build(toy_dist, monkeypatch):
     assert sum(map(len, built)) > len(graphs)
     for g, mats in zip(graphs, built):
         ref = sp.csr_matrix(
-            (np.repeat(1.0 / g.d_out, g.d_out), g.successors(), g.tail_ptr.copy()),
+            (np.repeat(1.0 / g.d_out, g.d_out), g.successors().copy(), g.tail_ptr.copy()),
             shape=(g.n, g.n),
         )
         ref.sum_duplicates()
@@ -127,14 +130,52 @@ def test_csr_indices_are_int32_and_match_intp_build(toy_dist, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "match",
-    [[0, 1, 1, 3], [0, 1, -1, 3], [0, 1, 2, 4], [0, 1, 2], [0, 1, 2, 3, 0], []],
-    ids=["duplicate", "negative", "too-large", "short", "long", "empty"],
+    "d_out, succ",
+    [
+        ([1, 2, 2], [0, 1, 1, 2]),
+        ([1, 2, 1], [0, 1, -1, 2]),
+        ([1, 2, 1], [0, 1, 2, 3]),
+        ([1, 2, 1], [0, 1, 2]),
+        ([1, 2, 1], [0, 1, 2, 2, 0]),
+        ([1, 2, 1], []),
+        ([2, -1, 3], [0, 1, 2, 0]),
+        ([2**62] * 4, []),
+    ],
+    ids=["miscount", "negative", "too-large", "short", "long", "empty", "negative-degree",
+         "wrapped-count"],
 )
-def test_pairing_must_be_perfect_matching(match):
-    d = np.array([1, 2, 1])
+def test_pairing_must_be_perfect_matching(d_out, succ):
+    # An out-edge list with a negative out-degree, a successor outside
+    # 0..n-1 or out-degrees that do not count its successors is refused at
+    # construction. A repeated successor is a legal parallel edge. Four
+    # out-degrees of 2^62 sum to 0 in int64, yet count 2^64 tails.
     with pytest.raises(ValidationError):
-        Multigraph(d, d, np.array(match, dtype=np.int32))
+        Multigraph(np.array(d_out), np.array(succ, dtype=np.int32))
+
+
+def test_stored_successors_are_never_written(tmp_path):
+    # Every reader of the graph leaves the stored successors as they were:
+    # scipy's merge of duplicate columns sorts in place, on a copy.
+    walk_law = BiDegreeDistribution({(3, 3): 0.5, (4, 4): 0.5})
+    g = sample_dcm(realize_sequence(walk_law, 300), rng_seed=8)
+    before = g.successors().copy()
+    comp = attractive_scc(g)
+    assert comp is not None and len(comp) == g.n
+    _closed_block(g, comp)
+    _closed_block(g, comp, parts=3)
+    transition_matrix(g)
+    hitting_time_mc(g, 0, 1, reps=20, step_cap=10**5, rng_seed=1)
+    cover_time_mc(g, reps=20, step_cap=10**6, rng_seed=1)
+    g.to_edge_list(tmp_path / "g.edges")
+    assert np.array_equal(g.successors(), before)
+    assert not g.successors().flags.writeable and not g.d_out.flags.writeable
+    # The graph keeps read-only views; the caller's arrays stay writeable.
+    # Vertex 1 has a double loop.
+    d_out, succ = np.array([1, 2, 1]), np.array([0, 1, 1, 2], dtype=np.int32)
+    h = Multigraph(d_out, succ)
+    assert d_out.flags.writeable and succ.flags.writeable
+    assert not h.successors().flags.writeable
+    assert h.edge_multiplicities() == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
 
 
 def test_rout_single_vertex():
@@ -267,15 +308,15 @@ def test_thin_depth_matches_dense_path_counts():
 
 def test_t_omega_fraction_matches_survival(toy_dist):
     # The heads with omega-growing in-neighbourhoods are asymptotically the
-    # survivors of the in-process: fraction ~ s_minus = 0.4812. Head f is
-    # read at the vertex whose tail is paired with it.
+    # survivors of the in-process: fraction ~ s_minus = 0.4812. A uniform
+    # head is matched with a uniform tail, so it is read at the tail's owner.
     seq = realize_sequence(toy_dist, 100_000)
     g = sample_dcm(seq, rng_seed=3)
     rng = np.random.default_rng(0)
-    heads = rng.choice(g.m, size=3000, replace=False)
+    tails = rng.choice(g.m, size=3000, replace=False)
     depth = thin_depth(g, omega=32, t_cap=200)
-    finite = np.count_nonzero(depth[g.tail_vertex[g.inverse_match[heads]]] >= 0)
-    assert finite / len(heads) == pytest.approx(0.4812, abs=0.03)
+    finite = np.count_nonzero(depth[g.tail_vertex[tails]] >= 0)
+    assert finite / len(tails) == pytest.approx(0.4812, abs=0.03)
 
 
 def test_edge_list_roundtrip(toy_dist, tmp_path):
@@ -294,7 +335,7 @@ def test_edge_list_keeps_trailing_isolated_vertices(tmp_path):
     assert path.read_text() == "# n=5\n0 1 1\n1 0 1\n"
     h = Multigraph.from_edge_list(path)
     assert h.n == 5
-    for name in ("d_in", "d_out", "tail_ptr", "match"):
+    for name in ("d_in", "d_out", "tail_ptr", "succ"):
         assert np.array_equal(getattr(g, name), getattr(h, name)), name
 
 
@@ -314,7 +355,7 @@ def test_edge_list_roundtrip_random_multigraphs(tmp_path):
         g.to_edge_list(path)
         h = Multigraph.from_edge_list(path)
         assert (h.n, h.m) == (g.n, g.m)
-        for name in ("d_in", "d_out", "tail_ptr", "tail_vertex", "head_vertex", "match"):
+        for name in ("d_in", "d_out", "tail_ptr", "tail_vertex", "succ"):
             assert np.array_equal(getattr(g, name), getattr(h, name)), name
 
 
@@ -414,5 +455,5 @@ def test_scc_search_reads_the_pattern_only(toy_dist):
     finally:
         tracemalloc.stop()
     # The adjacency is the graph's one cache.
-    assert set(vars(g)) == {"d_in", "d_out", "match", "adjacency"}
+    assert set(vars(g)) == {"d_out", "succ", "adjacency"}
     assert peak < 16 * g.m

@@ -114,12 +114,11 @@ def test_head_stationary_cycle():
 def test_head_stationary_two_vertex(two_vertex):
     res = stationary_distribution(two_vertex)
     pi_e = head_stationary(two_vertex, res)
-    # Head of vertex 0 is fed by vertex 1: pi(1)/d_out(1) = 1/3. Heads of
-    # vertex 1: two fed by vertex 0 (1/6 each), one by itself (1/3).
+    # Vertex 0 is fed by one tail of vertex 1: pi(1)/d_out(1) = 1/3.
+    # Vertex 1: by two tails of vertex 0 (1/6 each), one of its own (1/3).
     by_vertex = {}
-    for h in range(two_vertex.m):
-        v = int(two_vertex.head_vertex[h])
-        by_vertex.setdefault(v, []).append(pi_e[h])
+    for t, v in enumerate(two_vertex.successors().tolist()):
+        by_vertex.setdefault(v, []).append(pi_e[t])
     assert sorted(by_vertex[0]) == pytest.approx([1 / 3], abs=1e-12)
     assert sorted(by_vertex[1]) == pytest.approx([1 / 6, 1 / 6, 1 / 3], abs=1e-12)
 
@@ -392,8 +391,7 @@ def test_walk_block_shrinks_for_many_walkers(monkeypatch):
         shapes.append(tails.shape)
         return live % 2 == 1  # the first block stops half the walkers
 
-    left = walks._walk(g, g.successors(), np.zeros(60, dtype=np.int64), 5,
-                       np.random.default_rng(0), settle)
+    left = walks._walk(g, np.zeros(60, dtype=np.int64), 5, np.random.default_rng(0), settle)
     assert shapes == [(1, 60), (3, 30), (1, 30)]
     assert np.array_equal(left, np.arange(0, 60, 2))
 
@@ -539,7 +537,7 @@ def test_step_takes_out_edge_of_uniform(value, last):
         return np.ones(len(live), dtype=bool)
 
     pos = np.repeat(np.arange(g.n), 3)
-    left = walks._walk(g, succ, pos, 2, ConstantUniforms(value), settle)
+    left = walks._walk(g, pos, 2, ConstantUniforms(value), settle)
     assert len(left) == 0
     (step, live, tails), = blocks
     assert step == 0 and np.array_equal(live, np.arange(len(pos)))
