@@ -5,7 +5,9 @@ integer, never rounded; a law key is a tuple of two integers; a probability
 is a real in [0, 1] within `PROB_TOL` (not NaN), and a law sums to 1 within
 it; an integer written as text (a file field, an argv word) is an optional
 '-' followed by ASCII digits. A count that passes these checks but sizes an
-array beyond the address space is a CapacityError (`check_addressable`)."""
+array beyond the address space is a CapacityError (`check_addressable`).
+An array of counts is stored in the narrowest signed integer dtype that
+holds its largest entry (`narrow_dtype`)."""
 
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from .errors import CapacityError, ValidationError
 
 PROB_TOL = 1e-12
 INT64 = np.iinfo(np.int64)
+SUM_BLOCK = 1 << 12  # entries per numpy sum in `exact_total`
 # An int64 has at most 19 digits after its leading zeros, so a longer
 # string is refused before int() parses it.
 INT_TEXT = re.compile(r"-?0*[0-9]{1,19}")
@@ -64,11 +67,24 @@ def check_int_array(values, name: str) -> np.ndarray:
 
 def exact_total(values: np.ndarray) -> int:
     """The sum of a non-negative integer array as a Python int, never
-    wrapped: numpy's sum when no total of its entries can pass int64 (the
-    largest entry times the length), else Python's."""
+    wrapped: numpy's int64 sums when no total of its entries can pass int64
+    (the largest entry times the length), else Python's. Numpy sums
+    SUM_BLOCK entries at a time, so the widening of a narrow array buffers
+    one block (32 KB), not numpy's default of 8192 entries."""
     if len(values) and int(values.max()) * len(values) > INT64.max:
         return sum(values.tolist())
-    return int(values.sum())
+    return sum(int(values[lo : lo + SUM_BLOCK].sum()) for lo in range(0, len(values), SUM_BLOCK))
+
+
+def narrow_dtype(values: np.ndarray) -> np.dtype:
+    """The narrowest signed integer dtype that holds every entry of the
+    non-negative int64-bounded integer array `values`. Signed only: the
+    cumulative sum of an unsigned array is uint64, which numpy mixes with
+    int64 as float64."""
+    top = int(values.max(initial=0))
+    return next(
+        np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max
+    )
 
 
 def check_addressable(count: int, itemsize: int, name: str) -> None:

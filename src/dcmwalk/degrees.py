@@ -17,7 +17,7 @@ import numpy as np
 
 from ._checks import (
     PROB_TOL, check_addressable, check_int, check_int_array, check_int_pair, check_pmf,
-    exact_total, read_pmf,
+    exact_total, narrow_dtype, read_pmf,
 )
 from .errors import BalanceError, RealizationError, ValidationError
 
@@ -88,9 +88,11 @@ class BiDegreeDistribution:
 
 
 class BiDegreeSequence:
-    """Per-vertex degrees, held as two read-only int64 arrays whose sums
-    agree: vertex v has in-degree in_degrees[v] and out-degree
-    out_degrees[v], and the m heads pair with the m tails.
+    """Per-vertex degrees, held as two read-only arrays whose sums agree:
+    vertex v has in-degree in_degrees[v] and out-degree out_degrees[v], and
+    the m heads pair with the m tails. Each array has the narrowest signed
+    integer dtype that holds its largest degree (`narrow_dtype`): int8 for
+    every realized law, since MAX_DEGREE < 128.
 
     The constructor copies its input, so a caller's array never becomes
     read-only, and raises BalanceError when sum(d_in) != sum(d_out), the
@@ -101,11 +103,12 @@ class BiDegreeSequence:
         self._set_arrays(in_degrees, out_degrees)
 
     def _set_arrays(self, in_degrees, out_degrees, copy: bool = True) -> None:
-        """Check and store the degrees as read-only int64 arrays, and their
-        common sum as m. copy=False adopts int64 arrays the caller owns and
-        never writes again, as they are."""
-        kin = np.array(check_int_array(in_degrees, "in-degrees"), np.int64, copy=copy or None)
-        kout = np.array(check_int_array(out_degrees, "out-degrees"), np.int64, copy=copy or None)
+        """Check and store the degrees as read-only arrays, each narrowed by
+        `narrow_dtype`, and their common sum as m. copy=False adopts arrays
+        the caller owns and never writes again as they are, when they are
+        already narrow."""
+        kin = check_int_array(in_degrees, "in-degrees")
+        kout = check_int_array(out_degrees, "out-degrees")
         if kin.ndim != 1 or kin.shape != kout.shape:
             raise ValidationError("in- and out-degree arrays differ in shape")
         if len(kin) == 0:
@@ -113,6 +116,8 @@ class BiDegreeSequence:
         if kin.min() < 0 or kout.min() < 0:
             v = np.flatnonzero((kin < 0) | (kout < 0))[0]
             raise ValidationError(f"negative degree in pair ({kin[v]}, {kout[v]})")
+        kin = kin.astype(narrow_dtype(kin), copy=copy)
+        kout = kout.astype(narrow_dtype(kout), copy=copy)
         heads, tails = exact_total(kin), exact_total(kout)
         if heads != tails:
             raise BalanceError(heads, tails)
@@ -188,19 +193,19 @@ def realize_sequence(dist: BiDegreeDistribution, n: int) -> BiDegreeSequence:
     shortest move sequence via breadth-first search over the imbalance).
     The repair perturbs O(max_degree * |support|) vertices, so the empirical
     distribution of the result is within O(1/n) of `dist` in total variation.
-    Vertices come grouped by pair, in support order. An n whose int64
-    degree arrays the address space cannot hold raises CapacityError.
+    Vertices come grouped by pair, in support order. The degree arrays are
+    built in their narrow dtype (int8, as MAX_DEGREE < 128); an n whose
+    arrays the address space cannot hold raises CapacityError.
     """
     pairs = dist.support
     counts = _support_counts(dist, n)
     reps = [counts[pair] for pair in pairs]
+    ins, outs = (np.array(side) for side in zip(*pairs))
+    ins, outs = ins.astype(narrow_dtype(ins)), outs.astype(narrow_dtype(outs))
+    check_addressable(n, max(ins.itemsize, outs.itemsize), "n")
     # The fresh arrays are adopted, not copied: one copy of the sequence.
     seq = BiDegreeSequence.__new__(BiDegreeSequence)
-    seq._set_arrays(
-        np.repeat(np.array([k for k, _ in pairs], dtype=np.int64), reps),
-        np.repeat(np.array([ell for _, ell in pairs], dtype=np.int64), reps),
-        copy=False,
-    )
+    seq._set_arrays(np.repeat(ins, reps), np.repeat(outs, reps), copy=False)
     return seq
 
 
@@ -208,7 +213,6 @@ def _support_counts(dist: BiDegreeDistribution, n: int) -> dict[tuple[int, int],
     """Vertex count per support pair for :func:`realize_sequence`."""
     if check_int(n, "n") < 1:
         raise RealizationError(f"need n >= 1, got {n}")
-    check_addressable(n, 8, "n")  # one int64 degree array
     dist.require_mean_balanced()
     pairs = dist.support
     counts = {pair: round(n * dist.pmf[pair]) for pair in pairs}

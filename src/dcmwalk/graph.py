@@ -2,13 +2,15 @@
 growth.
 
 A graph is its out-edge list. Tails (out-half-edges) are numbered 0..m-1,
-grouped by vertex, and a graph stores its out-degrees and the destination
-vertex of each tail, `succ`: int32 while n < 2^31 (int64 otherwise), and
-read-only. The model matches heads with tails uniformly, but every walk
-quantity depends on the matching only through where each tail leads, so
-that is all a graph keeps. The in-degrees, the owner of each tail and each
-vertex's first tail (`tail_ptr`) are derived on access, so a caller that
-uses one in a loop reads it once. Graphs are immutable and shareable.
+grouped by vertex, and a graph stores its out-degrees, in the narrowest
+signed integer dtype that holds the largest (`_checks.narrow_dtype`), and
+the destination vertex of each tail, `succ`: int32 while n < 2^31 (int64
+otherwise). Both are read-only. The model matches heads with tails
+uniformly, but every walk quantity depends on the matching only through
+where each tail leads, so that is all a graph keeps. The in-degrees, the
+owner of each tail and each vertex's first tail (`tail_ptr`, int64) are
+derived on access, so a caller that uses one in a loop reads it once.
+Graphs are immutable and shareable.
 
 Structure is cached, values are built per request. `Multigraph.adjacency`,
 the multiplicity CSR, is a graph's one cache; the SCC, closed-class and
@@ -28,7 +30,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from ._checks import check_addressable, check_int, check_int_array, exact_total, read_int_rows
+from ._checks import (
+    check_addressable, check_int, check_int_array, exact_total, narrow_dtype, read_int_rows,
+)
 from .degrees import BiDegreeSequence
 from .errors import NumericalError, ValidationError
 
@@ -52,8 +56,9 @@ class Multigraph:
 
     Tail t belongs to tail_vertex[t] and leads to succ[t]. Self-loops and
     parallel edges are allowed; edge multiplicities are recovered by
-    aggregation. Both arrays are kept as read-only views (int64 out-degrees,
-    successors in the vertex id dtype), so a caller's arrays stay writeable.
+    aggregation. Both arrays are kept as read-only views (out-degrees in
+    their `narrow_dtype`, successors in the vertex id dtype), so a caller's
+    arrays stay writeable.
     A negative out-degree, a successor outside 0..n-1, or out-degrees that
     do not count the successors raise ValidationError.
     """
@@ -62,10 +67,11 @@ class Multigraph:
     succ: np.ndarray
 
     def __post_init__(self):
-        d_out = np.asarray(check_int_array(self.d_out, "out-degrees"), dtype=np.int64)
+        d_out = check_int_array(self.d_out, "out-degrees")
         succ = check_int_array(self.succ, "successors")
         if d_out.ndim != 1 or succ.ndim != 1 or d_out.min(initial=0) < 0:
             raise ValidationError("need non-negative 1-d out-degrees and 1-d successors")
+        d_out = d_out.astype(narrow_dtype(d_out), copy=False)
         n, tails = len(d_out), exact_total(d_out)
         if len(succ) and not 0 <= succ.min() <= succ.max() < n:
             raise ValidationError(f"a successor lies outside 0..{n - 1}")
@@ -148,7 +154,8 @@ class Multigraph:
 
         Each vertex's tails lead to its out-neighbours in increasing order,
         once per unit of multiplicity. `n` defaults to the largest vertex
-        id + 1 and may not be smaller.
+        id + 1 and may not be smaller. Multiplicities whose total, as
+        successors, the address space cannot hold raise CapacityError.
         """
         edges = np.array(check_int_array(list(edges), "edge entries"), dtype=np.int64)
         if edges.ndim != 2 or edges.shape[1] != 3 or not len(edges):
@@ -162,7 +169,12 @@ class Multigraph:
             n = top + 1
         elif n <= top:
             raise ValidationError(f"n={n} but the edges use vertex {top}")
-        return cls(np.bincount(np.repeat(src, mult), minlength=n), np.repeat(dst, mult))
+        dtype = np.dtype(_index_dtype(n))
+        check_addressable(exact_total(mult), dtype.itemsize, "m")
+        # Below the address space, no vertex's total can wrap int64.
+        d_out = np.zeros(n, dtype=np.int64)
+        np.add.at(d_out, src, mult)
+        return cls(d_out, np.repeat(dst.astype(dtype), mult))
 
     @classmethod
     def from_edge_list(cls, path) -> "Multigraph":
@@ -328,19 +340,21 @@ def _closed_block(g: Multigraph, comp: np.ndarray, parts: int = 1) -> list[sp.cs
 
 
 def attractive_scc(g: Multigraph) -> np.ndarray | None:
-    """Vertices of the attractive SCC, or None.
+    """Vertices of the attractive SCC in increasing order, as vertex ids
+    (int32 while n < 2^31), or None.
 
     A component is attractive when it is reachable from every vertex; in a
     finite digraph that holds exactly when it is the unique closed class
     (every vertex can follow the condensation DAG down to some sink).
     """
     labels, closed = closed_classes(g)
+    ids = np.arange(g.n, dtype=_index_dtype(g.n))
     if len(closed) == 1:
-        return np.arange(g.n, dtype=np.int64)
+        return ids
     sinks = np.flatnonzero(closed)
     if len(sinks) != 1:
         return None
-    return np.flatnonzero(labels == sinks[0])
+    return ids[labels == sinks[0]]
 
 
 def thin_depth(g: Multigraph, omega: int, t_cap: int) -> np.ndarray:

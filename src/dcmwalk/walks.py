@@ -495,12 +495,12 @@ def _walk(
     step_cap, so the cap is exact. Returns the walkers live at the cap.
     """
     # Tails stay intp: np.take converts narrower indices on every call.
-    # The degrees are values, so the narrowest dtype serves.
+    # The degrees are values, so they keep the graph's narrow dtype.
     tail_ptr, succ = g.tail_ptr, g.successors()
     next_first = tail_ptr[succ]
-    next_deg = g.d_out[succ].astype(np.min_scalar_type(int(g.d_out.max())))
+    next_deg = g.d_out[succ]
     first = tail_ptr[starts]
-    deg = g.d_out[starts].astype(next_deg.dtype)
+    deg = g.d_out[starts]
     live = np.arange(len(starts))
     step = 0
     while len(live) and step < step_cap:

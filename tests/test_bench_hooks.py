@@ -55,16 +55,35 @@ def test_worker_reads_resolve_in_dcmwalk():
     assert unresolved == []
 
 
-def test_large_cell_gate_passes_at_small_n(monkeypatch):
-    # The large-n workload's gate reads the graph as `successors()`, `d_out`
-    # and `n`, which the chains above do not resolve: run it on one cell.
+def import_worker(monkeypatch):
+    """perfbench/worker.py as a module, imported as the bench runs it."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     for name in ("spans", "worker"):
         monkeypatch.delitem(sys.modules, name, raising=False)
-    worker = importlib.import_module("worker")
+    return importlib.import_module("worker")
+
+
+def test_large_cell_gate_passes_at_small_n(monkeypatch):
+    # The large-n workload's gate reads the graph as `successors()`, `d_out`
+    # and `n`, which the chains above do not resolve: run it on one cell.
+    worker = import_worker(monkeypatch)
     g, stat = worker.large_cell({"dist": worker.toy(), "seed": 1}, 2**12)
     assert stat is not None
     res = worker.Outcome()
     worker.check_large_cell(g, stat, res)
     assert (res.attempted, res.failed) == (1, 0), res.errors
+
+
+def test_walk_gate_passes(monkeypatch, tmp_path):
+    # The walk-times workload's gates (cover time against Matthews' bound,
+    # Kac's return times, the Monte Carlo hitting time) read the walkers'
+    # degree tables and `return_times_exact`: run one repetition of them.
+    worker = import_worker(monkeypatch)
+    outs = worker.walk_graphs(worker.setup_walk(1, tmp_path))
+    assert len(outs) == worker.WALK_GRAPHS
+    res = worker.Outcome()
+    for out in outs:
+        worker.check_walk_graph(out, res)
+    assert res.attempted >= 2 * worker.WALK_GRAPHS
+    assert res.failed == 0, res.errors

@@ -17,6 +17,7 @@ from dcmwalk import (
     sample_dcm,
     validate_sequence,
 )
+from dcmwalk._checks import narrow_dtype
 from dcmwalk.degrees import MAX_DEGREE, _support_counts
 
 from conftest import TOY_PMF, TWO_FACTOR_PMF, poisson_rout_dist, zqcy_dist
@@ -218,7 +219,7 @@ def test_realize_arrays_match_pair_expansion(toy_dist):
             assert seq.degrees == tuple(expected)
             assert np.array_equal(seq.in_degrees, [k for k, _ in expected])
             assert np.array_equal(seq.out_degrees, [l for _, l in expected])
-            assert seq.in_degrees.dtype == seq.out_degrees.dtype == np.int64
+            assert seq.in_degrees.dtype == seq.out_degrees.dtype == np.int8
             checked += 1
     assert checked >= 60
 
@@ -251,6 +252,44 @@ def test_from_arrays_leaves_caller_arrays_writable():
     assert all(type(v) is int for pair in seq.degrees for v in pair)
     with pytest.raises(ValueError):
         seq.in_degrees[0] = 9  # read-only
+
+
+@pytest.mark.parametrize(
+    "top, dtype", [(127, np.int8), (128, np.int16), (2**15, np.int32), (2**31, np.int64)]
+)
+def test_degree_arrays_take_the_narrowest_signed_dtype(top, dtype):
+    # Each array is stored in the narrowest signed dtype that holds its own
+    # largest degree, whatever dtype it is given in.
+    for given in (list, np.int64, np.uint64, np.uint32):
+        d_in, d_out = [top, 0], [0, top]
+        if given is not list:
+            d_in, d_out = np.array(d_in, dtype=given), np.array(d_out, dtype=given)
+        seq = BiDegreeSequence(d_in, d_out)
+        assert seq.in_degrees.dtype == seq.out_degrees.dtype == dtype == narrow_dtype(
+            np.array([0, top]))
+        assert (seq.m, seq.degrees) == (top, ((top, 0), (0, top)))
+    seq = BiDegreeSequence([top, 3], [2, 1 + top])
+    assert (seq.in_degrees.dtype, seq.out_degrees.dtype) == (dtype, narrow_dtype(
+        np.array([top + 1])))
+
+
+def test_stored_degree_dtypes_are_signed():
+    # Unsigned inputs are stored signed: numpy's cumulative sum of an
+    # unsigned array is uint64, which mixed with int64 gives float64.
+    for given in (np.uint8, np.uint16, np.uint32, np.uint64, np.int16, np.int32):
+        seq = BiDegreeSequence(np.array([200, 1], dtype=given), np.array([1, 200], dtype=given))
+        for arr in (seq.in_degrees, seq.out_degrees):
+            assert arr.dtype == np.int16 and arr.dtype.kind == "i"
+            assert np.cumsum(arr).dtype == np.int64
+    realized = 0
+    for dist in FIXTURE_LAWS.values():
+        try:
+            seq = realize_sequence(dist(), 1000)
+        except RealizationError:
+            continue
+        assert seq.in_degrees.dtype == seq.out_degrees.dtype == np.int8
+        realized += 1
+    assert realized >= 4
 
 
 def test_unbalanced_sequence_is_refused_when_built():

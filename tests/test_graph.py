@@ -21,9 +21,17 @@ from dcmwalk import (
     thin_depth,
 )
 from dcmwalk import graph as graph_module
+from dcmwalk._checks import exact_total
 from dcmwalk.cli import main
 from dcmwalk.graph import _closed_block, closed_classes
-from dcmwalk.walks import cover_time_mc, hitting_time_mc, transition_matrix
+from dcmwalk.walks import (
+    cover_time_mc,
+    head_stationary,
+    hitting_time_mc,
+    return_times_exact,
+    stationary_distribution,
+    transition_matrix,
+)
 
 
 def directed_cycle(n: int) -> Multigraph:
@@ -127,6 +135,74 @@ def test_csr_indices_are_int32_and_match_intp_build(toy_dist, monkeypatch):
             assert adj.indices.dtype == np.int32
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(adj, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("top, dtype", [(127, np.int8), (128, np.int16), (2**15, np.int32)])
+def test_out_degrees_take_the_narrowest_signed_dtype(top, dtype):
+    # Vertex 0's one edge of multiplicity `top` sets the dtype. (An
+    # out-degree of 2^31, which needs int64, would need 2^31 successors.)
+    g = Multigraph.from_edges([(0, 1, top), (1, 0, 1)])
+    assert g.d_out.dtype == dtype and g.d_out.tolist() == [top, 1]
+    assert (g.m, g.edge_multiplicities()) == (top + 1, {(0, 1): top, (1, 0): 1})
+    for given in (np.uint64, np.uint32, np.int64):
+        h = Multigraph(g.d_out.astype(given), g.successors())
+        assert h.d_out.dtype == dtype and np.array_equal(h.d_out, g.d_out)
+
+
+def test_stored_out_degree_dtypes_are_signed(toy_dist):
+    graphs = [
+        sample_dcm(realize_sequence(toy_dist, 300), rng_seed=1),
+        sample_rout(30, 3, rng_seed=1),
+        Multigraph(np.array([200, 1], dtype=np.uint8), np.ones(201, dtype=np.int32)),
+        Multigraph.from_edges([(0, 0, 2)]),
+    ]
+    for g in graphs:
+        assert g.d_out.dtype.kind == "i" and g.d_out.dtype.itemsize <= 2
+        assert g.tail_ptr.dtype == np.int64
+
+
+def test_tail_offsets_and_totals_of_int8_degrees_are_int64_and_exact():
+    # 200 out-degrees of 64 are int8; their sum, 12800, is past int8.
+    seq = BiDegreeSequence([64] * 200, [64] * 200)
+    g = sample_dcm(seq, rng_seed=3)
+    assert seq.out_degrees.dtype == g.d_out.dtype == np.int8
+    assert seq.m == g.m == 12800
+    assert g.tail_ptr.dtype == np.int64
+    assert np.array_equal(g.tail_ptr, 64 * np.arange(201))
+    total = exact_total(g.d_out)
+    assert type(total) is int and total == 12800
+    # Across several of exact_total's blocks as well.
+    assert exact_total(np.full(10_001, 127, dtype=np.int8)) == 127 * 10_001
+
+
+def with_int64_out_degrees(g: Multigraph) -> Multigraph:
+    """A copy of `g` whose stored out-degrees are int64, as they were before
+    they were narrowed."""
+    wide = Multigraph(g.d_out, g.successors())
+    d_out = g.d_out.astype(np.int64)
+    d_out.flags.writeable = False
+    object.__setattr__(wide, "d_out", d_out)
+    return wide
+
+
+@pytest.mark.parametrize("d_out, dtype", [([127, 3, 127], np.int8), ([127, 128, 3], np.int16)])
+def test_walk_values_of_narrow_out_degrees_match_int64(d_out, dtype):
+    # No reader multiplies two degrees, so nothing wraps at the top of int8
+    # or int16: every value is the same bits as on int64 out-degrees.
+    succ = np.random.default_rng(len(d_out) + d_out[1]).integers(0, 3, size=sum(d_out))
+    g = Multigraph(np.array(d_out), succ)
+    wide = with_int64_out_degrees(g)
+    assert g.d_out.dtype == dtype and wide.d_out.dtype == np.int64
+    assert len(attractive_scc(g)) == g.n
+    p, q = transition_matrix(g), transition_matrix(wide)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(p, name), getattr(q, name)), name
+    res, ref = stationary_distribution(g), stationary_distribution(wide)
+    assert np.array_equal(res.pi, ref.pi)
+    assert np.array_equal(head_stationary(g, res), head_stationary(wide, ref))
+    assert np.array_equal(return_times_exact(g, [0, 1, 2]), return_times_exact(wide, [0, 1, 2]))
+    runs = [hitting_time_mc(h, 0, 2, reps=40, step_cap=500, rng_seed=4) for h in (g, wide)]
+    assert np.array_equal(runs[0].samples, runs[1].samples)
 
 
 @pytest.mark.parametrize(

@@ -563,10 +563,15 @@ def test_cli_fuzz_malformed_input_exits_cleanly(tmp_path, capsys):
             ["exponent-sweep", "--dist", dist, "--n-ladder", f"{text},20",
              "--out", str(tmp_path / f"ladder{i}.csv")],
         ]
-    # An n whose int64 degree arrays the address space cannot hold is a
-    # capacity failure.
+    # An n whose degree arrays the host cannot allocate is a capacity
+    # failure, and so are multiplicities whose total, as successors, the
+    # address space cannot hold.
     runs.append(["stationary", "--dist", dist, "--n", str(2**60)])
     assert run_cli(runs[-1], capsys)[0] == 4
+    (tmp_path / "oversized.edges").write_text(f"0 1 {2**62}\n1 0 1\n")
+    runs.append(["stationary", "--graph", str(tmp_path / "oversized.edges")])
+    code, err = run_cli(runs[-1], capsys)
+    assert code == 4 and "address space" in err
     for i in range(36):
         path = tmp_path / f"bad{i}.edges"
         path.write_bytes(corrupt_edge_file(rng))
