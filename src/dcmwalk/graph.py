@@ -59,8 +59,8 @@ class Multigraph:
     aggregation. Both arrays are kept as read-only views (out-degrees in
     their `narrow_dtype`, successors in the vertex id dtype), so a caller's
     arrays stay writeable.
-    A negative out-degree, a successor outside 0..n-1, or out-degrees that
-    do not count the successors raise ValidationError.
+    No vertex, a negative out-degree, a successor outside 0..n-1, or
+    out-degrees that do not count the successors raise ValidationError.
     """
 
     d_out: np.ndarray
@@ -71,6 +71,8 @@ class Multigraph:
         succ = check_int_array(self.succ, "successors")
         if d_out.ndim != 1 or succ.ndim != 1 or d_out.min(initial=0) < 0:
             raise ValidationError("need non-negative 1-d out-degrees and 1-d successors")
+        if len(d_out) == 0:
+            raise ValidationError("a graph needs at least one vertex")
         d_out = d_out.astype(narrow_dtype(d_out), copy=False)
         n, tails = len(d_out), exact_total(d_out)
         if len(succ) and not 0 <= succ.min() <= succ.max() < n:

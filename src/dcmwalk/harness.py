@@ -2,8 +2,8 @@
 
 Per-cell seeds derive from (master seed, n, seed index), so extending the
 seed list or the n ladder never perturbs rows already computed. Sweep output
-is a CSV whose rows are deterministic given (config, master seed); wall-time
-chatter belongs in a sidecar log, never in the CSV.
+is a CSV whose rows are deterministic given (config, master seed): it holds
+no wall time, and the sweep writes nothing else.
 """
 
 from __future__ import annotations

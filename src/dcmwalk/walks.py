@@ -6,9 +6,10 @@ stationary vector and no periodicity obstruction), with a square dense LU
 solve (one balance equation swapped for the normalisation) as a cross-check
 on small graphs. Support is structural (SCC membership), never a numeric
 threshold on pi. A large attractive block is cut by destination column into
-parts, one thread each (PART_ROWS, `_threads.usable_cores`); every entry of
-pi is still summed in the same order, so the bits do not depend on the part
-count.
+parts, one thread each (PART_ROWS, `_threads.usable_cores`). A step has one
+threaded phase: the matvec and |image - pi| per part; the lazy update, the
+normalisation and both sums on the calling thread. Every entry of pi is
+still summed in the same order, so the bits do not depend on the part count.
 
 The Monte Carlo walkers (`hitting_time_mc`, `cover_time_mc`) share one
 block stepper, `_walk`: it draws the uniforms of WALK_BLOCK steps for every
@@ -159,14 +160,14 @@ def stationary_distribution(
 
     A block of k rows is cut into min(usable cores, k // PART_ROWS) column
     parts [lo, hi) by `_closed_block`, which returns the list of parts for
-    every count, and each step runs three phases per part, on a pool of
-    that many threads: the matvec into image[lo:hi] with |image - pi| into
-    gap[lo:hi]; pi[lo:hi] += image[lo:hi]; the division by the total. The
-    two sums between the phases, of gap and of pi, are whole-array sums on
-    the calling thread. Every entry keeps its float order, so pi, the
-    residuals and the iteration count are the same bits for any part count.
-    With one part the phases run inline and no thread starts; the pool's
-    threads are joined on return, also on an error.
+    every count, and each step runs one threaded phase, one part per thread
+    of a pool of that many: the matvec into image[lo:hi] and |image - pi|
+    into gap[lo:hi]. The lazy update pi += image, the normalisation and
+    both sums, of gap and of pi, run whole-array on the calling thread.
+    Every entry keeps its float order, so pi, the residuals and the
+    iteration count are the same bits for any part count. With one part
+    the phase runs inline and no thread starts; the pool's threads are
+    joined on return, also on an error.
     """
     if not 0.0 < check_real(tol, "tol") < math.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol}")
@@ -186,9 +187,8 @@ def stationary_distribution(
         for b, lo, hi in zip(blocks, cuts[:-1], cuts[1:])
     ]
 
-    # The three phases of a step, run per part. The reductions between them
-    # stay whole-array sums on this thread: their pairwise-sum bits do not
-    # depend on the part count.
+    # The threaded phase of a step, run per part. The rest of the step runs
+    # whole-array on this thread, where no bit depends on the part count.
     def advance(view):
         # image[lo:hi] = pi @ P[:, lo:hi]: scipy's CSC matvec, the kernel of
         # `P.T @ pi`, on the part's transpose. It adds each source's term in
@@ -202,17 +202,6 @@ def stationary_distribution(
         csc_matvec(*kernel, pi, image_i)
         np.abs(np.subtract(image_i, pi_i, out=gap_i), out=gap_i)
 
-    def accept(view):
-        # The lazy step pi <- (pi + image) / 2, normalised, in place. Halving
-        # normal floats is exact, so it cancels in the normalisation bit for
-        # bit and is left out.
-        _, image_i, pi_i, _ = view
-        np.add(pi_i, image_i, out=pi_i)
-
-    def scale(view):
-        pi_i = view[2]
-        np.divide(pi_i, total, out=pi_i)
-
     residual = math.inf
     iterations = 0
     with thread_map(parts) as each:
@@ -221,9 +210,11 @@ def stationary_distribution(
             residual = float(gap.sum())
             if residual < tol:
                 break
-            list(each(accept, views))
-            total = pi.sum()
-            list(each(scale, views))
+            # The lazy step pi <- (pi + image) / 2, normalised, in place.
+            # Halving normal floats is exact, so it cancels in the
+            # normalisation bit for bit and is left out.
+            np.add(pi, image, out=pi)
+            np.divide(pi, pi.sum(), out=pi)
         else:
             raise NumericalError("power iteration did not converge", residual=residual)
     v = int(np.argmin(pi))  # gap holds |pi P - pi| for this pi
@@ -570,15 +561,14 @@ def hitting_time_mc(
     reach = breadth_first_order(pattern, x, return_predecessors=False)
     if y not in reach:
         raise UnreachableError(f"vertex {y} cannot be reached from vertex {x}")
-    # trap[v]: y cannot be reached from v. None when every vertex a walker
-    # can visit still reaches y, so y is hit almost surely.
+    # trap[v]: y cannot be reached from v. A trap that x does not reach is
+    # never stepped on, so it stops no walk.
     trap = np.ones(g.n, dtype=bool)
     trap[breadth_first_order(pattern.T, y, return_predecessors=False)] = False
-    trap = trap if trap[reach].any() else None
     # Per tail: it leads to y; a walker taking it stops (at y or in a trap).
     succ = g.successors()
     at_y = succ == y
-    stop = at_y if trap is None else at_y | trap[succ]
+    stop = at_y | trap[succ]
     del trap
     times = np.zeros(reps, dtype=np.int64)
     active = np.zeros(reps, dtype=bool)

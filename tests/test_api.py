@@ -170,6 +170,9 @@ REFUSED = {
         out_size_biased(toy_law()), t=2, a="1", omega=4, reps=16, runs=2
     ),
     "edge_file_underscore": lambda: Multigraph.from_edge_list(written("g.edges", "0 1 1_0\n")),
+    "graph_no_vertex": lambda: Multigraph(
+        np.array([], dtype=np.int64), np.array([], dtype=np.int32)
+    ),
     # Integers beyond int64, which numpy cannot hold.
     "seq_huge_pair": lambda: BiDegreeSequence([2], [10**20]),
     "edges_huge_vertex": lambda: Multigraph.from_edges([(0, 10**20, 1)]),

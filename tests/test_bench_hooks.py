@@ -87,3 +87,15 @@ def test_walk_gate_passes(monkeypatch, tmp_path):
         worker.check_walk_graph(out, res)
     assert res.attempted >= 2 * worker.WALK_GRAPHS
     assert res.failed == 0, res.errors
+
+
+def test_sweep_gate_passes(monkeypatch, tmp_path):
+    # The sweep workload's gates (every cell ok or without an attractive
+    # class, the slope row inside its band) read the sweep CSV: run one
+    # repetition at a seed the design seeds do not use.
+    worker = import_worker(monkeypatch)
+    inp = worker.setup_sweep(2, tmp_path)
+    res = worker.Outcome()
+    worker.run_sweep(inp, res, worker.Stopwatch())
+    assert res.attempted == len(worker.SWEEP_LADDER) * worker.SWEEP_SEEDS_PER_N
+    assert res.failed == 0, res.errors

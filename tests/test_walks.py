@@ -2,6 +2,7 @@ import hashlib
 import math
 import threading
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -894,6 +895,29 @@ def test_power_loop_threads_are_joined(toy_dist, monkeypatch):
         stationary_distribution(g)
     assert len(pools) == 2 and threading.active_count() == before
     assert built == [2, 2]
+
+
+def test_power_loop_dispatches_once_per_step(toy_dist, monkeypatch):
+    # Only the matvec and |image - pi| go through the pool; the lazy update
+    # and the normalisation run on the calling thread.
+    dispatches = []
+    thread_map = walks.thread_map
+
+    @contextmanager
+    def counting(workers):
+        with thread_map(workers) as each:
+            def counted(fn, items):
+                dispatches.append(workers)
+                return each(fn, items)
+
+            yield counted
+
+    monkeypatch.setattr(walks, "thread_map", counting)
+    g = sample_dcm(realize_sequence(toy_dist, 2**12), rng_seed=12)
+    built = force_parts(monkeypatch, 2)
+    res = stationary_distribution(g)
+    assert built == [2] and res.iterations > 1
+    assert dispatches == [2] * res.iterations
 
 
 def test_parted_working_set_holds_one_image(toy_dist, monkeypatch):
