@@ -13,7 +13,6 @@ from .branching import (
 from .degrees import (
     BiDegreeDistribution,
     BiDegreeSequence,
-    ValidationReport,
     realize_sequence,
     validate_sequence,
 )

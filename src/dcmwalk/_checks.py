@@ -4,7 +4,9 @@ numpy real, so a bool or a string is neither and a float is refused as an
 integer, never rounded; a law key is a tuple of two integers; a probability
 is a real in [0, 1] within `PROB_TOL` (not NaN), and a law sums to 1 within
 it; an integer written as text (a file field, an argv word) is an optional
-'-' followed by ASCII digits. A count that passes these checks but sizes an
+'-' followed by ASCII digits, and a real written as text an optional '-',
+ASCII digits with an optional fraction (or a fraction alone) and an
+optional exponent. A count that passes these checks but sizes an
 array beyond the address space is a CapacityError (`check_addressable`).
 An array of counts is stored in the narrowest signed integer dtype that
 holds its largest entry (`narrow_dtype`)."""
@@ -26,6 +28,7 @@ SUM_BLOCK = 1 << 12  # entries per numpy sum in `exact_total`
 # An int64 has at most 19 digits after its leading zeros, so a longer
 # string is refused before int() parses it.
 INT_TEXT = re.compile(r"-?0*[0-9]{1,19}")
+REAL_TEXT = re.compile(r"-?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?")
 
 
 def check_int(value, name: str) -> int:
@@ -102,6 +105,14 @@ def read_int(text: str, name: str) -> int:
     it is an optional '-' followed by ASCII digits; the one reader of
     integer text."""
     return check_int(int(text) if INT_TEXT.fullmatch(text) else text, name)
+
+
+def read_real(text: str, name: str) -> float:
+    """The real that `text` spells, by `check_real`, after checking that it
+    is an optional '-', ASCII digits with an optional fraction (or a
+    fraction alone) and an optional exponent; the one reader of real text.
+    Blanks, underscores, hex and the words nan and inf are refused."""
+    return check_real(float(text) if REAL_TEXT.fullmatch(text) else text, name)
 
 
 def check_pmf(items, what: str) -> dict:

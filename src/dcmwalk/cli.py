@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import read_int
+from ._checks import read_int, read_real
 from .branching import MarkedOffspringLaw, out_size_biased
 from .degrees import BiDegreeDistribution, realize_sequence
 from .errors import CapacityError, NumericalError, ValidationError
@@ -35,6 +35,14 @@ def _int(text: str) -> int:
     argparse, which reports it and exits 2."""
     try:
         return read_int(text, "value")
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _real(text: str) -> float:
+    """argparse type: a real by `read_real`, the one real rule of text."""
+    try:
+        return read_real(text, "value")
     except ValidationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -176,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=_seed, default=0, help="master RNG seed")
     parser.add_argument("--threads", type=_int, default=1, help="worker processes")
-    parser.add_argument("--tol", type=float, default=POWER_TOL, help="iteration tolerance")
+    parser.add_argument("--tol", type=_real, default=POWER_TOL, help="iteration tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, func, help: str, *parents) -> argparse.ArgumentParser:
@@ -222,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", help="marked offspring law JSON")
     p.add_argument("--dist", help="distribution JSON (out-size-biased law is used)")
     p.add_argument("--t", type=_int_list, required=True, help="comma-separated generation ladder")
-    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--a", type=_real, default=1.0)
     p.add_argument("--omega", type=_int, default=200)
     p.add_argument("--reps", type=_int, default=10**5)
     p.add_argument("--event", choices=("lb", "ub"), default="lb")

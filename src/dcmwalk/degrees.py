@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,54 +134,20 @@ class BiDegreeSequence:
         return len(self.in_degrees)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of :func:`validate_sequence`."""
-
-    n: int
-    m: int
-    lam: float
-    delta_in: int
-    delta_out: int
-    max_in: int
-    max_out: int
-    min_out_ok: bool
-    degree_cap_ok: bool
-    flags: tuple[str, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return not self.flags
-
-
 def validate_sequence(
     seq: BiDegreeSequence, max_degree_cap: int = MAX_DEGREE
-) -> ValidationReport:
-    """Check a sequence against the model hypotheses: a minimum out-degree
-    below 2 or degrees above the cap are reported as flags. Balance needs
-    no check, since no unbalanced sequence can be built.
+) -> tuple[str, ...]:
+    """The model hypotheses that `seq` breaks, as flags: a minimum
+    out-degree below 2 ("min_out_degree_below_2") and degrees above the cap
+    ("degree_above_cap"); () when it meets them. Balance needs no check,
+    since no unbalanced sequence can be built.
     """
-    delta_in, max_in = int(seq.in_degrees.min()), int(seq.in_degrees.max())
-    delta_out, max_out = int(seq.out_degrees.min()), int(seq.out_degrees.max())
-    report_flags = []
-    min_out_ok = delta_out >= 2
-    if not min_out_ok:
-        report_flags.append("min_out_degree_below_2")
-    degree_cap_ok = max_in <= max_degree_cap and max_out <= max_degree_cap
-    if not degree_cap_ok:
-        report_flags.append("degree_above_cap")
-    return ValidationReport(
-        n=seq.n,
-        m=seq.m,
-        lam=seq.m / seq.n,
-        delta_in=delta_in,
-        delta_out=delta_out,
-        max_in=max_in,
-        max_out=max_out,
-        min_out_ok=min_out_ok,
-        degree_cap_ok=degree_cap_ok,
-        flags=tuple(report_flags),
-    )
+    flags = []
+    if int(seq.out_degrees.min()) < 2:
+        flags.append("min_out_degree_below_2")
+    if max(int(seq.in_degrees.max()), int(seq.out_degrees.max())) > max_degree_cap:
+        flags.append("degree_above_cap")
+    return tuple(flags)
 
 
 def realize_sequence(dist: BiDegreeDistribution, n: int) -> BiDegreeSequence:

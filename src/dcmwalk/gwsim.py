@@ -37,13 +37,17 @@ from .errors import (
 )
 from .ratefn import FiniteLogLaw, rate_function
 
-DEFAULT_WIDTH_CAP = 10**6
+# Widest generation simulate_marked_gw materializes; a wider one marks the
+# tree truncated.
+WIDTH_CAP = 10**6
 Z_95 = 1.96  # normal quantile of the two-sided 95% intervals
 # Most tree shapes duality_check enumerates before it gives up.
 DUALITY_MAX_SHAPES = 10**6
 # Thinning strength of the splitting potential Psi(x) = exp(-GUIDE * x) that
 # subcritical_tail_experiment steers its populations with.
 GUIDE = 0.7
+# Independent splitting populations per subcritical_tail_experiment call.
+RUNS = 8
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ class MarkedTree:
         return not self.truncated and self.next_generation_size == 0
 
     @classmethod
-    def from_offspring(cls, xi_per_gen, zeta_per_gen, truncated=False) -> "MarkedTree":
+    def from_offspring(cls, xi_per_gen, zeta_per_gen) -> "MarkedTree":
         """Build a tree from explicit per-generation (xi, zeta) lists, in
         the canonical layout; each generation must hold exactly as many
         nodes as the offspring counts of the one before it sum to.
@@ -85,7 +89,7 @@ class MarkedTree:
                     f"generation {g} has {len(xi[g])} nodes but parents imply "
                     f"{implied}"
                 )
-        return cls(xi=xi, zeta=zeta, truncated=truncated)
+        return cls(xi=xi, zeta=zeta)
 
 
 @dataclass(frozen=True)
@@ -141,18 +145,17 @@ class _LawSampler:
 def simulate_marked_gw(
     eta: MarkedOffspringLaw,
     t_max: int,
-    width_cap: int = DEFAULT_WIDTH_CAP,
     rng_seed: int | np.random.SeedSequence = 0,
 ) -> MarkedTree:
     """Simulate `t_max` generations of the marked process with offspring law
     `eta`, drawing each node's (xi, zeta) pair by inverse CDF.
 
     Stops early at extinction; a generation whose size would exceed
-    `width_cap` is not materialized and the tree is flagged truncated.
+    WIDTH_CAP is not materialized and the tree is flagged truncated.
     Identical seeds reproduce identical trees.
     """
-    if check_int(t_max, "t_max") < 0 or check_int(width_cap, "width_cap") < 1:
-        raise ValidationError("need t_max >= 0 and width_cap >= 1")
+    if check_int(t_max, "t_max") < 0:
+        raise ValidationError(f"need t_max >= 0, got {t_max}")
     rng = np.random.default_rng(rng_seed)
     sampler = _LawSampler(eta)
     xi0, zeta0 = sampler.draw(rng, 1)
@@ -163,13 +166,15 @@ def simulate_marked_gw(
         size = int(xi[g - 1].sum())
         if size == 0:
             break
-        if size > width_cap:
+        if size > WIDTH_CAP:
             truncated = True
             break
         xi_g, zeta_g = sampler.draw(rng, size)
         xi.append(xi_g)
         zeta.append(zeta_g)
-    return MarkedTree.from_offspring(xi, zeta, truncated=truncated)
+    # Each generation holds as many nodes as the one before sums to, by
+    # construction, and the sampler's arrays are int64 already.
+    return MarkedTree(xi=xi, zeta=zeta, truncated=truncated)
 
 
 def gamma(tree: MarkedTree, t: int) -> GammaTrace:
@@ -306,7 +311,6 @@ class TailEstimate:
     a: float
     omega: int
     reps: int
-    runs: int
     successes: int
     p_hat: float
     ci_lo: float
@@ -352,7 +356,6 @@ def subcritical_tail_experiment(
     reps: int,
     rng_seed: int = 0,
     event: str = "lb",
-    runs: int = 8,
 ) -> TailEstimate:
     """Estimate the probability of the thin-growth events at generation t.
 
@@ -362,10 +365,10 @@ def subcritical_tail_experiment(
     These probabilities decay like e^(-(|log nu_hat| + I(aH)) t), far below
     what vanilla Monte Carlo resolves at t ~ 30, so the estimator uses
     guided splitting (`_SplittingPopulation`, with guide GUIDE): `reps` root
-    trajectories split across `runs` independent populations, each
+    trajectories split across RUNS independent populations, each
     systematically resampled every generation among the replicas within the
     width cap. The populations advance concurrently, one thread per CPU this
-    process may use (at most `runs`; inline with one CPU), and each draws
+    process may use (at most RUNS; inline with one CPU), and each draws
     only from its own Generator, so the output bits do not depend on the
     core count. For the "ub" event, which does not constrain intermediate
     widths, trajectories are still capped at 8 * omega nodes per generation
@@ -382,21 +385,18 @@ def subcritical_tail_experiment(
     bytes per replica; a call with any other argument replaces it.
 
     The interval (ci_lo, ci_hi) is p_hat +- Z_95 standard errors across the
-    runs; with runs=1 there is no spread estimate and both ends are NaN.
-    With no successes, ci_lo = 0 and ci_hi is the Wilson upper bound.
+    runs. With no successes, ci_lo = 0 and ci_hi is the Wilson upper bound.
     """
     if eta.mean_offspring() <= 1.0:
         raise DegenerateError("tail experiment needs a supercritical law")
     if not eta.marks_at_least_two:
         raise ValidationError("tail experiment needs marks >= 2")
-    for name, value in (("t", t), ("omega", omega), ("reps", reps), ("runs", runs)):
+    for name, value in (("t", t), ("omega", omega), ("reps", reps)):
         check_int(value, name)
     check_real(a, "a")
-    if runs < 1:
-        raise ValidationError(f"runs must be >= 1, got {runs!r}")
-    if not math.isfinite(a) or a < 1.0 or t < 1 or omega < 2 or reps < runs:
+    if not math.isfinite(a) or a < 1.0 or t < 1 or omega < 2 or reps < RUNS:
         raise ValidationError(
-            "need a finite a >= 1, t >= 1, omega >= 2, reps >= runs"
+            f"need a finite a >= 1, t >= 1, omega >= 2, reps >= {RUNS}"
         )
     if event not in ("lb", "ub"):
         raise ValidationError(f"unknown event {event!r}")
@@ -408,18 +408,18 @@ def subcritical_tail_experiment(
     kill_width = omega if event == "lb" else max(8 * omega, 64)
     flags = [] if event == "lb" else ["intermediate_width_capped"]
     sampler = _LawSampler(eta)
-    seeds = np.random.SeedSequence(rng_seed).spawn(runs)
-    n_per_run = max(2, reps // runs)
+    seeds = np.random.SeedSequence(rng_seed).spawn(RUNS)
+    n_per_run = max(2, reps // RUNS)
 
     seed_key = tuple(np.ravel(rng_seed).tolist())  # a sequence seed has no hash
-    key = (tuple(sorted(eta.pmf.items())), omega, event, reps, runs, seed_key)
+    key = (tuple(sorted(eta.pmf.items())), omega, event, reps, seed_key)
     with _CHECKPOINT_LOCK:
         done, pops = _CHECKPOINT.pop(key, (0, []))
         _CHECKPOINT.clear()
     if done > t:  # a Generator cannot rewind
         done, pops = 0, []
     if not pops:
-        pops = [None] * runs
+        pops = [None] * RUNS
 
     def run(i: int) -> tuple[float, int]:
         if pops[i] is None:
@@ -432,8 +432,8 @@ def subcritical_tail_experiment(
     # Each run reads only its own Generator and the read-only sampler, and
     # numpy releases the GIL in the loops that advance it; the results come
     # back in run order, so the output does not depend on the worker count.
-    with thread_map(min(runs, usable_cores())) as each:
-        results = list(each(run, range(runs)))
+    with thread_map(min(RUNS, usable_cores())) as each:
+        results = list(each(run, range(RUNS)))
     run_estimates = [p_run for p_run, _ in results]
     total_successes = sum(succ for _, succ in results)
     with _CHECKPOINT_LOCK:
@@ -449,19 +449,15 @@ def subcritical_tail_experiment(
         flags.append("zero_successes")
     else:
         rate_hat = -math.log(p_hat) / t
-        if runs == 1:  # one population gives no spread estimate
-            ci_lo = ci_hi = math.nan
-        else:
-            se = float(np.std(run_estimates, ddof=1)) / math.sqrt(runs)
-            ci_lo = max(0.0, p_hat - Z_95 * se)
-            ci_hi = p_hat + Z_95 * se
+        se = float(np.std(run_estimates, ddof=1)) / math.sqrt(RUNS)
+        ci_lo = max(0.0, p_hat - Z_95 * se)
+        ci_hi = p_hat + Z_95 * se
     return TailEstimate(
         event=event,
         t=t,
         a=a,
         omega=omega,
         reps=reps,
-        runs=runs,
         successes=total_successes,
         p_hat=p_hat,
         ci_lo=ci_lo,

@@ -194,7 +194,7 @@ def run_exponent_sweep(
     recomputed line differs from the stored one (another distribution,
     master seed, `power_tol` or measure).
     """
-    if threads < 1:
+    if check_int(threads, "threads") < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     grid = {
         (n, s): (config.dist_json, n, s, config.master_seed, config.power_tol, config.measures)

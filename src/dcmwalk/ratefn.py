@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._checks import PROB_TOL, check_pmf
+from ._checks import PROB_TOL, check_int, check_pmf
 from .branching import BpParameters, MarkedOffspringLaw
 from .errors import DegenerateError, ValidationError
 
@@ -26,8 +26,10 @@ MIN_LOG_MARK = math.log(2.0)
 # band can tie or beat the minimum through it.
 PHI_TIE_BAND = 1e-9
 # rate_function stops bisecting once |K'(lam) - z| falls below Z_TOL;
-# minimize_phi refines a0 by golden-section search to a bracket of A0_TOL.
+# minimize_phi brackets a0 on a grid of GRID_STEP resolution and refines it
+# by golden-section search to a bracket of A0_TOL.
 Z_TOL = 1e-12
+GRID_STEP = 1e-4
 A0_TOL = 1e-9
 
 
@@ -224,11 +226,10 @@ def _first_grid_argmin(f, npts: int) -> int:
 def minimize_phi(
     params: BpParameters,
     law: FiniteLogLaw | None,
-    grid_step: float = 1e-4,
 ) -> ExponentReport:
     """Locate a0 = argmin phi over [1, z_max / H_hat] and build the report.
 
-    The first minimizing index of phi on a grid of `grid_step` resolution
+    The first minimizing index of phi on a grid of GRID_STEP resolution
     brackets a0, and golden-section search refines that bracket to width
     A0_TOL. The index comes from a search over the grid
     (:func:`_first_grid_argmin`), not from evaluating every grid point:
@@ -268,7 +269,7 @@ def minimize_phi(
     def objective(a: float) -> float:
         return phi(params, law, min(max(a, 1.0), a_hi))
 
-    npts = max(2, int(math.ceil((a_hi - 1.0) / grid_step)) + 1)
+    npts = max(2, int(math.ceil((a_hi - 1.0) / GRID_STEP)) + 1)
     step = (a_hi - 1.0) / (npts - 1)
     best_i = _first_grid_argmin(lambda i: objective(1.0 + i * step), npts)
     lo = 1.0 + max(0, best_i - 1) * step
@@ -306,7 +307,7 @@ def rout_exponent(r: int) -> float:
     1 + log(r) / (s r - log r). Cross-check target for the general pipeline
     applied to the Poisson(r)-in / constant-r-out law.
     """
-    if r < 2:
+    if check_int(r, "r") < 2:
         raise ValidationError(f"r-out model needs r >= 2, got {r}")
 
     def f(s: float) -> float:

@@ -557,14 +557,12 @@ def hitting_time_mc(
     """
     _check_walkable(g, (x, y), reps=reps, step_cap=step_cap)
     check_addressable(reps, 8, "reps")  # the int64 step count of each walk
-    pattern = _pattern(g)
-    reach = breadth_first_order(pattern, x, return_predecessors=False)
-    if y not in reach:
-        raise UnreachableError(f"vertex {y} cannot be reached from vertex {x}")
     # trap[v]: y cannot be reached from v. A trap that x does not reach is
     # never stepped on, so it stops no walk.
     trap = np.ones(g.n, dtype=bool)
-    trap[breadth_first_order(pattern.T, y, return_predecessors=False)] = False
+    trap[breadth_first_order(_pattern(g).T, y, return_predecessors=False)] = False
+    if trap[x]:
+        raise UnreachableError(f"vertex {y} cannot be reached from vertex {x}")
     # Per tail: it leads to y; a walker taking it stops (at y or in a trap).
     succ = g.successors()
     at_y = succ == y
@@ -663,7 +661,7 @@ def cover_time_mc(
 
 def matthews_bound(t_hit: float, n_targets: int) -> float:
     """Matthews' cover-time bound H_k * t_hit with H_k the harmonic number."""
-    if t_hit < 0 or n_targets < 1:
+    if check_int(n_targets, "n_targets") < 1 or t_hit < 0:
         raise ValidationError("need t_hit >= 0 and n_targets >= 1")
     harmonic = math.fsum(1.0 / k for k in range(1, n_targets + 1))
     return harmonic * t_hit

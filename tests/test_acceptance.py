@@ -12,6 +12,7 @@ import pytest
 
 from dcmwalk import (
     BiDegreeDistribution,
+    ExperimentConfig,
     FiniteLogLaw,
     MarkedOffspringLaw,
     NonUniqueError,
@@ -27,6 +28,7 @@ from dcmwalk import (
     rate_function,
     realize_sequence,
     rout_exponent,
+    run_exponent_sweep,
     run_params,
     sample_dcm,
     single_survivor_law,
@@ -36,6 +38,7 @@ from dcmwalk import (
     walk_times_exact,
 )
 from dcmwalk.gwsim import MarkedTree
+from dcmwalk.harness import SWEEP_COLUMNS
 from dcmwalk.walks import hitting_matrix, return_times_exact
 
 from conftest import (
@@ -45,6 +48,10 @@ from conftest import (
     TOY_NU_HAT,
     TOY_PHI_A0,
     TOY_PMF,
+    TWO_FACTOR_EXPONENT,
+    TWO_FACTOR_H_HAT,
+    TWO_FACTOR_NU_HAT,
+    TWO_FACTOR_PMF,
     poisson_rout_dist,
     zqcy_dist,
 )
@@ -333,3 +340,38 @@ def test_criterion_11_rout_cross_check():
     ok = gap <= 2e-3
     report(11, "general pipeline matches the r-out closed form at r=2", ok,
            f"gap {gap:.2e}")
+
+
+def test_criterion_12_two_factor_exponent(tmp_path):
+    """On the two-factor law, a0 = 1.86 puts 1 + C = 1.8296 and
+    1 + C_thin = 1.5686 apart, so the graphs can tell C from C_thin.
+
+    Rule, fixed before the first run on master seed 12: `run_exponent_sweep`
+    over n = 2^10..2^18 in powers of 2, 16 seeds each. Its slope row must be
+    nearer 1 + C than 1 + C_thin, that is above their midpoint 1.6991, and
+    within 3 standard errors of 1 + C. A cell whose attractive class is one
+    self-loop vertex (pi_min = 1) is kept, as the sweep's slope keeps it; a
+    cell with no attractive SCC is left out, as the slope leaves it out. The
+    report counts both."""
+    start = time.perf_counter()
+    config = ExperimentConfig(
+        dist_json=BiDegreeDistribution(dict(TWO_FACTOR_PMF)).to_json(),
+        n_ladder=tuple(2**k for k in range(10, 19)),
+        seeds_per_n=16,
+        master_seed=12,
+    )
+    out = tmp_path / "sweep.csv"
+    rows = run_exponent_sweep(config, str(out), threads=2)
+    slope_row = dict(zip(SWEEP_COLUMNS, out.read_text().splitlines()[-1].split(",")))
+    assert slope_row["status"] == "slope"
+    slope, se = float(slope_row["exp_obs"]), float(slope_row["support_frac"])
+    thin = 1.0 + TWO_FACTOR_H_HAT / abs(math.log(TWO_FACTOR_NU_HAT))
+    midpoint = (TWO_FACTOR_EXPONENT + thin) / 2
+    self_loops = sum(r["status"] == "ok" and r["pi_min"] == 1.0 for r in rows)
+    no_scc = sum(r["status"] == "no_attractive_scc" for r in rows)
+    elapsed = time.perf_counter() - start
+    ok = slope > midpoint and abs(slope - TWO_FACTOR_EXPONENT) <= 3 * se
+    report(12, "two-factor sweep slope is 1 + C, not 1 + C_thin", ok,
+           f"slope {slope:.3f} +- {se:.3f} vs {TWO_FACTOR_EXPONENT:.4f} "
+           f"(midpoint {midpoint:.4f}), {len(rows)} cells, {self_loops} single "
+           f"self-loop, {no_scc} without an attractive SCC, {elapsed:.1f}s")

@@ -15,8 +15,11 @@ from dcmwalk import (
     ValidationError,
     duality_check,
     empirical_tail,
+    matthews_bound,
     out_size_biased,
     realize_sequence,
+    rout_exponent,
+    run_exponent_sweep,
     run_params,
     sample_rout,
     simulate_marked_gw,
@@ -58,8 +61,8 @@ def test_public_optional_parameters_are_bounded():
 
 def input_checks(path: Path) -> list[str]:
     """Lines of `path` that define PROB_TOL, name numbers.Integral or
-    numbers.Real, or pass `type=int` (an integer reader besides
-    `_checks.read_int`) to argparse."""
+    numbers.Real, or pass `type=int` or `type=float` (a reader besides
+    `_checks.read_int` and `_checks.read_real`) to argparse."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
@@ -71,14 +74,15 @@ def input_checks(path: Path) -> list[str]:
             ):
                 found.append(f"{path.name}:{node.lineno}: checks numbers.{kind}")
         if isinstance(node, ast.keyword) and node.arg == "type":
-            if isinstance(node.value, ast.Name) and node.value.id == "int":
-                found.append(f"{path.name}:{node.lineno}: parses argv with type=int")
+            if isinstance(node.value, ast.Name) and node.value.id in ("int", "float"):
+                found.append(f"{path.name}:{node.lineno}: parses argv with type={node.value.id}")
     return found
 
 
 def test_one_input_path():
     # `_checks` holds the one PROB_TOL, the one integer check, the one reader
-    # of integer text and the one real check; every other module imports them.
+    # of integer text, the one real check and the one reader of real text;
+    # every other module imports them.
     own = [line.split(": ", 1)[1] for line in input_checks(PACKAGE / "_checks.py")]
     assert own.count("defines PROB_TOL") == 1 and "checks numbers.Integral" in own
     assert "checks numbers.Real" in own
@@ -164,12 +168,17 @@ REFUSED = {
     "tail_bool_alpha": lambda: empirical_tail(stationary_distribution(cycle()), True),
     "tail_string_alpha": lambda: empirical_tail(stationary_distribution(cycle()), "1"),
     "tail_experiment_bool_a": lambda: subcritical_tail_experiment(
-        out_size_biased(toy_law()), t=2, a=True, omega=4, reps=16, runs=2
+        out_size_biased(toy_law()), t=2, a=True, omega=4, reps=16
     ),
     "tail_experiment_string_a": lambda: subcritical_tail_experiment(
-        out_size_biased(toy_law()), t=2, a="1", omega=4, reps=16, runs=2
+        out_size_biased(toy_law()), t=2, a="1", omega=4, reps=16
     ),
     "edge_file_underscore": lambda: Multigraph.from_edge_list(written("g.edges", "0 1 1_0\n")),
+    "sweep_float_threads": lambda: run_exponent_sweep(config(), "out.csv", threads=2.5),
+    "sweep_string_threads": lambda: run_exponent_sweep(config(), "out.csv", threads="2"),
+    "matthews_float_targets": lambda: matthews_bound(1.0, 2.5),
+    "matthews_bool_targets": lambda: matthews_bound(1.0, True),
+    "rout_exponent_float_r": lambda: rout_exponent(2.5),
     "graph_no_vertex": lambda: Multigraph(
         np.array([], dtype=np.int64), np.array([], dtype=np.int32)
     ),

@@ -1,5 +1,7 @@
 import ast
+import functools
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -25,18 +27,22 @@ def test_layer_functions_resolve_in_dcmwalk(monkeypatch):
     assert missing == []
 
 
+def dcmwalk_chain(node: ast.AST) -> tuple[str, ...] | None:
+    """The attribute names of `node` when it reads a `dcmwalk.a.b...` chain,
+    else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    if names and isinstance(node, ast.Name) and node.id == "dcmwalk":
+        return tuple(reversed(names))
+    return None
+
+
 def dcmwalk_chains(tree: ast.AST) -> set[tuple[str, ...]]:
     """The attribute names of every `dcmwalk.a.b...` chain read in `tree`,
     each prefix of a longer chain included."""
-    chains = set()
-    for node in ast.walk(tree):
-        names = []
-        while isinstance(node, ast.Attribute):
-            names.append(node.attr)
-            node = node.value
-        if names and isinstance(node, ast.Name) and node.id == "dcmwalk":
-            chains.add(tuple(reversed(names)))
-    return chains
+    return {chain for node in ast.walk(tree) if (chain := dcmwalk_chain(node))}
 
 
 def test_worker_reads_resolve_in_dcmwalk():
@@ -53,6 +59,27 @@ def test_worker_reads_resolve_in_dcmwalk():
                 break
             obj = getattr(obj, name)
     assert unresolved == []
+
+
+def test_worker_calls_bind_to_library_signatures():
+    # Every `dcmwalk.<name>(...)` call of the bench binds to the library's
+    # signature, its argument expressions standing in for their values: a
+    # dropped or renamed parameter fails here, not in a bench run.
+    tree = ast.parse((PERFBENCH / "worker.py").read_text())
+    calls, unbound = 0, []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or (chain := dcmwalk_chain(node.func)) is None:
+            continue
+        assert not any(isinstance(arg, ast.Starred) for arg in node.args), node.lineno
+        assert all(kw.arg for kw in node.keywords), node.lineno
+        signature = inspect.signature(functools.reduce(getattr, chain, dcmwalk))
+        try:
+            signature.bind(*node.args, **{kw.arg: kw.value for kw in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"worker.py:{node.lineno}: {'.'.join(chain)}: {exc}")
+        calls += 1
+    assert unbound == []
+    assert calls >= 21
 
 
 def import_worker(monkeypatch):

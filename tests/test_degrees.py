@@ -50,9 +50,9 @@ def total_variation(a: BiDegreeDistribution, b: BiDegreeDistribution) -> float:
 
 
 def test_validate_regular_pair():
-    report = validate_sequence(BiDegreeSequence([2, 2], [2, 2]))
-    assert report.n == 2 and report.m == 4 and report.lam == 2.0
-    assert report.ok
+    seq = BiDegreeSequence([2, 2], [2, 2])
+    assert seq.n == 2 and seq.m == 4
+    assert validate_sequence(seq) == ()
 
 
 def test_validate_unbalanced_raises():
@@ -63,14 +63,14 @@ def test_validate_unbalanced_raises():
 
 def test_validate_toy_blocks():
     seq = BiDegreeSequence(np.repeat([0, 0, 5, 5], 1000), np.repeat([2, 3, 2, 3], 1000))
-    report = validate_sequence(seq)
-    assert report.lam == pytest.approx(2.5)
-    assert report.delta_out == 2 and report.min_out_ok
+    assert seq.m / seq.n == pytest.approx(2.5)
+    assert validate_sequence(seq) == ()
 
 
 def test_validate_flags_low_out_degree():
-    report = validate_sequence(BiDegreeSequence([1, 1], [1, 1]))
-    assert "min_out_degree_below_2" in report.flags
+    assert validate_sequence(BiDegreeSequence([1, 1], [1, 1])) == ("min_out_degree_below_2",)
+    seq = BiDegreeSequence([3, 3], [3, 3])
+    assert validate_sequence(seq, max_degree_cap=2) == ("degree_above_cap",)
 
 
 def test_distribution_requires_normalization():
@@ -161,8 +161,8 @@ def test_realize_empirical_tv_property():
             seq = realize_sequence(dist, n)
         except RealizationError:
             continue
-        report = validate_sequence(seq, max_degree_cap=64)
-        assert report.n == n
+        assert seq.n == n
+        assert "degree_above_cap" not in validate_sequence(seq, max_degree_cap=64)
         bound = (dist.max_in + dist.max_out) * len(dist.pmf) / n
         assert total_variation(empirical_distribution(seq), dist) <= bound
 
@@ -225,9 +225,9 @@ def test_realize_arrays_match_pair_expansion(toy_dist):
 
 
 def test_realize_holds_one_copy_of_the_sequence(toy_dist):
-    # realize adopts the two int64 arrays it builds instead of copying
+    # realize adopts the two int8 arrays it builds instead of copying
     # them: its traced peak is their bytes plus a 64 KB slack, and a second
-    # copy of either array (2 MB each at n = 2^18) exceeds that.
+    # copy of either array (256 KB each at n = 2^18) exceeds that.
     n, slack = 2**18, 64 * 1024
     tracemalloc.start()
     try:

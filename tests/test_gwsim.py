@@ -156,8 +156,9 @@ def test_gamma_extinct_is_zero():
     assert gamma(tree, 5).gamma == 0.0
 
 
-def test_gamma_truncated_raises(toy_biased):
-    tree = simulate_marked_gw(toy_biased, 12, width_cap=40, rng_seed=42)
+def test_gamma_truncated_raises(toy_biased, monkeypatch):
+    monkeypatch.setattr(gwsim, "WIDTH_CAP", 40)
+    tree = simulate_marked_gw(toy_biased, 12, rng_seed=42)
     assert tree.truncated
     with pytest.raises(TruncationError):
         gamma(tree, len(tree.xi) + 1)
@@ -323,20 +324,6 @@ def test_tail_impossible_threshold(toy_biased):
     assert est.successes == 0
     assert est.p_hat == 0.0
     assert est.ci_lo == 0.0 and est.ci_hi > 0.0
-
-
-def test_tail_single_run_has_unknown_interval():
-    # One population gives no spread estimate: the interval must be NaN, not
-    # the zero-width [p_hat, p_hat].
-    eta = MarkedOffspringLaw({(0, 2): 0.25, (1, 3): 0.25, (2, 2): 0.30, (2, 3): 0.20})
-    one = subcritical_tail_experiment(
-        eta, t=6, a=1.0, omega=40, reps=4000, rng_seed=5, runs=1
-    )
-    assert one.successes > 0 and one.p_hat > 0.0
-    assert math.isnan(one.ci_lo) and math.isnan(one.ci_hi)
-    assert one.rate_hat == pytest.approx(-math.log(one.p_hat) / 6)
-    many = subcritical_tail_experiment(eta, t=6, a=1.0, omega=40, reps=4000, rng_seed=5)
-    assert many.ci_lo < many.p_hat < many.ci_hi
 
 
 def test_tail_guided_matches_naive():
@@ -551,7 +538,7 @@ def test_splitting_run_matches_reference_bit_for_bit():
         assert _reference_splitting_run(*args) == (0.0, 0)
 
 
-def test_population_that_dies_mid_ladder_stays_dead():
+def test_population_that_dies_mid_ladder_stays_dead(set_runs):
     # Two replicas under a narrow width cap die out after a few generations
     # on some seeds; from then on every t reads (0.0, 0), as the reference
     # loop does, and so does a ladder of experiments resuming through it.
@@ -572,18 +559,31 @@ def test_population_that_dies_mid_ladder_stays_dead():
                 if not was_dead:
                     first_deaths.append(t)
     assert sum(2 <= t <= 11 for t in first_deaths) >= 5
-    ladder = dict(a=1.0, omega=3, reps=2, runs=1)
+    ladder = dict(a=1.0, omega=3, reps=4)
     dead_cells = 0
     for rng_seed in range(10):
-        gwsim._CHECKPOINT.clear()
+        set_runs(2)
         for t in range(1, 13):
             est = subcritical_tail_experiment(eta, t=t, rng_seed=rng_seed, **ladder)
-            ((_, (pop,)),) = gwsim._CHECKPOINT.values()
-            if pop.dead:
+            ((_, pops),) = gwsim._CHECKPOINT.values()
+            if all(pop.dead for pop in pops):
                 dead_cells += 1
                 assert est.successes == 0 and est.p_hat == 0.0
-    gwsim._CHECKPOINT.clear()
     assert dead_cells >= 10
+
+
+@pytest.fixture
+def set_runs(monkeypatch):
+    """`set_runs(k)` patches gwsim.RUNS to k for the rest of the test. Each
+    call and the teardown empty the checkpoint, so no ladder resumes
+    populations of another count."""
+
+    def set_runs(runs):
+        monkeypatch.setattr(gwsim, "RUNS", runs)
+        gwsim._CHECKPOINT.clear()
+
+    yield set_runs
+    gwsim._CHECKPOINT.clear()
 
 
 def _cold(eta, **kwargs):
@@ -613,10 +613,9 @@ class _ReferencePopulation:
         )
 
 
-def test_tail_estimate_matches_reference_loop(monkeypatch):
-    # The whole estimate, over one and several populations; repr pins every
-    # float bit, NaN intervals included. Each case is reached cold and by
-    # resuming from a smaller t.
+def test_tail_estimate_matches_reference_loop(monkeypatch, set_runs):
+    # The whole estimate, over two and three populations; repr pins every
+    # float bit. Each case is reached cold and by resuming from a smaller t.
     rng = np.random.default_rng(77)
     estimates = []
     for case in range(60):
@@ -624,9 +623,11 @@ def test_tail_estimate_matches_reference_loop(monkeypatch):
         kwargs = dict(
             t=1 + case % 8, a=float(rng.uniform(1.0, 1.3)),
             omega=int(rng.integers(2, 41)), rng_seed=int(rng.integers(2**32)),
-            event=("lb", "ub")[case % 2], runs=(1, 3)[case // 2 % 2],
+            event=("lb", "ub")[case % 2],
         )
-        kwargs["reps"] = 400 * kwargs["runs"]
+        runs = (2, 3)[case // 2 % 2]
+        kwargs["reps"] = 400 * runs
+        set_runs(runs)
         try:
             with monkeypatch.context() as m:
                 m.setattr(gwsim, "_SplittingPopulation", _ReferencePopulation)
@@ -638,7 +639,6 @@ def test_tail_estimate_matches_reference_loop(monkeypatch):
         resumed = subcritical_tail_experiment(eta, **kwargs)
         assert repr(cold) == repr(ref) == repr(resumed), kwargs
         estimates.append(cold)
-    gwsim._CHECKPOINT.clear()
     assert len(estimates) >= 40
     assert sum(e.successes > 0 for e in estimates) >= 10
 
@@ -649,10 +649,10 @@ def test_tail_rejects_non_finite_a(toy_biased, a):
         subcritical_tail_experiment(toy_biased, t=3, a=a, omega=50, reps=400)
 
 
-def _ladder_cases():
-    """Eight ladders over random laws, both events, one or three runs and
+def _ladder_cases(set_runs):
+    """Eight ladders over random laws, both events, two or three runs and
     integer or sequence seeds, each with successes at its top t so that a
-    wrong resume shows."""
+    wrong resume shows; each case is (law, runs, kwargs, ts)."""
     rng = np.random.default_rng(1313)
     cases = []
     while len(cases) < 8:
@@ -661,34 +661,36 @@ def _ladder_cases():
         kwargs = dict(
             a=1.0, omega=int(rng.integers(3, 41)),
             rng_seed=seed if len(cases) < 4 else [seed, len(cases)],
-            event=("lb", "ub")[len(cases) % 2], runs=(1, 3)[len(cases) // 2 % 2],
+            event=("lb", "ub")[len(cases) % 2],
         )
-        kwargs["reps"] = 600 * kwargs["runs"]
+        runs = (2, 3)[len(cases) // 2 % 2]
+        kwargs["reps"] = 600 * runs
         ts = sorted(int(t) for t in rng.choice(np.arange(1, 9), 4, replace=False))
+        set_runs(runs)
         try:
             top = _cold(eta, t=ts[-1], **kwargs)
         except DegenerateError:
             continue
         if top.successes > 0:
-            cases.append((eta, kwargs, ts))
+            cases.append((eta, runs, kwargs, ts))
     return cases
 
 
 @pytest.mark.parametrize("order", ["increasing", "decreasing", "repeated", "interleaved"])
-def test_tail_ladder_resume_matches_cold_calls(order):
+def test_tail_ladder_resume_matches_cold_calls(order, set_runs):
     # Interleaved calls differ from the ladder in one argument of the
     # checkpoint key each, so they replace the checkpoint; each of their
     # estimates is checked too.
     other_law = MarkedOffspringLaw({(0, 2): 0.25, (1, 3): 0.25, (2, 2): 0.30, (2, 3): 0.20})
     successes = 0
-    for eta, kwargs, ts in _ladder_cases():
+    for eta, runs, kwargs, ts in _ladder_cases(set_runs):
+        set_runs(runs)
         if order == "interleaved":
             others = [(other_law, kwargs)] + [(eta, {**kwargs, **other}) for other in (
                 {"rng_seed": 0},
                 {"omega": kwargs["omega"] + 5},
                 {"event": {"lb": "ub", "ub": "lb"}[kwargs["event"]]},
                 {"reps": 2 * kwargs["reps"]},
-                {"runs": kwargs["runs"] + 1},
             )]
             calls = []
             for i, t in enumerate(ts):
@@ -706,28 +708,28 @@ def test_tail_ladder_resume_matches_cold_calls(order):
             est = subcritical_tail_experiment(law, t=t, **kw)
             assert repr(est) == expected, (order, t, kw)
             successes += est.successes > 0
-    gwsim._CHECKPOINT.clear()
     assert successes >= 4
 
 
-def test_tail_ladders_in_threads_match_serial():
+def test_tail_ladders_in_threads_match_serial(set_runs):
     # Threads share one checkpoint; each must still read its own ladder's
     # bits. More threads than cores and a short switch interval make them
     # take and replace the entry in between each other's calls.
     eta = MarkedOffspringLaw({(0, 2): 0.25, (1, 3): 0.25, (2, 2): 0.30, (2, 3): 0.20})
     ts = (3, 5, 7)
+    set_runs(3)
 
     def ladder(seed):
         return [
             repr(subcritical_tail_experiment(
-                eta, t=t, a=1.0, omega=40, reps=1200, rng_seed=seed, runs=3
+                eta, t=t, a=1.0, omega=40, reps=1200, rng_seed=seed
             ))
             for t in ts
         ]
 
     seeds = range(100, 106)
     serial = {seed: [repr(_cold(eta, t=t, a=1.0, omega=40, reps=1200,
-                                 rng_seed=seed, runs=3)) for t in ts]
+                                 rng_seed=seed)) for t in ts]
               for seed in seeds}
     results = {}
 
@@ -745,11 +747,10 @@ def test_tail_ladders_in_threads_match_serial():
             assert not th.is_alive()
     finally:
         sys.setswitchinterval(interval)
-        gwsim._CHECKPOINT.clear()
     assert results == {seed: [serial[seed]] * 3 for seed in seeds}
 
 
-def test_tail_runs_concurrently_in_run_order(toy_biased, monkeypatch):
+def test_tail_runs_concurrently_in_run_order(toy_biased, monkeypatch, set_runs):
     # Run 0 sleeps longest, so with four workers the runs finish out of
     # order; the estimate must still be the inline one, bit for bit.
     finished, threads = [], []
@@ -762,7 +763,8 @@ def test_tail_runs_concurrently_in_run_order(toy_biased, monkeypatch):
             super().advance(steps)
             finished.append(run)
 
-    kwargs = dict(t=4, a=1.0, omega=50, reps=1200, rng_seed=5, runs=4)
+    kwargs = dict(t=4, a=1.0, omega=50, reps=1200, rng_seed=5)
+    set_runs(4)
     monkeypatch.setattr(gwsim, "_SplittingPopulation", SlowFirst)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     inline = _cold(toy_biased, **kwargs)
@@ -775,10 +777,13 @@ def test_tail_runs_concurrently_in_run_order(toy_biased, monkeypatch):
     assert finished != [0, 1, 2, 3] and sorted(finished) == [0, 1, 2, 3]
     assert len(set(threads)) > 1
     assert repr(concurrent) == repr(inline)
-    threads.clear()
-    _cold(toy_biased, **{**kwargs, "runs": 1, "reps": 300})
-    gwsim._CHECKPOINT.clear()
-    assert threads == [threading.get_ident()]
+    # No more workers than runs, however many cores.
+    workers = []
+    thread_map = gwsim.thread_map
+    monkeypatch.setattr(gwsim, "thread_map", lambda n: workers.append(n) or thread_map(n))
+    set_runs(2)
+    _cold(toy_biased, **{**kwargs, "reps": 300})
+    assert workers == [2]
 
 
 def test_advance_transient_memory_budget(toy_biased):
@@ -803,10 +808,8 @@ def test_advance_transient_memory_budget(toy_biased):
 
 @pytest.mark.parametrize(
     "bad",
-    [{"runs": 0}, {"runs": -1}, {"runs": 2.5}, {"t": 2.5}, {"t": True},
-     {"reps": 400.0}, {"omega": 50.5}, {"runs": True}],
-    ids=["runs0", "runs-1", "runs2.5", "t2.5", "t-bool", "reps-float", "omega50.5",
-         "runs-bool"],
+    [{"t": 2.5}, {"t": True}, {"reps": 400.0}, {"omega": 50.5}, {"reps": 7}],
+    ids=["t2.5", "t-bool", "reps-float", "omega50.5", "reps-below-runs"],
 )
 def test_tail_rejects_bad_runs_and_guide(toy_biased, bad, monkeypatch):
     # Rejected before the checkpoint is touched.

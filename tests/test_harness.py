@@ -68,8 +68,11 @@ def test_config_rejects_bad_power_tol(tmp_path, capsys, tol):
     done = out.read_bytes()
     argv = ["--tol", repr(tol), "exponent-sweep", "--dist", write_toy(tmp_path),
             "--n-ladder", "64", "--out", str(out)]
-    assert main(argv) == 2
-    assert "power_tol" in capsys.readouterr().err
+    # The config refuses -1.0 and 0.0; 'nan' and 'inf' are not real text
+    # (`_checks.read_real`), so argparse refuses the word itself.
+    code, err = run_cli(argv, capsys)
+    assert code == 2
+    assert ("power_tol" if math.isfinite(tol) else "argument --tol") in err
     assert out.read_bytes() == done
 
 
@@ -586,6 +589,17 @@ def test_cli_fuzz_malformed_input_exits_cleanly(tmp_path, capsys):
         assert code in (2, 3, 4), argv
         assert "Traceback" not in err, argv
         assert err.count("error:") == 1, argv
+    # One real rule for argv words: an optional '-', digits with an optional
+    # fraction (or a fraction alone), an optional exponent. float() would
+    # read '1_0' as 10, ' 1.0' as 1 and 'infinity' as inf.
+    for text in ("1_0", " 1.0", "1e", "0x1p-3", "infinity"):
+        for argv in (
+            ["--tol", text, "stationary", "--graph", str(good)],
+            ["bp-sim", "--dist", dist, "--t", "3", "--a", text],
+        ):
+            code, err = run_cli(argv, capsys)
+            assert code == 2 and err.count("error:") == 1, argv
+            assert "Traceback" not in err, argv
     # A one-vertex graph is valid input; its exponent (0/0) is JSON null.
     one = tmp_path / "one.edges"
     one.write_text("# n=1\n0 0 2\n")

@@ -318,13 +318,13 @@ def exhaustive_minimize_phi(params, law, grid_step: float) -> ExponentReport:
     )
 
 
-def test_minimize_phi_matches_exhaustive_grid(toy_dist):
-    # a0 = 1 exactly, from a two-point grid (a_hi - 1 < grid_step). No law
+def test_minimize_phi_matches_exhaustive_grid(toy_dist, monkeypatch):
+    # a0 = 1 exactly, from a two-point grid (a_hi - 1 < GRID_STEP). No law
     # has a0 = a_hi: I' grows without bound at z_max, so phi rises into a_hi.
     at_one = BiDegreeDistribution(
         {(1, 6): 0.4153902428555889, (8, 4): 0.5472543551015968, (0, 3): 0.03735540204281423}
     )
-    # The random laws use a 1e-3 grid step, so that the reference costs
+    # The random laws patch in a 1e-3 grid step, so that the reference costs
     # about 25 ms per law instead of 250 ms; the search does not depend on it.
     rng = np.random.default_rng(2024)
     laws = [(toy_dist, 1e-4), (at_one, 1e-4)]
@@ -337,7 +337,8 @@ def test_minimize_phi_matches_exhaustive_grid(toy_dist):
         law = FiniteLogLaw.from_marked_law(params.tilde)
         if law.z_max / params.H_hat <= 1.0 + 1e-12:
             continue  # point domain: no grid
-        report = minimize_phi(params, law, grid_step=grid_step)
+        monkeypatch.setattr(ratefn, "GRID_STEP", grid_step)
+        report = minimize_phi(params, law)
         assert report == exhaustive_minimize_phi(params, law, grid_step)
         grid += 1
         if report.a0 == 1.0:
