@@ -9,7 +9,8 @@ ASCII digits with an optional fraction (or a fraction alone) and an
 optional exponent. A count that passes these checks but sizes an
 array beyond the address space is a CapacityError (`check_addressable`).
 An array of counts is stored in the narrowest signed integer dtype that
-holds its largest entry (`narrow_dtype`)."""
+holds its largest entry (`narrow_dtype`). A seed is a non-negative integer,
+a non-empty sequence of them or a SeedSequence (`check_seed`)."""
 
 from __future__ import annotations
 
@@ -46,6 +47,22 @@ def check_real(value, name: str):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     return value
+
+
+def check_seed(seed, name: str) -> np.random.SeedSequence:
+    """A fresh SeedSequence of `seed`, after checking that it is a
+    non-negative integer inside int64, a non-empty 1-d sequence of such
+    integers, or a SeedSequence, which is copied, so spawning from the
+    result leaves the caller's counter alone. `default_rng` of the result
+    draws the stream that `default_rng(seed)` draws."""
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(**seed.state)
+    many = isinstance(seed, (list, tuple)) or np.ndim(seed) == 1
+    entries = [check_int(value, name) for value in (seed if many else [seed])]
+    if not entries or min(entries) < 0:
+        raise ValidationError(f"{name} must be a non-negative integer or a non-empty "
+                              f"sequence of them, got {seed!r}")
+    return np.random.SeedSequence(entries if many else entries[0])
 
 
 def check_int_pair(pair, names: tuple[str, str]) -> tuple[int, int]:

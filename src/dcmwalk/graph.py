@@ -31,7 +31,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from ._checks import (
-    check_addressable, check_int, check_int_array, exact_total, narrow_dtype, read_int_rows,
+    check_addressable, check_int, check_int_array, check_seed, exact_total, narrow_dtype,
+    read_int_rows,
 )
 from .degrees import BiDegreeSequence
 from .errors import NumericalError, ValidationError
@@ -202,10 +203,11 @@ def sample_dcm(
     leads to heads[rng.permutation(m)][t]. An m whose successor array the
     address space cannot hold raises CapacityError.
     """
+    seed = check_seed(rng_seed, "rng_seed")
     dtype = _index_dtype(seq.n)
     check_addressable(seq.m, np.dtype(dtype).itemsize, "m")
     succ = np.repeat(np.arange(seq.n, dtype=dtype), seq.in_degrees)
-    np.random.default_rng(rng_seed).shuffle(succ)
+    np.random.default_rng(seed).shuffle(succ)
     return Multigraph(seq.out_degrees, succ)
 
 
@@ -213,9 +215,10 @@ def sample_rout(n: int, r: int, rng_seed: int | np.random.SeedSequence = 0) -> M
     """Sample the r-out digraph: each vertex draws r uniform out-neighbours
     with replacement (self-loops allowed); in-degrees are Binomial(nr, 1/n).
     """
+    seed = check_seed(rng_seed, "rng_seed")
     if check_int(r, "r") < 2 or check_int(n, "n") < 1:
         raise ValidationError(f"need r >= 2 and n >= 1, got r={r}, n={n}")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(seed)
     return Multigraph(np.full(n, r, dtype=np.int64), rng.integers(0, n, size=n * r))
 
 

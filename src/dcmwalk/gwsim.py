@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_int, check_real
+from ._checks import check_int, check_real, check_seed
 from ._threads import thread_map, usable_cores
 from .branching import (
     MarkedOffspringLaw,
@@ -62,17 +62,9 @@ class MarkedTree:
     truncated: bool = False
 
     @property
-    def generation_sizes(self) -> tuple[int, ...]:
-        return tuple(len(x) for x in self.xi)
-
-    @property
-    def next_generation_size(self) -> int:
-        """Size of the first generation past the materialized ones."""
-        return int(self.xi[-1].sum())
-
-    @property
     def extinct(self) -> bool:
-        return not self.truncated and self.next_generation_size == 0
+        """No node lies past the materialized generations."""
+        return not self.truncated and int(self.xi[-1].sum()) == 0
 
     @classmethod
     def from_offspring(cls, xi_per_gen, zeta_per_gen) -> "MarkedTree":
@@ -154,9 +146,10 @@ def simulate_marked_gw(
     WIDTH_CAP is not materialized and the tree is flagged truncated.
     Identical seeds reproduce identical trees.
     """
+    seed = check_seed(rng_seed, "rng_seed")
     if check_int(t_max, "t_max") < 0:
         raise ValidationError(f"need t_max >= 0, got {t_max}")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(seed)
     sampler = _LawSampler(eta)
     xi0, zeta0 = sampler.draw(rng, 1)
     xi = [xi0]
@@ -236,11 +229,8 @@ def truncated_gamma(tree: MarkedTree, t0: int, gamma_floor: float, t: int) -> fl
 class DualityReport:
     """Exact comparison of conditioned-on-extinction vs conjugate shape laws."""
 
-    depth: int
-    num_shapes: int
     max_abs_diff: float
     conditioned_total: float
-    conjugate_total: float
 
 
 def duality_check(xi: OffspringLaw, depth: int) -> DualityReport:
@@ -287,29 +277,19 @@ def duality_check(xi: OffspringLaw, depth: int) -> DualityReport:
     expand(0, 1.0, 1.0, 1)
     max_diff = 0.0
     total_cond = 0.0
-    total_conj = 0.0
     for p_orig, p_hat, leaves in shapes:
         conditioned = p_orig * q**leaves / q
         max_diff = max(max_diff, abs(conditioned - p_hat))
         total_cond += conditioned
-        total_conj += p_hat
-    return DualityReport(
-        depth=depth,
-        num_shapes=len(shapes),
-        max_abs_diff=max_diff,
-        conditioned_total=total_cond,
-        conjugate_total=total_conj,
-    )
+    return DualityReport(max_abs_diff=max_diff, conditioned_total=total_cond)
 
 
 @dataclass(frozen=True)
 class TailEstimate:
     """Rare-event estimate for one (t, a) cell of the subcritical tails."""
 
-    event: str
     t: int
     a: float
-    omega: int
     reps: int
     successes: int
     p_hat: float
@@ -317,7 +297,6 @@ class TailEstimate:
     ci_hi: float
     rate_hat: float
     rate_theory: float
-    flags: tuple[str, ...] = field(default=())
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -371,9 +350,7 @@ def subcritical_tail_experiment(
     process may use (at most RUNS; inline with one CPU), and each draws
     only from its own Generator, so the output bits do not depend on the
     core count. For the "ub" event, which does not constrain intermediate
-    widths, trajectories are still capped at 8 * omega nodes per generation
-    (flagged; paths that exceed the cap and return below omega are
-    vanishingly rare here).
+    widths, trajectories are still capped at 8 * omega nodes per generation.
 
     Resume contract: the populations' trajectory does not depend on t or a.
     The populations of the last call are kept at the generation it reached,
@@ -387,6 +364,7 @@ def subcritical_tail_experiment(
     The interval (ci_lo, ci_hi) is p_hat +- Z_95 standard errors across the
     runs. With no successes, ci_lo = 0 and ci_hi is the Wilson upper bound.
     """
+    seed = check_seed(rng_seed, "rng_seed")
     if eta.mean_offspring() <= 1.0:
         raise DegenerateError("tail experiment needs a supercritical law")
     if not eta.marks_at_least_two:
@@ -406,12 +384,13 @@ def subcritical_tail_experiment(
     rate_theory = tail_rate_theory(eta, a)
 
     kill_width = omega if event == "lb" else max(8 * omega, 64)
-    flags = [] if event == "lb" else ["intermediate_width_capped"]
     sampler = _LawSampler(eta)
-    seeds = np.random.SeedSequence(rng_seed).spawn(RUNS)
+    # The key reads the copy's state before spawning advances its counter;
+    # the caller's object is never advanced, so a repeated call resumes.
+    seed_key = repr(seed.state)
+    seeds = seed.spawn(RUNS)
     n_per_run = max(2, reps // RUNS)
 
-    seed_key = tuple(np.ravel(rng_seed).tolist())  # a sequence seed has no hash
     key = (tuple(sorted(eta.pmf.items())), omega, event, reps, seed_key)
     with _CHECKPOINT_LOCK:
         done, pops = _CHECKPOINT.pop(key, (0, []))
@@ -446,17 +425,14 @@ def subcritical_tail_experiment(
         ci_hi = wilson_interval(0, reps)[1]
         p_hat = 0.0
         rate_hat = math.inf
-        flags.append("zero_successes")
     else:
         rate_hat = -math.log(p_hat) / t
         se = float(np.std(run_estimates, ddof=1)) / math.sqrt(RUNS)
         ci_lo = max(0.0, p_hat - Z_95 * se)
         ci_hi = p_hat + Z_95 * se
     return TailEstimate(
-        event=event,
         t=t,
         a=a,
-        omega=omega,
         reps=reps,
         successes=total_successes,
         p_hat=p_hat,
@@ -464,7 +440,6 @@ def subcritical_tail_experiment(
         ci_hi=ci_hi,
         rate_hat=rate_hat,
         rate_theory=rate_theory,
-        flags=tuple(flags),
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_int, check_int_array, check_real
+from ._checks import check_int, check_int_array, check_real, check_seed, read_int, read_real
 from ._threads import share_cores
 from .branching import compute_bp_parameters
 from .degrees import BiDegreeDistribution, realize_sequence
@@ -27,6 +27,7 @@ from .ratefn import ExponentReport, FiniteLogLaw, minimize_phi, rate_table
 from .walks import POWER_TOL, hitting_matrix, stationary_distribution
 
 RATE_GRID = 64  # points of a parameter record's rate table
+CONFIG_KEYS = ("distribution", "n_ladder", "seeds_per_n", "measures", "master_seed", "power_tol")
 SWEEP_COLUMNS = (
     "n",
     "seed",
@@ -81,6 +82,11 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ConfigError("experiment config must be a JSON object")
+        unknown = sorted(set(data) - set(CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}")
         try:
             dist_blob = data["distribution"]
             ladder, measures = data["n_ladder"], data.get("measures", [])
@@ -101,7 +107,7 @@ class ExperimentConfig:
 
 def derive_seed(master_seed: int, n: int, seed_idx: int) -> np.random.SeedSequence:
     """Counter-based per-cell seed: stable under ladder or seed-list growth."""
-    return np.random.SeedSequence(entropy=(master_seed, n, seed_idx))
+    return check_seed((master_seed, n, seed_idx), "seed entropy")
 
 
 def analyze_distribution(
@@ -205,7 +211,7 @@ def run_exponent_sweep(
     if os.path.exists(out_csv):
         for row in _read_sweep(out_csv):
             if row["status"] != "slope":
-                done[(int(row["n"]), int(row["seed"]))] = row
+                done[(row["n"], row["seed"])] = row
     stray = set(done) - set(grid)
     if stray:
         raise ConfigError(f"{out_csv}: rows {sorted(stray)} lie outside this sweep's grid")
@@ -224,7 +230,7 @@ def run_exponent_sweep(
     else:
         fresh = [_sweep_cell(t) for t in tasks]
     for row in fresh:
-        done[(int(row["n"]), int(row["seed"]))] = row
+        done[(row["n"], row["seed"])] = row
     rows = [done[key] for key in sorted(done)]
     slope_row = _slope_row(rows)
     with open(out_csv, "w", encoding="ascii") as fh:
@@ -245,10 +251,9 @@ def _slope_row(rows: list[dict]) -> dict | None:
     Stored with status 'slope': exp_obs carries the slope, support_frac its
     standard error. Absent when fewer than two distinct n values succeeded.
     """
-    ok = [r for r in rows if r["status"] == "ok" and float(r["pi_min"]) > 0]
+    ok = [r for r in rows if r["status"] == "ok" and r["pi_min"] > 0]
     slope, stderr = least_squares_slope(
-        [math.log(float(r["n"])) for r in ok],
-        [math.log(1.0 / float(r["pi_min"])) for r in ok],
+        [math.log(r["n"]) for r in ok], [math.log(1.0 / r["pi_min"]) for r in ok]
     )
     if math.isnan(slope):
         return None
@@ -256,6 +261,8 @@ def _slope_row(rows: list[dict]) -> dict | None:
 
 
 def _read_sweep(path: str) -> list[dict]:
+    """The rows of a sweep CSV, typed as the sweep makes them: n and seed
+    int, status str, every other column float ("nan" is NaN)."""
     rows = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
@@ -266,5 +273,12 @@ def _read_sweep(path: str) -> list[dict]:
             if not line:
                 continue
             parts = line.split(",")
-            rows.append(dict(zip(SWEEP_COLUMNS, parts)))
+            if len(parts) != len(SWEEP_COLUMNS):
+                raise ConfigError(f"{path}: expected {len(SWEEP_COLUMNS)} fields in {line!r}")
+            row = dict(zip(SWEEP_COLUMNS, parts))
+            for c in SWEEP_COLUMNS[:2]:
+                row[c] = read_int(row[c], f"{path}: {c}")
+            for c in SWEEP_COLUMNS[2:-1]:
+                row[c] = math.nan if row[c] == "nan" else read_real(row[c], f"{path}: {c}")
+            rows.append(row)
     return rows

@@ -66,10 +66,6 @@ class FiniteLogLaw:
     def z_max(self) -> float:
         return max(self.atoms)
 
-    @property
-    def degenerate(self) -> bool:
-        return len(self.atoms) == 1
-
 
 @dataclass(frozen=True)
 class ExponentReport:
@@ -78,8 +74,6 @@ class ExponentReport:
     a0: float
     phi_a0: float
     exponent: float
-    a0_on_boundary: bool
-    point_domain: bool
     degenerate: bool
 
 
@@ -242,14 +236,7 @@ def minimize_phi(
     The degenerate regime (nu_hat = 0) contributes exponent exactly 1.
     """
     if params.degenerate or law is None:
-        return ExponentReport(
-            a0=1.0,
-            phi_a0=math.inf,
-            exponent=1.0,
-            a0_on_boundary=True,
-            point_domain=law is None or (law is not None and law.degenerate),
-            degenerate=True,
-        )
+        return ExponentReport(a0=1.0, phi_a0=math.inf, exponent=1.0, degenerate=True)
     h_hat = params.H_hat
     if not h_hat > 0.0:
         raise DegenerateError("minimize_phi needs H_hat > 0")
@@ -261,8 +248,6 @@ def minimize_phi(
             a0=1.0,
             phi_a0=phi_1,
             exponent=_exponent(h_hat, phi_1),
-            a0_on_boundary=True,
-            point_domain=True,
             degenerate=False,
         )
 
@@ -286,8 +271,6 @@ def minimize_phi(
         a0=a0,
         phi_a0=phi_a0,
         exponent=_exponent(h_hat, phi_a0),
-        a0_on_boundary=(a0 - 1.0 <= A0_TOL) or (a_hi - a0 <= A0_TOL),
-        point_domain=False,
         degenerate=False,
     )
 

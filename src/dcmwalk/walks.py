@@ -30,7 +30,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csc_matvec
 from scipy.sparse.csgraph import breadth_first_order
 
-from ._checks import check_addressable, check_int, check_int_array, check_real
+from ._checks import check_addressable, check_int, check_int_array, check_real, check_seed
 from ._threads import thread_map, usable_cores
 from .errors import (
     CensoredError,
@@ -99,10 +99,10 @@ class StationaryResult:
 class HittingEstimate:
     """Monte Carlo walk-time estimate with censoring diagnostics.
 
-    `samples` holds the per-replicate step counts (step_cap for censored
-    replicates) and `censored_mask` flags the censored replicates, so
-    callers can emit one CSV row per replicate. A replicate that finishes
-    exactly at the step cap is not censored.
+    `samples` holds the per-replicate step counts (the step cap for
+    censored replicates) and `censored_mask` flags the censored
+    replicates, so callers can emit one CSV row per replicate. A replicate
+    that finishes exactly at the step cap is not censored.
     """
 
     mean: float
@@ -110,7 +110,6 @@ class HittingEstimate:
     reps: int
     hits: int
     censored: int
-    step_cap: int
     samples: np.ndarray | None = None
     start: int | None = None
     censored_mask: np.ndarray | None = None
@@ -436,11 +435,12 @@ def walk_times_exact(
     """Exact maximal hitting time onto the attractive SCC, a Monte Carlo
     cover-time estimate, and Matthews' bound. The cover walkers stop at
     max(10^4, 50 * Matthews' bound) steps."""
+    seed = check_seed(rng_seed, "rng_seed")
     comp, hitting = hitting_matrix(g)
     t_hit = float(hitting[np.isfinite(hitting)].max())
     bound = matthews_bound(t_hit, len(comp))
     step_cap = max(10_000, int(50 * bound))
-    cov = cover_time_mc(g, reps=cover_reps, step_cap=step_cap, rng_seed=rng_seed)
+    cov = cover_time_mc(g, reps=cover_reps, step_cap=step_cap, rng_seed=seed)
     return WalkTimes(
         targets=comp,
         hitting=hitting,
@@ -529,7 +529,6 @@ def _summarize(
         reps=len(times),
         hits=hits,
         censored=censored,
-        step_cap=step_cap,
         samples=times,
         start=start,
         censored_mask=active,
@@ -555,6 +554,7 @@ def hitting_time_mc(
     the samples does not depend on the block length, but the samples drawn
     for a given seed do.
     """
+    seed = check_seed(rng_seed, "rng_seed")
     _check_walkable(g, (x, y), reps=reps, step_cap=step_cap)
     check_addressable(reps, 8, "reps")  # the int64 step count of each walk
     # trap[v]: y cannot be reached from v. A trap that x does not reach is
@@ -580,7 +580,7 @@ def hitting_time_mc(
         return done
 
     if x != y:
-        rng = np.random.default_rng(rng_seed)
+        rng = np.random.default_rng(seed)
         active[_walk(g, np.full(reps, x), step_cap, rng, settle)] = True
     return _summarize(times, active, step_cap)
 
@@ -602,9 +602,10 @@ def cover_time_mc(
     are found once per block: the law of the samples does not depend on the
     block length, but the samples drawn for a given seed do.
     """
+    seed = check_seed(rng_seed, "rng_seed")
     _check_walkable(g, reps=reps, step_cap=step_cap, n_starts=n_starts)
     comp = _walk_class(g)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(seed)
     starts = rng.choice(g.n, size=min(n_starts, g.n), replace=False)
     per_start = max(2, reps // len(starts))
     k = len(comp)

@@ -13,19 +13,26 @@ from dcmwalk import (
     MarkedOffspringLaw,
     Multigraph,
     ValidationError,
+    cover_time_mc,
+    derive_seed,
     duality_check,
     empirical_tail,
+    hitting_time_mc,
     matthews_bound,
     out_size_biased,
     realize_sequence,
     rout_exponent,
     run_exponent_sweep,
     run_params,
+    sample_dcm,
     sample_rout,
     simulate_marked_gw,
     stationary_distribution,
     subcritical_tail_experiment,
+    walk_times_exact,
 )
+
+from dcmwalk._checks import check_seed
 
 from conftest import TOY_PMF
 
@@ -188,9 +195,46 @@ REFUSED = {
     "realize_huge_n": lambda: realize_sequence(BiDegreeDistribution({(2, 2): 1.0}), 10**20),
 }
 
+# Every seeded function refuses a seed that is not a non-negative integer
+# inside int64, a non-empty sequence of them or a SeedSequence, before any
+# work: also `hitting_time_mc` from the target itself, which walks nowhere.
+SEEDED = {
+    "derive_seed": lambda seed: derive_seed(seed, 4, 0),
+    "sample_dcm": lambda seed: sample_dcm(BiDegreeSequence([1, 1], [1, 1]), rng_seed=seed),
+    "sample_rout": lambda seed: sample_rout(10, 2, rng_seed=seed),
+    "simulate_gw": lambda seed: simulate_marked_gw(
+        out_size_biased(toy_law()), 2, rng_seed=seed
+    ),
+    "tail_experiment": lambda seed: subcritical_tail_experiment(
+        out_size_biased(toy_law()), t=2, a=1.0, omega=4, reps=16, rng_seed=seed
+    ),
+    "hitting_mc": lambda seed: hitting_time_mc(cycle(), 1, 1, reps=4, step_cap=9, rng_seed=seed),
+    "cover_mc": lambda seed: cover_time_mc(cycle(), reps=4, step_cap=9, rng_seed=seed),
+    "walk_times": lambda seed: walk_times_exact(cycle(), cover_reps=4, rng_seed=seed),
+}
+BAD_SEEDS = {"negative": -1, "bool": True, "float": 1.5, "string": "3"}
+REFUSED.update(
+    (f"{call}_{kind}_seed", lambda f=SEEDED[call], seed=seed: f(seed))
+    for call in SEEDED
+    for kind, seed in BAD_SEEDS.items()
+)
+
 
 @pytest.mark.parametrize("name", REFUSED)
 def test_inputs_are_refused_not_rounded(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(ValidationError):
         REFUSED[name]()
+
+
+def test_seed_rule_keeps_every_stream():
+    # The checked seed draws the stream of the seed itself, and a
+    # SeedSequence is copied: the tail experiment spawns from the copy, so
+    # the caller's counter stays at 0 and the estimate is that of its int.
+    for seed in (0, 7, np.int64(7), [7, 2], (7, 2), np.array([7, 2])):
+        draws = np.random.default_rng(check_seed(seed, "seed")).random(4)
+        assert np.array_equal(draws, np.random.default_rng(seed).random(4))
+    eta, parent = out_size_biased(toy_law()), np.random.SeedSequence(7)
+    est = subcritical_tail_experiment(eta, t=2, a=1.0, omega=4, reps=16, rng_seed=parent)
+    assert parent.n_children_spawned == 0
+    assert est == subcritical_tail_experiment(eta, t=2, a=1.0, omega=4, reps=16, rng_seed=7)

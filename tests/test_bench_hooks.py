@@ -2,12 +2,14 @@ import ast
 import functools
 import importlib
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import dcmwalk
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BENCHMARK = PERFBENCH.parent / "BENCHMARK.json"
 
 
 def test_layer_functions_resolve_in_dcmwalk(monkeypatch):
@@ -126,3 +128,31 @@ def test_sweep_gate_passes(monkeypatch, tmp_path):
     worker.run_sweep(inp, res, worker.Stopwatch())
     assert res.attempted == len(worker.SWEEP_LADDER) * worker.SWEEP_SEEDS_PER_N
     assert res.failed == 0, res.errors
+
+
+def test_tracer_reports_every_declared_layer(monkeypatch, tmp_path):
+    # A traced bench run reads its counters from the results of the wrapped
+    # calls (`iterations`, `targets`, `reps`, `censored`, `t`, `successes`):
+    # run each workload's library calls once under the tracer, at small
+    # sizes and without the gates, and check the per-layer metrics it reports.
+    worker = import_worker(monkeypatch)
+    spans = sys.modules["spans"]
+    # `Tracer.install` rebinds module attributes; the snapshot undoes it.
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "dcmwalk" or name.startswith("dcmwalk.")):
+            for key, value in list(vars(module).items()):
+                monkeypatch.setattr(module, key, value)
+    tracer = spans.Tracer("test")
+    tracer.install()
+    worker.setup_sweep(1, tmp_path)
+    eta = worker.setup_tail(1, tmp_path)["eta"]
+    for t in spans.TAIL_TS:
+        dcmwalk.subcritical_tail_experiment(eta, t=t, a=1.0, omega=200, reps=800, rng_seed=1)
+    worker.walk_graphs(worker.setup_walk(1, tmp_path))
+    worker.large_cell(worker.setup_large(1, tmp_path), 2**12)
+    declared = {m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]}
+    assert set(tracer.layer_metrics()) == declared - {"trace.overhead_s"}
+    # Every layer but the sweep's own ran, which its gate test covers.
+    assert {s["name"] for s in tracer.spans} == set(spans.LAYER_FUNCTIONS) - {"harness.sweep"}
+    tracer.write_jsonl(tmp_path / "spans.jsonl")
+    assert len((tmp_path / "spans.jsonl").read_text().splitlines()) == len(tracer.spans)

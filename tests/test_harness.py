@@ -8,7 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from dcmwalk import ConfigError, ExperimentConfig, derive_seed, run_exponent_sweep, run_params
+from dcmwalk import (
+    ConfigError, ExperimentConfig, ValidationError, derive_seed, run_exponent_sweep, run_params,
+)
 from dcmwalk import _threads, cli, harness, walks
 from dcmwalk.cli import main
 from dcmwalk.degrees import BiDegreeDistribution, realize_sequence
@@ -85,6 +87,23 @@ def test_config_rejects_string_for_list(field, value):
             field: value}
     with pytest.raises(ConfigError, match=f"{field} must be a list"):
         ExperimentConfig.from_json(json.dumps(blob))
+
+
+@pytest.mark.parametrize(
+    "key, value", [("master-seed", 7), ("measure", ["t_hit"])], ids=["master-seed", "measure"]
+)
+def test_config_refuses_unknown_keys(tmp_path, capsys, key, value):
+    # A misspelt key would otherwise run with the default in its place.
+    blob = {"distribution": json.loads(toy_json()), "n_ladder": [64], "seeds_per_n": 1,
+            key: value}
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_json(json.dumps(blob))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(blob))
+    out = tmp_path / "sweep.csv"
+    code, err = run_cli(["exponent-sweep", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2 and key in err
+    assert not out.exists()
 
 
 def test_seed_derivation_stable():
@@ -200,6 +219,30 @@ def test_sweep_reproducible_and_resumable(tmp_path):
     run_exponent_sweep(small, str(partial))
     run_exponent_sweep(config, str(partial))
     assert partial.read_bytes() == fresh.read_bytes()
+
+
+def test_sweep_resume_returns_typed_rows(tmp_path):
+    # Rows kept from the file come back typed as fresh rows are, so a count
+    # such as `r["pi_min"] == 1.0` reads the same on a resumed sweep.
+    config = ExperimentConfig(
+        dist_json=toy_json(), n_ladder=(4, 64, 128), seeds_per_n=3, master_seed=9,
+        measures=("t_hit",),
+    )
+    fresh = run_exponent_sweep(config, str(tmp_path / "fresh.csv"))
+    partial = str(tmp_path / "partial.csv")
+    run_exponent_sweep(ExperimentConfig(**{**vars(config), "n_ladder": (4, 64)}), partial)
+    resumed = run_exponent_sweep(config, partial)
+    assert {r["status"] for r in fresh} == {"ok", "no_attractive_scc"}
+    assert [{c: type(v) for c, v in r.items()} for r in resumed] == [
+        {c: type(v) for c, v in r.items()} for r in fresh
+    ]
+    assert list(map(harness._csv_line, resumed)) == list(map(harness._csv_line, fresh))
+    # A cut line or a value that is not a number is refused, not kept.
+    bad = tmp_path / "bad.csv"
+    for line in ("4,0,0.5", "4,0,abc,0.5,1.0,nan,nan,ok"):
+        bad.write_text(",".join(harness.SWEEP_COLUMNS) + "\n" + line + "\n")
+        with pytest.raises(ValidationError):
+            run_exponent_sweep(config, str(bad))
 
 
 def test_sweep_resume_refuses_rows_of_another_config(tmp_path):

@@ -156,7 +156,7 @@ def test_minimize_phi_toy(toy_dist, toy_law):
     assert report.a0 == pytest.approx(TOY_A0, abs=1e-4)
     assert report.phi_a0 == pytest.approx(TOY_PHI_A0, abs=1e-4)
     assert report.exponent == pytest.approx(TOY_EXPONENT, abs=1e-4)
-    assert not report.point_domain and not report.degenerate
+    assert not report.degenerate
     assert report.exponent >= 1.0
     assert report.phi_a0 <= abs(math.log(params.nu_hat)) + 1e-12
 
@@ -312,8 +312,6 @@ def exhaustive_minimize_phi(params, law, grid_step: float) -> ExponentReport:
         a0=a0,
         phi_a0=phi_a0,
         exponent=1.0 + h_hat / phi_a0,
-        a0_on_boundary=(a0 - 1.0 <= 1e-9) or (a_hi - a0 <= 1e-9),
-        point_domain=False,
         degenerate=False,
     )
 
@@ -343,7 +341,8 @@ def test_minimize_phi_matches_exhaustive_grid(toy_dist, monkeypatch):
         grid += 1
         if report.a0 == 1.0:
             edges.add("a0 = 1")
-        if report.a0_on_boundary:
+        a_hi = law.z_max / params.H_hat
+        if report.a0 - 1.0 <= ratefn.A0_TOL or a_hi - report.a0 <= ratefn.A0_TOL:
             edges.add("boundary")
     assert grid >= 60 and edges == {"a0 = 1", "boundary"}
 

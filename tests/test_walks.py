@@ -461,13 +461,14 @@ def test_cover_censoring_consistent():
     # and some do not.
     edges = [(i, (i + 1) % 6, 1) for i in range(6)] + [(0, 0, 1), (6, 0, 1)]
     g = Multigraph.from_edges(edges)
-    est = cover_time_mc(g, reps=80, step_cap=7, rng_seed=3, n_starts=7)
+    step_cap = 7
+    est = cover_time_mc(g, reps=80, step_cap=step_cap, rng_seed=3, n_starts=7)
     assert 0 < est.censored < est.reps
     assert est.hits + est.censored == est.reps == len(est.samples)
     # Censored replicates read step_cap; a walk may also finish exactly there.
-    assert est.samples.max() <= est.step_cap
-    assert int((est.samples == est.step_cap).sum()) >= est.censored
-    total = est.mean * est.hits + est.step_cap * est.censored
+    assert est.samples.max() <= step_cap
+    assert int((est.samples == step_cap).sum()) >= est.censored
+    total = est.mean * est.hits + step_cap * est.censored
     assert total == pytest.approx(float(est.samples.sum()), rel=1e-12)
 
 
